@@ -41,7 +41,6 @@ from .wire import (
     ApReservationDecision,
     ExtendedHeartbeat,
     FlightStack,
-    LivenessTracker,
     LpReservationConfirmation,
     Message,
     NodeState,
@@ -130,7 +129,6 @@ class ApNode:
         self.position = (0.0, 0.0)
         # (lp_sys_id, last confirmed queue position) while reserved/boarding.
         self.current_reservation: tuple[int, int] | None = None
-        self.lp_liveness = LivenessTracker()
 
         self._pending_target: int | None = None
         self._tried: set[int] = set()
@@ -237,8 +235,6 @@ class ApNode:
         if isinstance(msg, SystemStateUpdate):
             return self.handle_state_update(msg, from_sys_id, now)
         if isinstance(msg, ExtendedHeartbeat):
-            if msg.vehicle_type == VehicleType.LANDING_PLATFORM:
-                self.lp_liveness.record(from_sys_id, now)
             return []
         logger.debug("AP %d: ignoring %s", self.sys_id, type(msg).__name__)
         return []

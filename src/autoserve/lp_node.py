@@ -109,7 +109,6 @@ class LpNode:
 
         self._phase_started_at: float | None = None
         self._last_heartbeat_at: float | None = None
-        self._ap_health: dict[int, ExtendedHeartbeat] = {}
         self._transitions: list[tuple[NodeState, NodeState]] = []
 
     # -- state machine plumbing -------------------------------------------
@@ -266,7 +265,6 @@ class LpNode:
     ) -> list[Outbound]:
         self.liveness.record(from_sys_id, now)
         if msg.vehicle_type == VehicleType.AERIAL_PLATFORM:
-            self._ap_health[from_sys_id] = msg
             self.consider_auto_reserve(msg, from_sys_id, now)
             if self.state is NodeState.IDLE:
                 return self._promote(now)
@@ -363,6 +361,3 @@ class LpNode:
             pos_x=self.position[0],
             pos_y=self.position[1],
         )
-
-    def ap_health(self, ap_sys_id: int) -> ExtendedHeartbeat | None:
-        return self._ap_health.get(ap_sys_id)

@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum, IntEnum
 from hashlib import sha256
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 MAGIC_V2 = 0xFD
 HEADER_LEN = 10
@@ -243,218 +243,141 @@ Message = Union[
 ]
 
 
-def _check_u8(value: int, name: str, lo: int = 0, hi: int = 255) -> int:
-    value = int(value)
-    if not lo <= value <= hi:
-        raise ValueError(f"{name} out of range [{lo}, {hi}]: {value}")
-    return value
+# C type -> (struct code, lowest value, highest value)
+_CTYPES = {
+    "uint8_t": ("B", 0, 0xFF),
+    "uint16_t": ("H", 0, 0xFFFF),
+    "int32_t": ("i", -(2**31), 2**31 - 1),
+}
 
 
-def _scale_pct(value: float, name: str) -> int:
-    scaled = round(float(value) * 100.0)
-    if not 0 <= scaled <= 10000:
-        raise ValueError(f"{name} out of range [0, 100]: {value}")
-    return scaled
+class _Field(NamedTuple):
+    """One payload field in wire order.
+
+    seed_name is the field's name in the crc_extra seed when it differs
+    from the attribute. lo and hi narrow the C type's range, in wire
+    units. A scaled field travels as round(value * scale); an enum field
+    must carry one of its enum's codes.
+    """
+
+    attr: str
+    ctype: str
+    seed_name: str | None = None
+    lo: int | None = None
+    hi: int | None = None
+    scale: float | None = None
+    enum: type[IntEnum] | None = None
 
 
-def _scale_m(value: float, name: str) -> int:
-    scaled = round(float(value) * 100.0)
-    if not -(2**31) <= scaled < 2**31:
-        raise ValueError(f"{name} exceeds the representable range: {value}")
-    return scaled
-
-
-def _node_state(code: int) -> NodeState:
-    try:
-        return NodeState(code)
-    except ValueError:
-        raise MalformedPayload(f"unknown mission-state code {code}") from None
-
-
-def _pack_heartbeat(msg: ExtendedHeartbeat) -> bytes:
-    return struct.pack(
-        "<BBBBBHii",
-        _check_u8(msg.vehicle_type, "vehicle_type"),
-        _check_u8(msg.flight_stack, "flight_stack"),
-        _check_u8(msg.component_type, "component_type"),
-        _check_u8(msg.flight_mode, "flight_mode"),
-        _check_u8(int(msg.system_state), "system_state"),
-        _scale_pct(msg.battery_pct, "battery_pct"),
-        _scale_m(msg.pos_x, "pos_x"),
-        _scale_m(msg.pos_y, "pos_y"),
-    )
-
-
-def _unpack_heartbeat(payload: bytes) -> ExtendedHeartbeat:
-    vt, fs, ct, fm, state, battery, x, y = struct.unpack("<BBBBBHii", payload)
-    if battery > 10000:
-        raise MalformedPayload(f"battery_pct field out of range: {battery}")
-    return ExtendedHeartbeat(
-        vehicle_type=vt,
-        flight_stack=fs,
-        system_state=_node_state(state),
-        battery_pct=battery / 100.0,
-        pos_x=x / 100.0,
-        pos_y=y / 100.0,
-        component_type=ct,
-        flight_mode=fm,
-    )
-
-
-def _pack_request(msg: ServiceReservationRequest) -> bytes:
-    return struct.pack(
-        "<BB",
-        _check_u8(msg.priority, "priority", 0, 100),
-        _check_u8(msg.target_lp_sys_id, "target_lp_sys_id", 1),
-    )
-
-
-def _unpack_request(payload: bytes) -> ServiceReservationRequest:
-    priority, target = struct.unpack("<BB", payload)
-    if priority > 100:
-        raise MalformedPayload(f"priority out of range: {priority}")
-    if target == 0:
-        raise MalformedPayload("target_lp_sys_id must be 1-255")
-    return ServiceReservationRequest(priority=priority, target_lp_sys_id=target)
-
-
-def _pack_confirmation(msg: LpReservationConfirmation) -> bytes:
-    position = int(msg.queue_position)
-    if not 0 <= position <= 0xFFFF:
-        raise ValueError(f"queue_position out of range: {position}")
-    return struct.pack(
-        "<BH", _check_u8(msg.target_ap_sys_id, "target_ap_sys_id", 1), position
-    )
-
-
-def _unpack_confirmation(payload: bytes) -> LpReservationConfirmation:
-    target, position = struct.unpack("<BH", payload)
-    if target == 0:
-        raise MalformedPayload("target_ap_sys_id must be 1-255")
-    return LpReservationConfirmation(target_ap_sys_id=target, queue_position=position)
-
-
-def _pack_decision(msg: ApReservationDecision) -> bytes:
-    return struct.pack(
-        "<BB",
-        _check_u8(msg.target_lp_sys_id, "target_lp_sys_id", 1),
-        _check_u8(int(msg.decision), "decision", 0, 1),
-    )
-
-
-def _unpack_decision(payload: bytes) -> ApReservationDecision:
-    target, decision = struct.unpack("<BB", payload)
-    if target == 0:
-        raise MalformedPayload("target_lp_sys_id must be 1-255")
-    if decision > 1:
-        raise MalformedPayload(f"decision must be 0 or 1: {decision}")
-    return ApReservationDecision(
-        target_lp_sys_id=target, decision=ReservationAction(decision)
-    )
-
-
-def _pack_state_update(msg: SystemStateUpdate) -> bytes:
-    return struct.pack("<B", _check_u8(int(msg.state), "state"))
-
-
-def _unpack_state_update(payload: bytes) -> SystemStateUpdate:
-    (state,) = struct.unpack("<B", payload)
-    return SystemStateUpdate(state=_node_state(state))
-
-
-@dataclass(frozen=True)
 class _MessageSpec:
-    msg_id: int
-    wire_name: str
-    cls: type
-    size: int
-    crc_extra: int
-    pack: Callable[[Message], bytes]
-    unpack: Callable[[bytes], Message]
+    """One message's codec, derived entirely from its field table."""
+
+    def __init__(self, msg_id: int, wire_name: str, cls: type, fields: Sequence[_Field]):
+        self.msg_id = msg_id
+        self.cls = cls
+        self.struct = struct.Struct("<" + "".join(_CTYPES[f.ctype][0] for f in fields))
+        self.size = self.struct.size
+        self.crc_extra = _seed_crc_extra(
+            wire_name, [(f.ctype, f.seed_name or f.attr) for f in fields]
+        )
+        self.enums = {f.attr: f.enum for f in fields if f.enum is not None}
+        # Per field: attribute, scale, enum members by code, allowed wire values.
+        self._codec = []
+        for f in fields:
+            members = {int(m): m for m in f.enum} if f.enum is not None else None
+            _, lo, hi = _CTYPES[f.ctype]
+            lo = lo if f.lo is None else f.lo
+            hi = hi if f.hi is None else f.hi
+            self._codec.append((f.attr, f.scale, members, members or range(lo, hi + 1)))
+
+    def pack(self, msg: Message) -> bytes:
+        values = []
+        for attr, scale, _, allowed in self._codec:
+            value = getattr(msg, attr)
+            raw = int(value) if scale is None else round(float(value) * scale)
+            if raw not in allowed:
+                raise ValueError(f"{attr} out of range: {value!r}")
+            values.append(raw)
+        return self.struct.pack(*values)
+
+    def unpack(self, payload: bytes) -> Message:
+        """Rebuild the message, zero-padding a truncated payload first."""
+        if len(payload) < self.size:
+            payload += bytes(self.size - len(payload))
+        kwargs = {}
+        for (attr, scale, members, allowed), raw in zip(
+            self._codec, self.struct.unpack_from(payload)
+        ):
+            if raw not in allowed:
+                raise MalformedPayload(f"{attr} field out of range: {raw}")
+            if members is not None:
+                raw = members[raw]
+            elif scale is not None:
+                raw = raw / scale
+            kwargs[attr] = raw
+        return self.cls(**kwargs)
 
 
-def _spec(
-    msg_id: int,
-    wire_name: str,
-    cls: type,
-    field_sig: Sequence[tuple[str, str]],
-    fmt: str,
-    pack: Callable,
-    unpack: Callable,
-) -> _MessageSpec:
-    return _MessageSpec(
-        msg_id=msg_id,
-        wire_name=wire_name,
-        cls=cls,
-        size=struct.calcsize(fmt),
-        crc_extra=_seed_crc_extra(wire_name, field_sig),
-        pack=pack,
-        unpack=unpack,
-    )
-
-
+# The message table: each message's fields exactly once, in wire order.
 _MESSAGE_SPECS: dict[int, _MessageSpec] = {
     spec.msg_id: spec
     for spec in (
-        _spec(
+        _MessageSpec(
             42000,
             "EXTENDED_HEARTBEAT",
             ExtendedHeartbeat,
             [
-                ("uint8_t", "vehicle_type"),
-                ("uint8_t", "flight_stack"),
-                ("uint8_t", "component_type"),
-                ("uint8_t", "flight_mode"),
-                ("uint8_t", "system_state"),
-                ("uint16_t", "battery_cpct"),
-                ("int32_t", "pos_x_cm"),
-                ("int32_t", "pos_y_cm"),
+                _Field("vehicle_type", "uint8_t"),
+                _Field("flight_stack", "uint8_t"),
+                _Field("component_type", "uint8_t"),
+                _Field("flight_mode", "uint8_t"),
+                _Field("system_state", "uint8_t", enum=NodeState),
+                _Field("battery_pct", "uint16_t", "battery_cpct", hi=10000, scale=100.0),
+                _Field("pos_x", "int32_t", "pos_x_cm", scale=100.0),
+                _Field("pos_y", "int32_t", "pos_y_cm", scale=100.0),
             ],
-            "<BBBBBHii",
-            _pack_heartbeat,
-            _unpack_heartbeat,
         ),
-        _spec(
+        _MessageSpec(
             42001,
             "SERVICE_RESERVATION_REQUEST",
             ServiceReservationRequest,
-            [("uint8_t", "priority"), ("uint8_t", "target_lp_sys_id")],
-            "<BB",
-            _pack_request,
-            _unpack_request,
+            [
+                _Field("priority", "uint8_t", hi=100),
+                _Field("target_lp_sys_id", "uint8_t", lo=1),
+            ],
         ),
-        _spec(
+        _MessageSpec(
             42002,
             "LP_RESERVATION_CONFIRMATION",
             LpReservationConfirmation,
-            [("uint8_t", "target_ap_sys_id"), ("uint16_t", "queue_position")],
-            "<BH",
-            _pack_confirmation,
-            _unpack_confirmation,
+            [
+                _Field("target_ap_sys_id", "uint8_t", lo=1),
+                _Field("queue_position", "uint16_t"),
+            ],
         ),
-        _spec(
+        _MessageSpec(
             42003,
             "AP_RESERVATION_DECISION",
             ApReservationDecision,
-            [("uint8_t", "target_lp_sys_id"), ("uint8_t", "decision")],
-            "<BB",
-            _pack_decision,
-            _unpack_decision,
+            [
+                _Field("target_lp_sys_id", "uint8_t", lo=1),
+                _Field("decision", "uint8_t", enum=ReservationAction),
+            ],
         ),
-        _spec(
+        _MessageSpec(
             42004,
             "SYSTEM_STATE_UPDATE",
             SystemStateUpdate,
-            [("uint8_t", "state")],
-            "<B",
-            _pack_state_update,
-            _unpack_state_update,
+            [_Field("state", "uint8_t", enum=NodeState)],
         ),
     )
 }
 
 _SPEC_BY_TYPE: dict[type, _MessageSpec] = {
     spec.cls: spec for spec in _MESSAGE_SPECS.values()
+}
+_SPEC_BY_NAME: dict[str, _MessageSpec] = {
+    spec.cls.__name__: spec for spec in _MESSAGE_SPECS.values()
 }
 
 
@@ -478,17 +401,14 @@ def message_to_fields(msg: Message) -> dict:
 
 def message_from_fields(type_name: str, fields: Mapping) -> Message:
     """Rebuild a message from its class name and field dict."""
-    for spec in _MESSAGE_SPECS.values():
-        if spec.cls.__name__ == type_name:
-            kwargs = dict(fields)
-            if "system_state" in kwargs:
-                kwargs["system_state"] = NodeState(kwargs["system_state"])
-            if "state" in kwargs:
-                kwargs["state"] = NodeState(kwargs["state"])
-            if "decision" in kwargs:
-                kwargs["decision"] = ReservationAction(kwargs["decision"])
-            return spec.cls(**kwargs)
-    raise ValueError(f"unknown message type {type_name!r}")
+    spec = _SPEC_BY_NAME.get(type_name)
+    if spec is None:
+        raise ValueError(f"unknown message type {type_name!r}")
+    kwargs = dict(fields)
+    for attr, enum in spec.enums.items():
+        if attr in kwargs:
+            kwargs[attr] = enum(kwargs[attr])
+    return spec.cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -708,8 +628,8 @@ def decode_frame(
     per-stream timestamp state. Bytes after the end of the frame are
     ignored.
     """
-    header, payload, stored_crc, signature, end = _parse_frame(bytes(data))
     data = bytes(data)
+    header, payload, stored_crc, signature, end = _parse_frame(data)
 
     spec = _MESSAGE_SPECS.get(header.msg_id)
     if spec is None:
@@ -739,12 +659,7 @@ def decode_frame(
             signature.link_id, header.sys_id, header.comp_id, signature.timestamp
         )
 
-    if header.payload_len < spec.size:
-        payload = payload + bytes(spec.size - header.payload_len)
-    try:
-        msg = spec.unpack(payload[: spec.size])
-    except struct.error as exc:  # pragma: no cover - sizes are pre-padded
-        raise MalformedPayload(str(exc)) from None
+    msg = spec.unpack(payload)
 
     if signature is not None and store is not None:
         store.commit_timestamp(
@@ -759,7 +674,8 @@ def dump_frame(data: bytes) -> str:
     Performs structural parsing and checksum comparison but no signature
     verification (the secret is usually not at hand when debugging).
     """
-    header, payload, stored_crc, signature, end = _parse_frame(bytes(data))
+    data = bytes(data)
+    header, payload, stored_crc, signature, end = _parse_frame(data)
     lines = [
         f"magic=0x{header.magic:02x}",
         f"payload_len={header.payload_len}",
@@ -777,14 +693,13 @@ def dump_frame(data: bytes) -> str:
         lines.append(f"checksum=0x{stored_crc:04x}")
     else:
         lines.append(f"msg_type={spec.cls.__name__}")
-        padded = payload + bytes(max(0, spec.size - len(payload)))
         try:
-            msg = spec.unpack(padded[: spec.size])
+            msg = spec.unpack(payload)
             for name, value in message_to_fields(msg).items():
                 lines.append(f"{name}={value}")
         except MalformedPayload as exc:
             lines.append(f"payload_error={exc}")
-        computed = compute_checksum(bytes(data)[1 : end - CHECKSUM_LEN], spec.crc_extra)
+        computed = compute_checksum(data[1 : end - CHECKSUM_LEN], spec.crc_extra)
         status = "ok" if computed == stored_crc else f"BAD, computed 0x{computed:04x}"
         lines.append(f"checksum=0x{stored_crc:04x} ({status})")
     if signature is not None:

@@ -1,0 +1,101 @@
+"""Golden pins: exact wire bytes and seeded run digests.
+
+The values were recorded from the codec and simulator before the wire
+codec became table driven. A refactor that keeps behaviour leaves every
+one of them unchanged; a change that moves one must say why.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+import autoserve.wire as wire
+from autoserve.sim import SimConfig, run_sim
+from autoserve.wire import (
+    ApReservationDecision,
+    ExtendedHeartbeat,
+    LpReservationConfirmation,
+    NodeState,
+    ReservationAction,
+    ServiceReservationRequest,
+    SigningContext,
+    SystemStateUpdate,
+    encode_frame,
+)
+
+CRC_EXTRA = {42000: 0x9D, 42001: 0xC1, 42002: 0x88, 42003: 0x0E, 42004: 0xB3}
+
+# (message, unsigned hex, signed hex); seq 17, sys 21, comp 1, link 3,
+# timestamp source fixed at 123,456,789 and secret bytes 0..31.
+FRAMES = [
+    (
+        ExtendedHeartbeat(1, 2, NodeState.BOARDING, 64.31, 123.45, -67.89, 3, 4),
+        "fd0f000011150110a40001020304081f19393000007be5ffff27c9",
+        "fd0f010011150110a40001020304081f19393000007be5ffff63920315cd5b070000239d02e46a2d",
+    ),
+    (
+        ServiceReservationRequest(priority=42, target_lp_sys_id=3),
+        "fd02000011150111a4002a03238f",
+        "fd02010011150111a4002a03b2da0315cd5b070000b45df4cbdeed",
+    ),
+    (
+        LpReservationConfirmation(target_ap_sys_id=9, queue_position=513),
+        "fd03000011150112a40009010209b9",
+        "fd03010011150112a4000901025c3c0315cd5b070000a7c5fad9d302",
+    ),
+    (
+        ApReservationDecision(target_lp_sys_id=2, decision=ReservationAction.KEEP),
+        "fd02000011150113a4000201c74f",
+        "fd02010011150113a4000201561a0315cd5b070000e3d84493655d",
+    ),
+    (
+        SystemStateUpdate(state=NodeState.SERVICE_COMPLETE),
+        "fd01000011150114a4000cf2a6",
+        "fd01010011150114a4000cd58a0315cd5b07000049496e983973",
+    ),
+]
+
+# (config, report SHA-256, trace SHA-256) at seed 0.
+RUNS = [
+    (
+        SimConfig(duration_s=1800),
+        "ba53c4e4f04a289ceb98671c657726dcf9faf4b8dedbc63234097c2571d4c5b2",
+        "881ac978d64b13240fe022c4b96f443012fb0d2aa6883714beded38282d3041e",
+    ),
+    (
+        SimConfig(n_uavs=20, n_lps=5, duration_s=300),
+        "2207b53e43c03cd93de501ff21a8b357bf87402b2ddbc82a678a9bdd21c90d6c",
+        "14f127a260bf600d8f755c8911a571232a0905bd9c4bd462fb06cbebb93d041a",
+    ),
+]
+
+
+def test_crc_extra_values():
+    assert {k: spec.crc_extra for k, spec in wire._MESSAGE_SPECS.items()} == CRC_EXTRA
+
+
+def test_readme_reference_frame():
+    frame = encode_frame(SystemStateUpdate(state=NodeState.IDLE), seq=0, sys_id=1, comp_id=1)
+    assert frame.hex() == "fd01000000010114a400002a0f"
+
+
+@pytest.mark.parametrize(
+    "msg, unsigned_hex, signed_hex", FRAMES, ids=[type(f[0]).__name__ for f in FRAMES]
+)
+def test_frame_bytes(msg, unsigned_hex, signed_hex):
+    signing = SigningContext(bytes(range(32)), 3, lambda: 123_456_789)
+    assert encode_frame(msg, 17, 21, 1).hex() == unsigned_hex
+    assert encode_frame(msg, 17, 21, 1, signing=signing).hex() == signed_hex
+
+
+@pytest.mark.parametrize(
+    "cfg, report_sha, trace_sha",
+    RUNS,
+    ids=[f"{cfg.n_uavs}x{cfg.n_lps}x{cfg.duration_s}" for cfg, _, _ in RUNS],
+)
+def test_run_digests(cfg, report_sha, trace_sha):
+    buf = io.StringIO()
+    report = run_sim(cfg, trace=buf)
+    assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == report_sha
+    assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == trace_sha

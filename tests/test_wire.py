@@ -1,4 +1,5 @@
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from autoserve.wire import (
     LinkState,
     LivenessTracker,
     LpReservationConfirmation,
+    MalformedPayload,
     NodeState,
     PayloadTooLarge,
     ReservationAction,
@@ -150,16 +152,15 @@ def test_seq_wraps_and_sys_id_zero_rejected():
 
 def test_payload_too_large(monkeypatch):
     class Oversized:
-        pass
+        def __getattr__(self, name):
+            return 0
 
+    # 75 four-byte fields: a 300-byte payload.
     spec = wire._MessageSpec(
-        msg_id=42999,
-        wire_name="OVERSIZED",
-        cls=Oversized,
-        size=300,
-        crc_extra=0,
-        pack=lambda msg: bytes(300),
-        unpack=lambda payload: Oversized(),
+        42999,
+        "OVERSIZED",
+        Oversized,
+        [wire._Field(f"f{i}", "int32_t") for i in range(75)],
     )
     monkeypatch.setitem(wire._SPEC_BY_TYPE, Oversized, spec)
     with pytest.raises(PayloadTooLarge):
@@ -169,6 +170,55 @@ def test_payload_too_large(monkeypatch):
 def test_unknown_message_type_rejected():
     with pytest.raises(TypeError):
         encode_frame(object(), 0, 1, 1)
+
+
+# One case per field bound in the message table: a message that breaks it,
+# and the same values packed by hand into a payload.
+BOUND_CASES = {
+    "priority-above-100": (
+        ServiceReservationRequest(priority=101, target_lp_sys_id=1),
+        struct.pack("<BB", 101, 1),
+    ),
+    "request-target-0": (
+        ServiceReservationRequest(priority=50, target_lp_sys_id=0),
+        struct.pack("<BB", 50, 0),
+    ),
+    "confirmation-target-0": (
+        LpReservationConfirmation(target_ap_sys_id=0, queue_position=1),
+        struct.pack("<BH", 0, 1),
+    ),
+    "decision-target-0": (
+        ApReservationDecision(target_lp_sys_id=0, decision=ReservationAction.KEEP),
+        struct.pack("<BB", 0, 1),
+    ),
+    "decision-above-1": (
+        ApReservationDecision(target_lp_sys_id=1, decision=2),
+        struct.pack("<BB", 1, 2),
+    ),
+    "battery-above-100": (
+        ExtendedHeartbeat(1, 1, NodeState.OPERATING, 100.01, 0.0, 0.0),
+        struct.pack("<BBBBBHii", 1, 1, 0, 0, 5, 10001, 0, 0),
+    ),
+    "heartbeat-state-99": (
+        ExtendedHeartbeat(1, 1, 99, 50.0, 0.0, 0.0),
+        struct.pack("<BBBBBHii", 1, 1, 0, 0, 99, 5000, 0, 0),
+    ),
+    "state-update-99": (SystemStateUpdate(state=99), struct.pack("<B", 99)),
+}
+
+
+def _frame_with_payload(msg_id: int, payload: bytes) -> bytes:
+    header = bytes([len(payload), 0, 0, 0, 1, 1]) + msg_id.to_bytes(3, "little")
+    crc = compute_checksum(header + payload, wire._MESSAGE_SPECS[msg_id].crc_extra)
+    return b"\xfd" + header + payload + crc.to_bytes(2, "little")
+
+
+@pytest.mark.parametrize("msg, payload", BOUND_CASES.values(), ids=BOUND_CASES.keys())
+def test_field_bounds_enforced_on_both_sides(msg, payload):
+    with pytest.raises(ValueError):
+        encode_frame(msg, 0, 1, 1)
+    with pytest.raises(MalformedPayload):
+        decode_frame(_frame_with_payload(wire.msg_id_of(msg), payload))
 
 
 # --- round trip ---------------------------------------------------------------
