@@ -58,6 +58,7 @@ from .wire import (
     dump_frame,
     encode_frame,
     track_liveness,
+    verify_frame,
 )
 
 __version__ = "0.1.0"

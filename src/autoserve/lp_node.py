@@ -101,7 +101,6 @@ class LpNode:
             roster.append((sys_id, self.position))
         self.lp_roster = [(int(i), (float(p[0]), float(p[1]))) for i, p in roster]
         self.liveness = LivenessTracker(liveness_window_s, liveness_min_count)
-        self.connectivity: dict[int, LinkState] = {}
         self.heartbeat_interval_s = heartbeat_interval_s
 
         self.services_completed = 0
@@ -109,6 +108,7 @@ class LpNode:
 
         self._phase_started_at: float | None = None
         self._last_heartbeat_at: float | None = None
+        self._last_tick_at: float | None = None
         self._transitions: list[tuple[NodeState, NodeState]] = []
 
     # -- state machine plumbing -------------------------------------------
@@ -339,9 +339,7 @@ class LpNode:
             )
 
         out.extend(self._promote(now))
-
-        for stream_id in self.liveness.known_streams():
-            self.connectivity[stream_id] = self.liveness.status(stream_id, now)
+        self._last_tick_at = now
 
         if (
             self._last_heartbeat_at is None
@@ -350,6 +348,16 @@ class LpNode:
             self._last_heartbeat_at = now
             out.append(Outbound(None, self.heartbeat()))
         return out
+
+    @property
+    def connectivity(self) -> dict[int, LinkState]:
+        """Link state of every heartbeat stream as of the last tick."""
+        if self._last_tick_at is None:
+            return {}
+        return {
+            stream_id: self.liveness.status(stream_id, self._last_tick_at)
+            for stream_id in self.liveness.known_streams()
+        }
 
     def heartbeat(self) -> ExtendedHeartbeat:
         # Platforms are mains-powered ground stations; battery reads full.

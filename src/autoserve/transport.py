@@ -7,15 +7,22 @@ transport: lossless, fixed one-tick latency, deterministic delivery
 order. A datagram transport can replace it without touching the nodes.
 
 Broadcast (dest_sys_id None) delivers to every registered node of the
-other kind: heartbeats flow between aerial and landing platforms, which
-are the only cross-kind consumers of them.
+other kind, in sys_id order: heartbeats flow between aerial and landing
+platforms, which are the only cross-kind consumers of them.
+
+All deliveries of one send share one frame object. `decode_for` verifies
+checksum and signature once per (frame, secret) and runs only the replay
+check per receiver: in MAVLink v2 signing the replay state is the only
+part of decoding that depends on the receiver.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .wire import Keystore, Message, SigningContext, decode_frame, encode_frame
+from .wire import Keystore, Message, SigningContext, encode_frame, verify_frame
 
 
 @dataclass(frozen=True)
@@ -26,8 +33,7 @@ class Outbound:
     msg: Message
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     src_sys_id: int
     dest_sys_id: int
     sent_at: float
@@ -37,7 +43,7 @@ class Delivery:
 
 @dataclass
 class _Endpoint:
-    kind: str  # "AP" or "LP"
+    peers: list[int]  # sorted sys_ids of the other kind: broadcast targets
     signing: SigningContext | None
     keystore: Keystore | None
     tx_seq: int = 0
@@ -53,6 +59,9 @@ class InMemoryBus:
     latency_s: float = 1.0
     _endpoints: dict[int, _Endpoint] = field(default_factory=dict)
     _in_flight: list[Delivery] = field(default_factory=list)
+    _by_kind: dict[str, list[int]] = field(default_factory=lambda: {"AP": [], "LP": []})
+    # (frame, secret, verify_frame result) of the last frame verified.
+    _verified: tuple | None = None
 
     def register(
         self,
@@ -61,21 +70,18 @@ class InMemoryBus:
         signing: SigningContext | None = None,
         keystore: Keystore | None = None,
     ) -> None:
-        if kind not in ("AP", "LP"):
+        if kind not in self._by_kind:
             raise ValueError(f"kind must be 'AP' or 'LP', got {kind!r}")
         if sys_id in self._endpoints:
             raise ValueError(f"sys_id {sys_id} already registered")
-        self._endpoints[sys_id] = _Endpoint(kind=kind, signing=signing, keystore=keystore)
+        insort(self._by_kind[kind], sys_id)
+        peers = self._by_kind["LP" if kind == "AP" else "AP"]
+        self._endpoints[sys_id] = _Endpoint(peers=peers, signing=signing, keystore=keystore)
 
     def _destinations(self, src_sys_id: int, dest: int | None) -> list[int]:
         if dest is not None:
             return [dest] if dest in self._endpoints else []
-        src_kind = self._endpoints[src_sys_id].kind
-        return [
-            sys_id
-            for sys_id in sorted(self._endpoints)
-            if sys_id != src_sys_id and self._endpoints[sys_id].kind != src_kind
-        ]
+        return self._endpoints[src_sys_id].peers
 
     def send(self, src_sys_id: int, outbound: Outbound, now: float) -> list[Delivery]:
         """Frame, sign and queue a message; returns the queued deliveries."""
@@ -87,14 +93,9 @@ class InMemoryBus:
             comp_id=1,
             signing=endpoint.signing,
         )
+        deliver_at = now + self.latency_s
         queued = [
-            Delivery(
-                src_sys_id=src_sys_id,
-                dest_sys_id=dest,
-                sent_at=now,
-                deliver_at=now + self.latency_s,
-                frame=frame,
-            )
+            Delivery(src_sys_id, dest, now, deliver_at, frame)
             for dest in self._destinations(src_sys_id, outbound.dest_sys_id)
         ]
         self._in_flight.extend(queued)
@@ -110,5 +111,26 @@ class InMemoryBus:
         return len(self._in_flight)
 
     def decode_for(self, dest_sys_id: int, frame: bytes):
-        """Decode a frame with the destination endpoint's keystore."""
-        return decode_frame(frame, keystore=self._endpoints[dest_sys_id].keystore)
+        """Decode a frame with the destination endpoint's keystore.
+
+        Reuses the last verification when it was of this frame object under
+        the receiver's secret (None for an unsigned frame). Failures are
+        never reused, so every receiver of a bad frame raises.
+        """
+        keystore = self._endpoints[dest_sys_id].keystore
+        memo = self._verified
+        if memo is not None and memo[0] is frame and memo[1] == _secret(keystore, memo[2][2]):
+            header, _, signature = result = memo[2]
+        else:
+            header, _, signature = result = verify_frame(frame, keystore)
+            self._verified = (frame, _secret(keystore, signature), result)
+        if signature is not None:
+            keystore.accept(signature.link_id, header.sys_id, header.comp_id, signature.timestamp)
+        return result
+
+
+def _secret(keystore: Keystore | None, signature) -> bytes | None:
+    """The receiver's secret for a frame's signature; None if unsigned."""
+    if signature is None or keystore is None:
+        return None
+    return keystore.secret_for(signature.link_id)

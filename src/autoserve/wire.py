@@ -32,9 +32,11 @@ AutoServe message ids live in the custom range 42000-42004.
 
 from __future__ import annotations
 
+import binascii
 import hmac
 import struct
 import time
+from collections import deque
 from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum, IntEnum
 from hashlib import sha256
@@ -101,25 +103,18 @@ class StaleTimestamp(FrameDecodeError):
 # CRC-16/X.25
 
 
-def _build_crc_table(poly: int = 0x8408) -> tuple[int, ...]:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            crc = (crc >> 1) ^ poly if crc & 1 else crc >> 1
-        table.append(crc)
-    return tuple(table)
+# crc_hqx runs the same polynomial MSB-first, so the reflected register is
+# computed on bit-reversed bytes with a bit-reversed initial value.
+_REV8 = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 
-_CRC_TABLE = _build_crc_table()
+def _rev16(value: int) -> int:
+    return (_REV8[value & 0xFF] << 8) | _REV8[value >> 8]
 
 
 def crc16_accumulate(data: bytes, crc: int = 0xFFFF) -> int:
     """Accumulate data into a reflected CRC-16 register (no final XOR)."""
-    table = _CRC_TABLE
-    for byte in data:
-        crc = (crc >> 8) ^ table[(crc ^ byte) & 0xFF]
-    return crc
+    return _rev16(binascii.crc_hqx(bytes(data).translate(_REV8), _rev16(crc)))
 
 
 def crc16_x25(data: bytes) -> int:
@@ -135,7 +130,9 @@ def compute_checksum(header_and_payload: bytes, crc_extra: int) -> int:
 
     The input excludes the magic byte.
     """
-    return crc16_x25(bytes(header_and_payload) + bytes([crc_extra & 0xFF]))
+    extra = crc_extra & 0xFF
+    crc = binascii.crc_hqx(bytes(header_and_payload).translate(_REV8), 0xFFFF)
+    return _rev16(binascii.crc_hqx(_REV8[extra : extra + 1], crc)) ^ 0xFFFF
 
 
 def _seed_crc_extra(name: str, field_sig: Sequence[tuple[str, str]]) -> int:
@@ -415,8 +412,7 @@ def message_from_fields(type_name: str, fields: Mapping) -> Message:
 # Frame header and signature
 
 
-@dataclass(frozen=True)
-class FrameHeader:
+class FrameHeader(NamedTuple):
     payload_len: int
     incompat_flags: int
     compat_flags: int
@@ -431,8 +427,7 @@ class FrameHeader:
         return bool(self.incompat_flags & INCOMPAT_SIGNED)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     link_id: int
     timestamp: int
     sig: bytes
@@ -500,7 +495,8 @@ class Keystore:
     def secret_for(self, link_id: int) -> bytes | None:
         return self._keys.get(link_id)
 
-    def check_timestamp(self, link_id: int, sys_id: int, comp_id: int, ts: int) -> None:
+    def accept(self, link_id: int, sys_id: int, comp_id: int, ts: int) -> None:
+        """Replay check of one verified frame; records ts only if it passes."""
         stream = (link_id, sys_id, comp_id)
         last = self._last.get(stream)
         if last is not None and ts <= last:
@@ -510,18 +506,14 @@ class Keystore:
             raise StaleTimestamp(
                 f"timestamp {ts} lags link maximum {link_max} beyond the replay window"
             )
-
-    def commit_timestamp(self, link_id: int, sys_id: int, comp_id: int, ts: int) -> None:
-        self._last[(link_id, sys_id, comp_id)] = ts
-        if ts > self._link_max.get(link_id, -1):
+        self._last[stream] = ts
+        if link_max is None or ts > link_max:
             self._link_max[link_id] = ts
 
 
-def _signature_bytes(secret: bytes, signed_region: bytes, link_id: int, ts: int) -> bytes:
-    digest = sha256(
-        secret + signed_region + bytes([link_id]) + ts.to_bytes(6, "little")
-    ).digest()
-    return digest[:6]
+def _sign(secret: bytes, signed_bytes: bytes) -> bytes:
+    """Signature over the frame from magic through link_id and timestamp."""
+    return sha256(secret + signed_bytes).digest()[:6]
 
 
 # ---------------------------------------------------------------------------
@@ -567,15 +559,23 @@ def encode_frame(
 
     if signing is not None:
         ts = signing.next_timestamp(sys_id, comp_id)
-        sig = _signature_bytes(signing.secret_key, frame, signing.link_id, ts)
-        frame += bytes([signing.link_id]) + ts.to_bytes(6, "little") + sig
+        frame += bytes([signing.link_id]) + ts.to_bytes(6, "little")
+        frame += _sign(signing.secret_key, frame)
     return frame
+
+
+# magic .. comp_id, then msg_id as its low 16 and high 8 bits.
+_HEADER = struct.Struct("<7BHB")
+# link_id, timestamp as its low 32 and high 16 bits, sig.
+_SIGNATURE_BLOCK = struct.Struct("<BIH6s")
+# Signed bytes end after link_id and timestamp, 7 bytes past the checksum.
+_SIGNED_TRAILER_LEN = SIGNATURE_LEN - 6
 
 
 def _parse_frame(data: bytes) -> tuple[FrameHeader, bytes, int, Signature | None, int]:
     """Structural parse: header, payload bytes, stored checksum, signature.
 
-    Returns the end offset of the verified region as the final element.
+    Returns the end offset of the checksummed region as the final element.
     Raises BadMagic or TruncatedFrame only; no integrity checks here.
     """
     if len(data) == 0:
@@ -585,48 +585,38 @@ def _parse_frame(data: bytes) -> tuple[FrameHeader, bytes, int, Signature | None
     if len(data) < HEADER_LEN:
         raise TruncatedFrame(f"{len(data)} bytes is shorter than the frame header")
 
-    payload_len = data[1]
+    _, payload_len, incompat, compat, seq, sys_id, comp_id, id_lo, id_hi = (
+        _HEADER.unpack_from(data)
+    )
     header = FrameHeader(
-        payload_len=payload_len,
-        incompat_flags=data[2],
-        compat_flags=data[3],
-        seq=data[4],
-        sys_id=data[5],
-        comp_id=data[6],
-        msg_id=int.from_bytes(data[7:10], "little"),
+        payload_len, incompat, compat, seq, sys_id, comp_id, id_lo | id_hi << 16
     )
     end = HEADER_LEN + payload_len + CHECKSUM_LEN
-    total = end + (SIGNATURE_LEN if header.is_signed else 0)
+    signed = incompat & INCOMPAT_SIGNED
+    total = end + SIGNATURE_LEN if signed else end
     if len(data) < total:
         raise TruncatedFrame(f"need {total} bytes, got {len(data)}")
 
-    payload = bytes(data[HEADER_LEN : HEADER_LEN + payload_len])
-    stored_crc = int.from_bytes(data[end - CHECKSUM_LEN : end], "little")
-
+    payload = data[HEADER_LEN : HEADER_LEN + payload_len]
+    stored_crc = data[end - 2] | data[end - 1] << 8
     signature = None
-    if header.is_signed:
-        block = data[end : end + SIGNATURE_LEN]
-        signature = Signature(
-            link_id=block[0],
-            timestamp=int.from_bytes(block[1:7], "little"),
-            sig=bytes(block[7:13]),
-        )
+    if signed:
+        link_id, ts_lo, ts_hi, sig = _SIGNATURE_BLOCK.unpack_from(data, end)
+        signature = Signature(link_id, ts_lo | ts_hi << 32, sig)
     return header, payload, stored_crc, signature, end
 
 
-def decode_frame(
-    data: bytes,
-    keystore: Keystore | Mapping[int, bytes] | None = None,
-    require_signed: bool = False,
+def verify_frame(
+    data: bytes, keystore: Keystore | Mapping[int, bytes] | None = None
 ) -> tuple[FrameHeader, Message, Signature | None]:
-    """Decode and verify one frame.
+    """Parse and verify one frame without touching any replay state.
 
-    Signed frames are verified against the keystore (secret lookup by
-    link_id, signature match, then replay check) before the payload is
-    released. Passing a plain mapping gives signature verification
-    without cross-call replay tracking; pass a Keystore instance to keep
-    per-stream timestamp state. Bytes after the end of the frame are
-    ignored.
+    Checks the msg_id, the checksum and, for a signed frame, the signature
+    against the keystore's secret for its link_id, then unpacks the
+    payload. The result depends only on the bytes and that secret, so it
+    can be shared by every receiver holding the same secret; each receiver
+    then runs its own Keystore.accept. Bytes after the end of the frame
+    are ignored.
     """
     data = bytes(data)
     header, payload, stored_crc, signature, end = _parse_frame(data)
@@ -639,10 +629,6 @@ def decode_frame(
     if computed != stored_crc:
         raise ChecksumMismatch(f"stored 0x{stored_crc:04X}, computed 0x{computed:04X}")
 
-    if require_signed and signature is None:
-        raise SignatureMissing("receiver policy requires signed frames")
-
-    store: Keystore | None = None
     if signature is not None:
         if keystore is None:
             raise SignatureInvalid("signed frame but no keystore supplied")
@@ -650,19 +636,30 @@ def decode_frame(
         secret = store.secret_for(signature.link_id)
         if secret is None:
             raise SignatureInvalid(f"no key for link_id {signature.link_id}")
-        expected = _signature_bytes(
-            secret, data[:end], signature.link_id, signature.timestamp
-        )
+        expected = _sign(secret, data[: end + _SIGNED_TRAILER_LEN])
         if not hmac.compare_digest(expected, signature.sig):
             raise SignatureInvalid("signature does not match frame contents")
-        store.check_timestamp(
-            signature.link_id, header.sys_id, header.comp_id, signature.timestamp
-        )
 
-    msg = spec.unpack(payload)
+    return header, spec.unpack(payload), signature
 
-    if signature is not None and store is not None:
-        store.commit_timestamp(
+
+def decode_frame(
+    data: bytes,
+    keystore: Keystore | Mapping[int, bytes] | None = None,
+    require_signed: bool = False,
+) -> tuple[FrameHeader, Message, Signature | None]:
+    """Decode one frame: verify_frame, the signing policy, the replay check.
+
+    Passing a plain mapping gives signature verification without
+    cross-call replay tracking; pass a Keystore instance to keep
+    per-stream timestamp state. A frame that fails any check leaves the
+    keystore unchanged.
+    """
+    header, msg, signature = verify_frame(data, keystore)
+    if require_signed and signature is None:
+        raise SignatureMissing("receiver policy requires signed frames")
+    if signature is not None and isinstance(keystore, Keystore):
+        keystore.accept(
             signature.link_id, header.sys_id, header.comp_id, signature.timestamp
         )
     return header, msg, signature
@@ -749,14 +746,16 @@ class LivenessTracker:
             raise ValueError("min_count must be at least 1")
         self.window_s = window_s
         self.min_count = min_count
-        self._streams: dict[object, list[float]] = {}
+        self._streams: dict[object, deque[float]] = {}
 
     def record(self, stream_id: object, timestamp: float) -> None:
-        stream = self._streams.setdefault(stream_id, [])
+        stream = self._streams.get(stream_id)
+        if stream is None:
+            stream = self._streams[stream_id] = deque()
         stream.append(timestamp)
         cutoff = timestamp - self.window_s
         while stream and stream[0] <= cutoff:
-            stream.pop(0)
+            stream.popleft()
 
     def status(self, stream_id: object, now: float) -> LinkState:
         return track_liveness(

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 
@@ -358,6 +359,98 @@ def test_rejected_frame_does_not_advance_replay_state():
     with pytest.raises(SignatureInvalid):
         decode_frame(bytes(tampered), keystore=store)
     decode_frame(frame, keystore=store)  # original still accepted
+
+
+def _signed_frame_with_payload(msg_id: int, payload: bytes, ts: int) -> bytes:
+    """A frame from sys 1, comp 1 with a valid checksum and signature."""
+    header = bytes([len(payload), wire.INCOMPAT_SIGNED, 0, 0, 1, 1])
+    header += msg_id.to_bytes(3, "little")
+    crc = compute_checksum(header + payload, wire._MESSAGE_SPECS[msg_id].crc_extra)
+    frame = b"\xfd" + header + payload + crc.to_bytes(2, "little")
+    frame += b"\x00" + ts.to_bytes(6, "little")
+    return frame + hashlib.sha256(SECRET + frame).digest()[:6]
+
+
+def test_failed_decode_commits_no_timestamp():
+    store = Keystore({0: SECRET})
+    malformed = _signed_frame_with_payload(42001, struct.pack("<BB", 101, 1), ts=5_000)
+    with pytest.raises(MalformedPayload):
+        decode_frame(malformed, keystore=store)
+    valid = _signed_frame_with_payload(42001, struct.pack("<BB", 50, 1), ts=5_000)
+    decode_frame(valid, keystore=store)  # same stream and timestamp: not yet seen
+    with pytest.raises(StaleTimestamp):
+        decode_frame(valid, keystore=store)
+
+
+def _flip(frame: bytes, index: int) -> bytes:
+    mutated = bytearray(frame)
+    mutated[index] ^= 0x01
+    return bytes(mutated)
+
+
+def _replayed_store(frame: bytes) -> Keystore:
+    store = Keystore({0: SECRET})
+    decode_frame(frame, keystore=store)
+    return store
+
+
+def _ahead_store() -> Keystore:
+    store = Keystore({0: SECRET}, replay_window_s=6.0)
+    decode_frame(_signed_frame_with_payload(42004, b"\x00", ts=10_000_000), keystore=store)
+    return store
+
+
+_UNSIGNED = encode_frame(ServiceReservationRequest(50, 3), 1, 8, 1)
+_SIGNED = encode_frame(ServiceReservationRequest(50, 3), 1, 8, 1, signing=signing(ts=9_000_000))
+
+def _no_keystore():
+    return None
+
+
+def _keystore():
+    return Keystore({0: SECRET})
+
+
+# Frames with exactly one fault each: (frame, keystore factory, require_signed,
+# the exception class decode_frame raised before verify and replay check
+# were split).
+SINGLE_FAULTS = {
+    "empty": (b"", _no_keystore, False, TruncatedFrame),
+    "bad-magic": (b"\xfe" + _UNSIGNED[1:], _no_keystore, False, BadMagic),
+    "short-header": (_UNSIGNED[:6], _no_keystore, False, TruncatedFrame),
+    "short-body": (_UNSIGNED[:-1], _no_keystore, False, TruncatedFrame),
+    "short-signature": (_SIGNED[:-1], _keystore, False, TruncatedFrame),
+    "unknown-msg-id": (
+        _UNSIGNED[:7] + bytes(3) + _UNSIGNED[10:], _no_keystore, False, UnknownMsgId
+    ),
+    "payload-bit": (_flip(_UNSIGNED, wire.HEADER_LEN), _no_keystore, False, ChecksumMismatch),
+    "checksum-bit": (_flip(_SIGNED, 13), _keystore, False, ChecksumMismatch),
+    "malformed-payload": (
+        _frame_with_payload(42001, struct.pack("<BB", 101, 1)),
+        _no_keystore,
+        False,
+        MalformedPayload,
+    ),
+    "unsigned-but-required": (_UNSIGNED, _keystore, True, SignatureMissing),
+    "signed-no-keystore": (_SIGNED, _no_keystore, False, SignatureInvalid),
+    "unknown-link-id": (_SIGNED, lambda: Keystore({1: SECRET}), False, SignatureInvalid),
+    "wrong-secret": (_SIGNED, lambda: Keystore({0: bytes(32)}), False, SignatureInvalid),
+    "timestamp-bit": (_flip(_SIGNED, -8), _keystore, False, SignatureInvalid),
+    "signature-bit": (_flip(_SIGNED, -1), _keystore, False, SignatureInvalid),
+    "replayed": (_SIGNED, lambda: _replayed_store(_SIGNED), False, StaleTimestamp),
+    "behind-replay-window": (_SIGNED, _ahead_store, False, StaleTimestamp),
+}
+
+
+@pytest.mark.parametrize(
+    "frame, make_keystore, require_signed, expected",
+    SINGLE_FAULTS.values(),
+    ids=SINGLE_FAULTS.keys(),
+)
+def test_single_fault_raises_its_own_class(frame, make_keystore, require_signed, expected):
+    with pytest.raises(FrameDecodeError) as raised:
+        decode_frame(frame, keystore=make_keystore(), require_signed=require_signed)
+    assert type(raised.value) is expected
 
 
 # --- single-bit mutation safety -------------------------------------------------
