@@ -42,7 +42,7 @@ from .wire import (
     NodeState,
     SigningContext,
     TIMESTAMP_UNITS_PER_S,
-    message_to_fields,
+    message_json,
 )
 
 # Shared by every node on the simulated network; links are trusted here,
@@ -57,6 +57,13 @@ RNG_DESCRIPTION = (
 )
 
 TRACE_FORMAT = 1
+
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+# TICK details, the bulk of a trace; state names need no JSON escaping.
+# The rare STATE_CHANGE, BATTERY and FAILURE details go through _dumps.
+_LP_TICK = '{"state":"%s","queue_len":%d,"current_ap":%s}'
+_AP_TICK = '{"state":"%s","battery_pct":%r,"x":%r,"y":%r,"failed":%s}'
 
 # Battery drains while flying a leg; holding for the protocol or sitting
 # on the platform costs nothing.
@@ -245,24 +252,31 @@ class SimReport:
 class TraceWriter:
     """JSON-lines trace emitter; one record per line, header first.
 
-    Key order is fixed by construction, so records are byte-stable
-    without re-sorting.
+    Each record is one write. Key order is fixed by construction, so
+    records are byte-stable without re-sorting.
     """
 
     def __init__(self, stream: IO[str]):
-        self._stream = stream
-        self._dumps = json.JSONEncoder(separators=(",", ":")).encode
+        self._write = stream.write
+        self._t: object = object()  # the t whose JSON is cached; none yet
+        self._t_json = ""
+        self._names: dict[str, str] = {}  # actor and kind -> JSON string
 
     def header(self, config: dict) -> None:
+        header = {"config": config, "rng": RNG_DESCRIPTION, "trace_format": TRACE_FORMAT}
+        self._write(_dumps({"header": header}) + "\n")
+
+    def record(self, t: float, actor: str, kind: str, detail: str) -> None:
+        """Write one record; detail is the JSON text of its detail object."""
+        if t is not self._t:
+            self._t = t
+            self._t_json = _dumps(t)
+        names = self._names
+        actor_json = names.get(actor) or names.setdefault(actor, _dumps(actor))
+        kind_json = names.get(kind) or names.setdefault(kind, _dumps(kind))
         self._write(
-            {"header": {"config": config, "rng": RNG_DESCRIPTION, "trace_format": TRACE_FORMAT}}
+            f'{{"t":{self._t_json},"actor":{actor_json},"kind":{kind_json},"detail":{detail}}}\n'
         )
-
-    def record(self, t: float, actor: str, kind: str, detail: dict) -> None:
-        self._write({"t": t, "actor": actor, "kind": kind, "detail": detail})
-
-    def _write(self, obj: dict) -> None:
-        self._stream.write(self._dumps(obj) + "\n")
 
 
 @dataclass
@@ -291,6 +305,11 @@ def _clamp_to_area(
     x: float, y: float, area: tuple[float, float]
 ) -> tuple[float, float]:
     return (min(max(x, 0.0), area[0]), min(max(y, 0.0), area[1]))
+
+
+def _message_head(msg, peer_key: str) -> str:
+    """A MSG_SENT or MSG_RECV detail up to the value of its peer_key."""
+    return f'{{"msg":"{type(msg).__name__}","fields":{message_json(msg)},"{peer_key}":'
 
 
 def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
@@ -389,7 +408,7 @@ def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
                     t,
                     actor_names[sys_id],
                     "STATE_CHANGE",
-                    {"from": from_state.name, "to": to_state.name},
+                    _dumps({"from": from_state.name, "to": to_state.name}),
                 )
             if (from_state, to_state) == (NodeState.BEING_SERVICED, NodeState.DEPARTING):
                 body = bodies[sys_id]
@@ -400,20 +419,20 @@ def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
                         t,
                         actor_names[sys_id],
                         "BATTERY",
-                        {"battery_pct": 100.0, "event": "service_complete_restore"},
+                        _dumps({"battery_pct": 100.0, "event": "service_complete_restore"}),
                     )
         for outbound in outbound_list:
             deliveries = bus.send(sys_id, outbound, t)
             if tracer is not None and deliveries:
-                fields = message_to_fields(outbound.msg)
-                name = type(outbound.msg).__name__
+                head = _message_head(outbound.msg, "dst")
                 for delivery in deliveries:
                     tracer.record(
-                        t,
-                        actor_names[sys_id],
-                        "MSG_SENT",
-                        {"msg": name, "fields": fields, "dst": delivery.dest_sys_id},
+                        t, actor_names[sys_id], "MSG_SENT", f"{head}{delivery.dest_sys_id}}}"
                     )
+
+    # The MSG_RECV detail head of the last message received. The receivers
+    # of one broadcast share its decoded message object.
+    recv_msg = recv_head = None
 
     for step in range(int(cfg.duration_s)):
         t = float(step)
@@ -423,15 +442,13 @@ def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
         for delivery in bus.pop_due(t):
             header, msg, _sig = bus.decode_for(delivery.dest_sys_id, delivery.frame)
             if tracer is not None:
+                if msg is not recv_msg:
+                    recv_msg, recv_head = msg, _message_head(msg, "src")
                 tracer.record(
                     t,
                     actor_names[delivery.dest_sys_id],
                     "MSG_RECV",
-                    {
-                        "msg": type(msg).__name__,
-                        "fields": message_to_fields(msg),
-                        "src": delivery.src_sys_id,
-                    },
+                    f"{recv_head}{delivery.src_sys_id}}}",
                 )
             outs = nodes[delivery.dest_sys_id].handle_message(msg, header.sys_id, t)
             flush(delivery.dest_sys_id, outs, t)
@@ -453,7 +470,7 @@ def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
                     )
                     if tracer is not None:
                         tracer.record(
-                            t, body.actor, "FAILURE", {"battery_pct": body.battery}
+                            t, body.actor, "FAILURE", _dumps({"battery_pct": body.battery})
                         )
                     continue
             if state is NodeState.OPERATING:
@@ -484,28 +501,21 @@ def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
 
         if tracer is not None:
             for lp in lps:
+                current_ap = "null" if lp.current_ap is None else lp.current_ap
                 tracer.record(
                     t,
                     actor_names[lp.sys_id],
                     "TICK",
-                    {
-                        "state": lp.state.name,
-                        "queue_len": len(lp.queue),
-                        "current_ap": lp.current_ap,
-                    },
+                    _LP_TICK % (lp.state.name, len(lp.queue), current_ap),
                 )
             for body in uavs:
+                x, y = body.position
+                failed = "true" if body.failed else "false"
                 tracer.record(
                     t,
                     body.actor,
                     "TICK",
-                    {
-                        "state": body.node.state.name,
-                        "battery_pct": body.battery,
-                        "x": body.position[0],
-                        "y": body.position[1],
-                        "failed": body.failed,
-                    },
+                    _AP_TICK % (body.node.state.name, body.battery, x, y, failed),
                 )
 
     waits = [wait for lp in lps for wait in lp.wait_samples]

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import binascii
 import hmac
+import operator
 import struct
 import time
 from collections import deque
@@ -396,6 +397,25 @@ def message_to_fields(msg: Message) -> dict:
     return out
 
 
+def _json_form(spec: _MessageSpec) -> tuple[str, Callable]:
+    """A %-template of the field dict's JSON, in dataclass field order, and
+    the attrgetter that fills it (a bare value, not a tuple, for a one-field
+    message). Scaled fields hold floats; every other field holds an int."""
+    names = _FIELD_NAMES[spec.cls]
+    scaled = {attr for attr, scale, _, _ in spec._codec if scale is not None}
+    template = ",".join(f'"{name}":%{"r" if name in scaled else "d"}' for name in names)
+    return "{" + template + "}", operator.attrgetter(*names)
+
+
+_JSON_FORMS = {spec.cls: _json_form(spec) for spec in _MESSAGE_SPECS.values()}
+
+
+def message_json(msg: Message) -> str:
+    """The compact JSON text of message_to_fields(msg), rendered directly."""
+    template, values = _JSON_FORMS[type(msg)]
+    return template % values(msg)
+
+
 def message_from_fields(type_name: str, fields: Mapping) -> Message:
     """Rebuild a message from its class name and field dict."""
     spec = _SPEC_BY_NAME.get(type_name)
@@ -520,6 +540,17 @@ def _sign(secret: bytes, signed_bytes: bytes) -> bytes:
 # Frame codec
 
 
+# magic .. comp_id, then msg_id as its low 16 and high 8 bits.
+_HEADER = struct.Struct("<7BHB")
+_CHECKSUM = struct.Struct("<H")
+# link_id, timestamp as its low 32 and high 16 bits, sig.
+_SIGNATURE_BLOCK = struct.Struct("<BIH6s")
+# The checksum, then the signature block up to sig: the end of the signed bytes.
+_SIGNED_TAIL = struct.Struct("<HBIH")
+# Signed bytes end after link_id and timestamp, 7 bytes past the checksum.
+_SIGNED_TRAILER_LEN = SIGNATURE_LEN - 6
+
+
 def _truncate_trailing_zeros(payload: bytes) -> bytes:
     stripped = payload.rstrip(b"\x00")
     return stripped if stripped else payload[:1]
@@ -551,25 +582,17 @@ def encode_frame(
     payload = _truncate_trailing_zeros(payload)
 
     incompat = INCOMPAT_SIGNED if signing is not None else 0
-    header = bytes(
-        [MAGIC_V2, len(payload), incompat, 0, seq & 0xFF, sys_id, comp_id]
-    ) + spec.msg_id.to_bytes(3, "little")
-    checksum = compute_checksum(header[1:] + payload, spec.crc_extra)
-    frame = header + payload + checksum.to_bytes(2, "little")
-
-    if signing is not None:
-        ts = signing.next_timestamp(sys_id, comp_id)
-        frame += bytes([signing.link_id]) + ts.to_bytes(6, "little")
-        frame += _sign(signing.secret_key, frame)
-    return frame
-
-
-# magic .. comp_id, then msg_id as its low 16 and high 8 bits.
-_HEADER = struct.Struct("<7BHB")
-# link_id, timestamp as its low 32 and high 16 bits, sig.
-_SIGNATURE_BLOCK = struct.Struct("<BIH6s")
-# Signed bytes end after link_id and timestamp, 7 bytes past the checksum.
-_SIGNED_TRAILER_LEN = SIGNATURE_LEN - 6
+    msg_id = spec.msg_id
+    body = _HEADER.pack(
+        MAGIC_V2, len(payload), incompat, 0, seq & 0xFF, sys_id, comp_id,
+        msg_id & 0xFFFF, msg_id >> 16,
+    ) + payload
+    checksum = compute_checksum(body[1:], spec.crc_extra)
+    if signing is None:
+        return body + _CHECKSUM.pack(checksum)
+    ts = signing.next_timestamp(sys_id, comp_id)
+    signed = body + _SIGNED_TAIL.pack(checksum, signing.link_id, ts & 0xFFFFFFFF, ts >> 32)
+    return signed + _sign(signing.secret_key, signed)
 
 
 def _parse_frame(data: bytes) -> tuple[FrameHeader, bytes, int, Signature | None, int]:

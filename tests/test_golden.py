@@ -68,6 +68,12 @@ RUNS = [
         "2207b53e43c03cd93de501ff21a8b357bf87402b2ddbc82a678a9bdd21c90d6c",
         "14f127a260bf600d8f755c8911a571232a0905bd9c4bd462fb06cbebb93d041a",
     ),
+    # Fails: 4 FAILURE records and 1,371 TICKs with "failed":true.
+    (
+        SimConfig(duration_s=900, consumption_pct_per_s=(0.35, 0.45)),
+        "b349595db1fe8b03430da7ea9c1283ca7fb332dcca2fd97c3a6e6680431b7c5e",
+        "c97918da4b9c2aa901f5ca72031b5a0032b637ef5186c2e249fedf17d309b088",
+    ),
 ]
 
 

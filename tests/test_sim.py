@@ -10,6 +10,7 @@ from autoserve.lp_node import LpNode
 from autoserve.sim import (
     InvalidConfig,
     SimConfig,
+    TraceWriter,
     run_sim,
     sample_consumption,
     sample_displacement,
@@ -260,6 +261,35 @@ def test_sweep_runs_consecutive_seeds():
 
 
 # --- trace invariants -----------------------------------------------------------------
+
+
+def test_each_record_is_one_record_call_one_write_and_one_line(monkeypatch):
+    calls = []
+    record = TraceWriter.record
+
+    def counting_record(self, t, actor, kind, detail):
+        calls.append(kind)
+        return record(self, t, actor, kind, detail)
+
+    class Sink:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+
+    monkeypatch.setattr(TraceWriter, "record", counting_record)
+    sink = Sink()
+    # Fails twice, so every record kind occurs.
+    run_sim(SimConfig(duration_s=600, consumption_pct_per_s=(0.35, 0.45)), trace=sink)
+    assert all(text.endswith("\n") and text.count("\n") == 1 for text in sink.writes)
+    lines = "".join(sink.writes).splitlines()
+    assert len(calls) == len(lines) - 1 == len(sink.writes) - 1
+    assert set(calls) == {"TICK", "MSG_SENT", "MSG_RECV", "STATE_CHANGE", "BATTERY", "FAILURE"}
+    for line, kind in zip(lines[1:], calls):
+        record_obj = json.loads(line)
+        assert list(record_obj) == ["t", "actor", "kind", "detail"]
+        assert record_obj["kind"] == kind
 
 
 def test_trace_header_records_config_and_generator(traced_run):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import struct
 
@@ -12,6 +13,7 @@ from autoserve.wire import (
     BadMagic,
     ChecksumMismatch,
     ExtendedHeartbeat,
+    FlightStack,
     FrameDecodeError,
     Keystore,
     LinkState,
@@ -30,6 +32,7 @@ from autoserve.wire import (
     SystemStateUpdate,
     TruncatedFrame,
     UnknownMsgId,
+    VehicleType,
     compute_checksum,
     crc16_accumulate,
     crc16_x25,
@@ -37,6 +40,7 @@ from autoserve.wire import (
     dump_frame,
     encode_frame,
     track_liveness,
+    verify_frame,
 )
 from oracles import crc16_no_xorout_oracle, crc16_x25_oracle, reference_state_update_frame
 
@@ -256,6 +260,70 @@ def test_message_fields_roundtrip():
     msg = ExtendedHeartbeat(1, 2, NodeState.BOARDING, 33.33, -1.25, 900.0, 7, 9)
     fields = wire.message_to_fields(msg)
     assert wire.message_from_fields("ExtendedHeartbeat", fields) == msg
+
+
+# Values a sender may put in a message: IntEnum members in plain-int fields,
+# and ints or floats in a scaled field, in wire range or not (floats up to
+# 1e300 in size, which the encoder can still scale before rejecting).
+sent_ints = st.one_of(u8, st.sampled_from([*VehicleType, *FlightStack]))
+scaled_values = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([-0.0, 1e-7, -1e-7, 1e16, -1e16, 0.1, 64.31]),
+    st.integers(-(2**31), 2**31 - 1),
+)
+sent_heartbeats = st.builds(
+    ExtendedHeartbeat,
+    vehicle_type=sent_ints,
+    flight_stack=sent_ints,
+    system_state=states,
+    battery_pct=scaled_values,
+    pos_x=scaled_values,
+    pos_y=scaled_values,
+    component_type=u8,
+    flight_mode=u8,
+)
+
+BOUNDARY_MESSAGES = [
+    ExtendedHeartbeat(
+        VehicleType.AERIAL_PLATFORM, FlightStack.ARDUPILOT, NodeState.DEPARTED, 100, -0.0, 1e-7, 255, 0
+    ),
+    ExtendedHeartbeat(0, 255, NodeState.IDLE, 0.0, -21474836.48, 21474836.47, 0, 255),
+    ExtendedHeartbeat(
+        VehicleType.GENERIC, FlightStack.UNKNOWN, NodeState.OPERATING, 1e16, -1e16, -0.5, 1, 1
+    ),
+    ServiceReservationRequest(priority=0, target_lp_sys_id=1),
+    ServiceReservationRequest(priority=100, target_lp_sys_id=255),
+    LpReservationConfirmation(target_ap_sys_id=1, queue_position=0),
+    LpReservationConfirmation(target_ap_sys_id=255, queue_position=65535),
+    ApReservationDecision(target_lp_sys_id=1, decision=ReservationAction.CANCEL),
+    ApReservationDecision(target_lp_sys_id=255, decision=ReservationAction.KEEP),
+    SystemStateUpdate(state=NodeState.IDLE),
+    SystemStateUpdate(state=NodeState.DEPARTED),
+]
+
+
+def check_message_json(msg):
+    """message_json matches the encoded field dict, for the message sent and,
+    when it fits the wire, for the message verify_frame returns."""
+    compact = json.JSONEncoder(separators=(",", ":")).encode
+    assert wire.message_json(msg) == compact(wire.message_to_fields(msg))
+    try:
+        frame = encode_frame(msg, 0, 9, 1, signing=signing())
+    except ValueError:
+        return
+    _, received, _ = verify_frame(frame, {0: SECRET})
+    assert wire.message_json(received) == compact(wire.message_to_fields(received))
+
+
+@settings(max_examples=300)
+@given(msg=st.one_of(messages, sent_heartbeats))
+def test_message_json_matches_json_encoder(msg):
+    check_message_json(msg)
+
+
+@pytest.mark.parametrize("msg", BOUNDARY_MESSAGES)
+def test_message_json_matches_json_encoder_at_boundaries(msg):
+    check_message_json(msg)
 
 
 # --- decode errors -------------------------------------------------------------
