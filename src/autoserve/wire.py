@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import binascii
 import hmac
+import json
 import operator
 import struct
 import time
@@ -126,14 +127,19 @@ def crc16_x25(data: bytes) -> int:
     return crc16_accumulate(data) ^ 0xFFFF
 
 
+# Each crc_extra value as one bit-reversed byte, ready to append.
+_REV_EXTRA = [_REV8[extra : extra + 1] for extra in range(256)]
+
+
 def compute_checksum(header_and_payload: bytes, crc_extra: int) -> int:
     """Frame checksum: CRC-16/X.25 over the input followed by crc_extra.
 
     The input excludes the magic byte.
     """
-    extra = crc_extra & 0xFF
-    crc = binascii.crc_hqx(bytes(header_and_payload).translate(_REV8), 0xFFFF)
-    return _rev16(binascii.crc_hqx(_REV8[extra : extra + 1], crc)) ^ 0xFFFF
+    crc = binascii.crc_hqx(
+        header_and_payload.translate(_REV8) + _REV_EXTRA[crc_extra & 0xFF], 0xFFFF
+    )
+    return (_REV8[crc & 0xFF] << 8 | _REV8[crc >> 8]) ^ 0xFFFF
 
 
 def _seed_crc_extra(name: str, field_sig: Sequence[tuple[str, str]]) -> int:
@@ -268,106 +274,101 @@ class _Field(NamedTuple):
 
 
 class _MessageSpec:
-    """One message's codec, derived entirely from its field table."""
+    """One message's codec, generated entirely from its field table.
+
+    pack(msg) and unpack(payload) are straight-line functions compiled
+    once per message from the rows, as dataclasses builds its methods.
+    """
 
     def __init__(self, msg_id: int, wire_name: str, cls: type, fields: Sequence[_Field]):
         self.msg_id = msg_id
         self.cls = cls
+        self.fields = tuple(fields)
         self.struct = struct.Struct("<" + "".join(_CTYPES[f.ctype][0] for f in fields))
         self.size = self.struct.size
         self.crc_extra = _seed_crc_extra(
             wire_name, [(f.ctype, f.seed_name or f.attr) for f in fields]
         )
-        self.enums = {f.attr: f.enum for f in fields if f.enum is not None}
-        # Per field: attribute, scale, enum members by code, allowed wire values.
-        self._codec = []
-        for f in fields:
-            members = {int(m): m for m in f.enum} if f.enum is not None else None
-            _, lo, hi = _CTYPES[f.ctype]
-            lo = lo if f.lo is None else f.lo
-            hi = hi if f.hi is None else f.hi
-            self._codec.append((f.attr, f.scale, members, members or range(lo, hi + 1)))
+        self.pack, self.unpack = _compile_codec(self)
 
-    def pack(self, msg: Message) -> bytes:
-        values = []
-        for attr, scale, _, allowed in self._codec:
-            value = getattr(msg, attr)
-            raw = int(value) if scale is None else round(float(value) * scale)
-            if raw not in allowed:
-                raise ValueError(f"{attr} out of range: {value!r}")
-            values.append(raw)
-        return self.struct.pack(*values)
 
-    def unpack(self, payload: bytes) -> Message:
-        """Rebuild the message, zero-padding a truncated payload first."""
-        if len(payload) < self.size:
-            payload += bytes(self.size - len(payload))
-        kwargs = {}
-        for (attr, scale, members, allowed), raw in zip(
-            self._codec, self.struct.unpack_from(payload)
-        ):
-            if raw not in allowed:
-                raise MalformedPayload(f"{attr} field out of range: {raw}")
-            if members is not None:
-                raw = members[raw]
-            elif scale is not None:
-                raw = raw / scale
-            kwargs[attr] = raw
-        return self.cls(**kwargs)
+def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable]:
+    """Write and exec one message's pack(msg) and unpack(payload).
+
+    pack converts each field once and range-checks it with one chained
+    comparison; a scaled value is checked before round() so that infinity
+    and NaN fail like any other value off the wire. unpack checks only
+    the ranges narrower than the C type, and builds the frozen instance
+    by filling its __dict__ in field order instead of calling __init__.
+    """
+    env = {"_pack": spec.struct.pack, "_unpack_from": spec.struct.unpack_from,
+           "_new": object.__new__, "_cls": spec.cls, "MalformedPayload": MalformedPayload}
+    raw = [f"v{i}" for i in range(len(spec.fields))]
+    pack, unpack, values = "", "", {}
+    for v, f in zip(raw, spec.fields):
+        _, type_lo, type_hi = _CTYPES[f.ctype]
+        lo, hi = type_lo if f.lo is None else f.lo, type_hi if f.hi is None else f.hi
+        values[f.attr] = v if f.scale is None else f"{v} / {f.scale!r}"
+        if f.enum is not None:
+            lo, hi = 0, max(f.enum)
+            # Members by code; raises unless the codes run 0, 1, 2, ...
+            env[f"_{v}_members"] = tuple(map(f.enum, range(hi + 1)))
+            values[f.attr] = f"_{v}_members[{v}]"
+        off_wire = f'raise ValueError(f"{f.attr} out of range: {{msg.{f.attr}!r}}")'
+        if f.scale is None:
+            pack += f"\n    {v} = int(msg.{f.attr})"
+        else:
+            pack += f"\n    {v} = float(msg.{f.attr}) * {f.scale!r}"
+            pack += f"\n    if not {lo - 1} < {v} < {hi + 1}: {off_wire}"
+            pack += f"\n    {v} = round({v})"
+        pack += f"\n    if not {lo} <= {v} <= {hi}: {off_wire}"
+        if (lo, hi) != (type_lo, type_hi):
+            unpack += f"\n    if not {lo} <= {v} <= {hi}: raise MalformedPayload("
+            unpack += f'f"{f.attr} field out of range: {{{v}}}")'
+    order = getattr(spec.cls, "__dataclass_fields__", values)
+    exec(f"""
+def pack(msg):{pack}
+    return _pack({", ".join(raw)})
+def unpack(payload):
+    if len(payload) < {spec.size}:
+        payload += bytes({spec.size} - len(payload))
+    {", ".join(raw)}, = _unpack_from(payload){unpack}
+    msg = _new(_cls)
+    msg.__dict__.update({", ".join(f"{name}={values[name]}" for name in order)})
+    return msg
+""", env)
+    return env["pack"], env["unpack"]
 
 
 # The message table: each message's fields exactly once, in wire order.
 _MESSAGE_SPECS: dict[int, _MessageSpec] = {
     spec.msg_id: spec
     for spec in (
-        _MessageSpec(
-            42000,
-            "EXTENDED_HEARTBEAT",
-            ExtendedHeartbeat,
-            [
-                _Field("vehicle_type", "uint8_t"),
-                _Field("flight_stack", "uint8_t"),
-                _Field("component_type", "uint8_t"),
-                _Field("flight_mode", "uint8_t"),
-                _Field("system_state", "uint8_t", enum=NodeState),
-                _Field("battery_pct", "uint16_t", "battery_cpct", hi=10000, scale=100.0),
-                _Field("pos_x", "int32_t", "pos_x_cm", scale=100.0),
-                _Field("pos_y", "int32_t", "pos_y_cm", scale=100.0),
-            ],
-        ),
-        _MessageSpec(
-            42001,
-            "SERVICE_RESERVATION_REQUEST",
-            ServiceReservationRequest,
-            [
-                _Field("priority", "uint8_t", hi=100),
-                _Field("target_lp_sys_id", "uint8_t", lo=1),
-            ],
-        ),
-        _MessageSpec(
-            42002,
-            "LP_RESERVATION_CONFIRMATION",
-            LpReservationConfirmation,
-            [
-                _Field("target_ap_sys_id", "uint8_t", lo=1),
-                _Field("queue_position", "uint16_t"),
-            ],
-        ),
-        _MessageSpec(
-            42003,
-            "AP_RESERVATION_DECISION",
-            ApReservationDecision,
-            [
-                _Field("target_lp_sys_id", "uint8_t", lo=1),
-                _Field("decision", "uint8_t", enum=ReservationAction),
-            ],
-        ),
-        _MessageSpec(
-            42004,
-            "SYSTEM_STATE_UPDATE",
-            SystemStateUpdate,
-            [_Field("state", "uint8_t", enum=NodeState)],
-        ),
+        _MessageSpec(42000, "EXTENDED_HEARTBEAT", ExtendedHeartbeat, [
+            _Field("vehicle_type", "uint8_t"),
+            _Field("flight_stack", "uint8_t"),
+            _Field("component_type", "uint8_t"),
+            _Field("flight_mode", "uint8_t"),
+            _Field("system_state", "uint8_t", enum=NodeState),
+            _Field("battery_pct", "uint16_t", "battery_cpct", hi=10000, scale=100.0),
+            _Field("pos_x", "int32_t", "pos_x_cm", scale=100.0),
+            _Field("pos_y", "int32_t", "pos_y_cm", scale=100.0),
+        ]),
+        _MessageSpec(42001, "SERVICE_RESERVATION_REQUEST", ServiceReservationRequest, [
+            _Field("priority", "uint8_t", hi=100),
+            _Field("target_lp_sys_id", "uint8_t", lo=1),
+        ]),
+        _MessageSpec(42002, "LP_RESERVATION_CONFIRMATION", LpReservationConfirmation, [
+            _Field("target_ap_sys_id", "uint8_t", lo=1),
+            _Field("queue_position", "uint16_t"),
+        ]),
+        _MessageSpec(42003, "AP_RESERVATION_DECISION", ApReservationDecision, [
+            _Field("target_lp_sys_id", "uint8_t", lo=1),
+            _Field("decision", "uint8_t", enum=ReservationAction),
+        ]),
+        _MessageSpec(42004, "SYSTEM_STATE_UPDATE", SystemStateUpdate, [
+            _Field("state", "uint8_t", enum=NodeState),
+        ]),
     )
 }
 
@@ -402,18 +403,23 @@ def _json_form(spec: _MessageSpec) -> tuple[str, Callable]:
     the attrgetter that fills it (a bare value, not a tuple, for a one-field
     message). Scaled fields hold floats; every other field holds an int."""
     names = _FIELD_NAMES[spec.cls]
-    scaled = {attr for attr, scale, _, _ in spec._codec if scale is not None}
+    scaled = {f.attr for f in spec.fields if f.scale is not None}
     template = ",".join(f'"{name}":%{"r" if name in scaled else "d"}' for name in names)
     return "{" + template + "}", operator.attrgetter(*names)
 
 
 _JSON_FORMS = {spec.cls: _json_form(spec) for spec in _MESSAGE_SPECS.values()}
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def message_json(msg: Message) -> str:
     """The compact JSON text of message_to_fields(msg), rendered directly."""
     template, values = _JSON_FORMS[type(msg)]
-    return template % values(msg)
+    text = template % values(msg)
+    # %r spells a non-finite float inf or nan, which JSON spells otherwise.
+    if "inf" in text or "nan" in text:
+        return _COMPACT_JSON(message_to_fields(msg))
+    return text
 
 
 def message_from_fields(type_name: str, fields: Mapping) -> Message:
@@ -422,9 +428,9 @@ def message_from_fields(type_name: str, fields: Mapping) -> Message:
     if spec is None:
         raise ValueError(f"unknown message type {type_name!r}")
     kwargs = dict(fields)
-    for attr, enum in spec.enums.items():
-        if attr in kwargs:
-            kwargs[attr] = enum(kwargs[attr])
+    for f in spec.fields:
+        if f.enum is not None and f.attr in kwargs:
+            kwargs[f.attr] = f.enum(kwargs[f.attr])
     return spec.cls(**kwargs)
 
 
@@ -501,7 +507,8 @@ class Keystore:
         replay_window_s: float = 6.0,
     ):
         self._keys: dict[int, bytes] = {}
-        self._last: dict[tuple[int, int, int], int] = {}
+        # Each stream's last timestamp in a one-element list, updated in place.
+        self._last: dict[tuple[int, int, int], list[int]] = {}
         self._link_max: dict[int, int] = {}
         self.replay_window = int(replay_window_s * TIMESTAMP_UNITS_PER_S)
         for link_id, secret in (keys or {}).items():
@@ -519,14 +526,17 @@ class Keystore:
         """Replay check of one verified frame; records ts only if it passes."""
         stream = (link_id, sys_id, comp_id)
         last = self._last.get(stream)
-        if last is not None and ts <= last:
-            raise StaleTimestamp(f"timestamp {ts} <= last accepted {last}")
         link_max = self._link_max.get(link_id)
-        if last is None and link_max is not None and ts < link_max - self.replay_window:
-            raise StaleTimestamp(
-                f"timestamp {ts} lags link maximum {link_max} beyond the replay window"
-            )
-        self._last[stream] = ts
+        if last is None:
+            if link_max is not None and ts < link_max - self.replay_window:
+                raise StaleTimestamp(
+                    f"timestamp {ts} lags link maximum {link_max} beyond the replay window"
+                )
+            self._last[stream] = [ts]
+        elif ts <= last[0]:
+            raise StaleTimestamp(f"timestamp {ts} <= last accepted {last[0]}")
+        else:
+            last[0] = ts
         if link_max is None or ts > link_max:
             self._link_max[link_id] = ts
 
@@ -549,11 +559,6 @@ _SIGNATURE_BLOCK = struct.Struct("<BIH6s")
 _SIGNED_TAIL = struct.Struct("<HBIH")
 # Signed bytes end after link_id and timestamp, 7 bytes past the checksum.
 _SIGNED_TRAILER_LEN = SIGNATURE_LEN - 6
-
-
-def _truncate_trailing_zeros(payload: bytes) -> bytes:
-    stripped = payload.rstrip(b"\x00")
-    return stripped if stripped else payload[:1]
 
 
 def encode_frame(
@@ -579,7 +584,8 @@ def encode_frame(
     payload = spec.pack(msg)
     if len(payload) > MAX_PAYLOAD_LEN:
         raise PayloadTooLarge(f"{len(payload)} byte payload exceeds {MAX_PAYLOAD_LEN}")
-    payload = _truncate_trailing_zeros(payload)
+    # Trailing zero bytes are implied; at least one payload byte is sent.
+    payload = payload.rstrip(b"\x00") or payload[:1]
 
     incompat = INCOMPAT_SIGNED if signing is not None else 0
     msg_id = spec.msg_id
@@ -608,24 +614,20 @@ def _parse_frame(data: bytes) -> tuple[FrameHeader, bytes, int, Signature | None
     if len(data) < HEADER_LEN:
         raise TruncatedFrame(f"{len(data)} bytes is shorter than the frame header")
 
-    _, payload_len, incompat, compat, seq, sys_id, comp_id, id_lo, id_hi = (
-        _HEADER.unpack_from(data)
-    )
-    header = FrameHeader(
-        payload_len, incompat, compat, seq, sys_id, comp_id, id_lo | id_hi << 16
-    )
-    end = HEADER_LEN + payload_len + CHECKSUM_LEN
-    signed = incompat & INCOMPAT_SIGNED
-    total = end + SIGNATURE_LEN if signed else end
+    _, length, incompat, compat, seq, sys_id, comp_id, id_lo, id_hi = _HEADER.unpack_from(data)
+    end = HEADER_LEN + length + CHECKSUM_LEN
+    total = end + SIGNATURE_LEN if incompat & INCOMPAT_SIGNED else end
     if len(data) < total:
         raise TruncatedFrame(f"need {total} bytes, got {len(data)}")
-
-    payload = data[HEADER_LEN : HEADER_LEN + payload_len]
+    # tuple.__new__ builds the named tuples without their Python-level __new__.
+    fields = (length, incompat, compat, seq, sys_id, comp_id, id_lo | id_hi << 16, MAGIC_V2)
+    header = tuple.__new__(FrameHeader, fields)
+    payload = data[HEADER_LEN : end - CHECKSUM_LEN]
     stored_crc = data[end - 2] | data[end - 1] << 8
     signature = None
-    if signed:
+    if total > end:
         link_id, ts_lo, ts_hi, sig = _SIGNATURE_BLOCK.unpack_from(data, end)
-        signature = Signature(link_id, ts_lo | ts_hi << 32, sig)
+        signature = tuple.__new__(Signature, (link_id, ts_lo | ts_hi << 32, sig))
     return header, payload, stored_crc, signature, end
 
 
@@ -682,9 +684,7 @@ def decode_frame(
     if require_signed and signature is None:
         raise SignatureMissing("receiver policy requires signed frames")
     if signature is not None and isinstance(keystore, Keystore):
-        keystore.accept(
-            signature.link_id, header.sys_id, header.comp_id, signature.timestamp
-        )
+        keystore.accept(signature.link_id, header.sys_id, header.comp_id, signature.timestamp)
     return header, msg, signature
 
 

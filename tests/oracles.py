@@ -2,11 +2,13 @@
 
 Everything here is written from first principles against published
 definitions and never calls into the package, so package bugs cannot
-hide behind shared code.
+hide behind shared code. The codec oracle reads the package's message
+table as data.
 """
 
+import struct
 from collections import deque
-from math import dist, inf
+from math import dist, inf, isfinite
 
 # --- table-driven CRC-16/X.25 oracle ---------------------------------------
 # Reflected polynomial of 0x1021. Table entries derived per byte with the
@@ -161,3 +163,73 @@ def min_hop_length(nodes: dict, path) -> float:
     if len(path) < 2:
         return inf
     return min(dist(nodes[a], nodes[b]) for a, b in zip(path, path[1:]))
+
+
+# --- per-field message codec oracle -------------------------------------------
+# The message codec as a plain loop over a message table's field rows
+# (attr, ctype, seed_name, lo, hi, scale, enum): each value is checked
+# against its C type's range, narrowed by lo/hi or by its enum's codes,
+# then packed or unpacked one field at a time. The rows are data; the
+# only package name used is the decode error class, so that failures
+# compare by class.
+
+_CTYPE_RANGES = {
+    "uint8_t": ("B", 0, 0xFF),
+    "uint16_t": ("H", 0, 0xFFFF),
+    "int32_t": ("i", -(2**31), 2**31 - 1),
+}
+
+
+def _field_codec(field):
+    """(allowed wire values, enum members by code) of one field row."""
+    _, lo, hi = _CTYPE_RANGES[field.ctype]
+    lo = lo if field.lo is None else field.lo
+    hi = hi if field.hi is None else field.hi
+    if field.enum is not None:
+        members = {int(m): m for m in field.enum}
+        return members, members
+    return range(lo, hi + 1), None
+
+
+def _struct_of(fields):
+    return struct.Struct("<" + "".join(_CTYPE_RANGES[f.ctype][0] for f in fields))
+
+
+def reference_pack(fields, msg) -> bytes:
+    """Pack msg's fields in wire order; ValueError for a value off the wire.
+
+    A scaled value that is not finite after scaling (infinity, NaN, or a
+    product that overflows) is out of range like any other."""
+    values = []
+    for field in fields:
+        allowed, _ = _field_codec(field)
+        value = getattr(msg, field.attr)
+        if field.scale is None:
+            raw = int(value)
+        else:
+            scaled = float(value) * field.scale
+            raw = round(scaled) if isfinite(scaled) else None
+        if raw is None or raw not in allowed:
+            raise ValueError(f"{field.attr} out of range: {value!r}")
+        values.append(raw)
+    return _struct_of(fields).pack(*values)
+
+
+def reference_unpack(fields, cls, payload: bytes):
+    """Zero-pad a truncated payload, unpack it field by field and build cls."""
+    from autoserve.wire import MalformedPayload
+
+    layout = _struct_of(fields)
+    if len(payload) < layout.size:
+        payload += bytes(layout.size - len(payload))
+    kwargs = {}
+    for field, raw in zip(fields, layout.unpack_from(payload)):
+        allowed, members = _field_codec(field)
+        if raw not in allowed:
+            raise MalformedPayload(f"{field.attr} field out of range: {raw}")
+        if members is not None:
+            raw = members[raw]
+        elif field.scale is not None:
+            raw = raw / field.scale
+        kwargs[field.attr] = raw
+    return cls(**kwargs)

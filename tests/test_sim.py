@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -445,3 +446,53 @@ def test_report_contains_configuration_echo(traced_run):
     cfg, report, _, _ = traced_run
     assert report.config == cfg.to_dict()
     assert set(report.min_battery_pct) == {f"AP{i}" for i in range(2, 5)}
+
+
+# --- bench contract ------------------------------------------------------------
+
+
+def wrap_every_binding(monkeypatch, module_name, name):
+    """Wrap a function at every module-level binding in the package, as the
+    benchmark's span recorder does; returns call counts per binding."""
+    original = getattr(sys.modules[module_name], name)
+    counts = Counter()
+    for bound_in, module in list(sys.modules.items()):
+        if bound_in.split(".")[0] != "autoserve":
+            continue
+        for attr, obj in list(vars(module).items()):
+            if obj is original:
+
+                def counting(*args, _binding=f"{bound_in}.{attr}", **kwargs):
+                    counts[_binding] += 1
+                    return original(*args, **kwargs)
+
+                monkeypatch.setattr(module, attr, counting)
+    return counts
+
+
+def test_codec_calls_are_visible_at_their_module_bindings(monkeypatch):
+    import autoserve.transport as transport
+
+    checksums = wrap_every_binding(monkeypatch, "autoserve.wire", "compute_checksum")
+    encodes = wrap_every_binding(monkeypatch, "autoserve.wire", "encode_frame")
+    verifies = wrap_every_binding(monkeypatch, "autoserve.wire", "verify_frame")
+    delivered_frames = {}  # id -> frame, kept alive so that ids stay unique
+    pop_due = transport.InMemoryBus.pop_due
+
+    def recording_pop_due(bus, now):
+        due = pop_due(bus, now)
+        delivered_frames.update((id(d.frame), d.frame) for d in due)
+        return due
+
+    monkeypatch.setattr(transport.InMemoryBus, "pop_due", recording_pop_due)
+    run_sim(SimConfig(duration_s=600))
+
+    n_encodes = sum(encodes.values())
+    n_verifies = sum(verifies.values())
+    assert set(encodes) == {"autoserve.transport.encode_frame"}
+    assert set(verifies) == {"autoserve.transport.verify_frame"}
+    assert 0 < n_verifies <= n_encodes
+    # One verification per delivered send, however many receivers it has.
+    assert n_verifies == len(delivered_frames)
+    # One checksum per encode plus one per verified send, looked up in wire.
+    assert checksums == {"autoserve.wire.compute_checksum": n_encodes + n_verifies}
