@@ -148,42 +148,39 @@ class SimConfig:
         return self.critical_threshold_pct
 
     def validate(self) -> None:
-        def bad(message: str) -> None:
-            raise InvalidConfig(message)
-
         if self.n_uavs < 1:
-            bad("n_uavs must be at least 1")
+            raise InvalidConfig("n_uavs must be at least 1")
         if self.n_lps < 1:
-            bad("n_lps must be at least 1")
+            raise InvalidConfig("n_lps must be at least 1")
         if self.n_uavs + self.n_lps > 254:
-            bad("n_uavs + n_lps must leave room in the 1-255 sys_id space")
+            raise InvalidConfig("n_uavs + n_lps must leave room in the 1-255 sys_id space")
         width, height = self.area_m
         if width <= 0 or height <= 0:
-            bad("area_m dimensions must be positive")
+            raise InvalidConfig("area_m dimensions must be positive")
         cmin, cmax = self.consumption_pct_per_s
         if not 0 < cmin <= cmax:
-            bad("consumption_pct_per_s must satisfy 0 < min <= max")
+            raise InvalidConfig("consumption_pct_per_s must satisfy 0 < min <= max")
         if not 0 <= self.fail_threshold_pct < self.request_threshold_pct <= 100:
-            bad("thresholds must satisfy 0 <= fail < request <= 100")
+            raise InvalidConfig("thresholds must satisfy 0 <= fail < request <= 100")
         blo, bhi = self.initial_battery_pct
         if not 0 <= blo <= bhi <= 100:
-            bad("initial_battery_pct must satisfy 0 <= low <= high <= 100")
+            raise InvalidConfig("initial_battery_pct must satisfy 0 <= low <= high <= 100")
         if self.spawn_radius_m < 0 or self.max_step_m_per_s < 0:
-            bad("spawn_radius_m and max_step_m_per_s must be non-negative")
+            raise InvalidConfig("spawn_radius_m and max_step_m_per_s must be non-negative")
         if self.duration_s < 0:
-            bad("duration_s must be non-negative")
+            raise InvalidConfig("duration_s must be non-negative")
         if self.service_duration_s < 0 or self.alignment_duration_s < 0:
-            bad("phase durations must be non-negative")
+            raise InvalidConfig("phase durations must be non-negative")
         if self.boarding_timeout_s <= 0:
-            bad("boarding_timeout_s must be positive")
+            raise InvalidConfig("boarding_timeout_s must be positive")
         if not 0 <= self.seed < 2**64:
-            bad("seed must be an unsigned 64-bit integer")
+            raise InvalidConfig("seed must be an unsigned 64-bit integer")
         if self.lp_positions is not None:
             if len(self.lp_positions) != self.n_lps:
-                bad("lp_positions length must equal n_lps")
+                raise InvalidConfig("lp_positions length must equal n_lps")
             for x, y in self.lp_positions:
                 if not (0 <= x <= width and 0 <= y <= height):
-                    bad(f"LP position ({x}, {y}) lies outside the area")
+                    raise InvalidConfig(f"LP position ({x}, {y}) lies outside the area")
 
     def resolved_lp_positions(self) -> list[tuple[float, float]]:
         """Explicit positions, or a deterministic centered grid when AUTO."""
@@ -293,14 +290,6 @@ class _UavBody:
     failed: bool = False
 
 
-class _Clock:
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def timestamp_units(self) -> int:
-        return int(self.now * TIMESTAMP_UNITS_PER_S)
-
-
 def _clamp_to_area(
     x: float, y: float, area: tuple[float, float]
 ) -> tuple[float, float]:
@@ -312,149 +301,149 @@ def _message_head(msg, peer_key: str) -> str:
     return f'{{"msg":"{type(msg).__name__}","fields":{message_json(msg)},"{peer_key}":'
 
 
-def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
-    """Run one simulation; optionally stream the trace to a text file."""
-    cfg.validate()
-    lp_positions = cfg.resolved_lp_positions()
-    lp_ids = list(range(1, cfg.n_lps + 1))
-    ap_ids = list(range(cfg.n_lps + 1, cfg.n_lps + 1 + cfg.n_uavs))
-    roster = list(zip(lp_ids, lp_positions))
-    lp_pos_by_id = dict(roster)
+class Simulation:
+    """One run's nodes, bus, vehicle bodies and trace writer.
 
-    clock = _Clock()
-    bus = InMemoryBus(latency_s=1.0)
+    run_sim advances it one tick at a time through the phases _deliver,
+    _physics, _tick_aps, _tick_lps and _trace_ticks, then builds the
+    report with _report. The methods stay private: the benchmark splits
+    phases by the spans directly under run_sim, and a span per phase
+    method would hide them.
+    """
 
-    lps: list[LpNode] = []
-    for lp_id, position in roster:
-        lps.append(
-            LpNode(
-                lp_id,
-                position,
-                service_duration_s=cfg.service_duration_s,
-                alignment_duration_s=cfg.alignment_duration_s,
-                boarding_timeout_s=cfg.boarding_timeout_s,
-                critical_threshold_pct=cfg.critical_pct,
-                lp_roster=roster,
-                liveness_window_s=cfg.liveness_window_s,
-                liveness_min_count=cfg.liveness_min_count,
-            )
-        )
-        bus.register(
-            lp_id,
-            "LP",
-            signing=SigningContext(NETWORK_SECRET, 0, clock.timestamp_units),
-            keystore=Keystore({0: NETWORK_SECRET}),
-        )
+    def __init__(self, cfg: SimConfig, trace: IO[str] | None) -> None:
+        self.cfg = cfg
+        self.now = 0.0
+        lp_positions = cfg.resolved_lp_positions()
+        lp_ids = list(range(1, cfg.n_lps + 1))
+        ap_ids = list(range(cfg.n_lps + 1, cfg.n_lps + 1 + cfg.n_uavs))
+        roster = list(zip(lp_ids, lp_positions))
+        self._lp_pos_by_id = dict(roster)
+        self._bus = InMemoryBus(latency_s=1.0)
 
-    uavs: list[_UavBody] = []
-    for index, ap_id in enumerate(ap_ids):
-        rng = uav_rng(cfg.seed, index)
-        home = lp_positions[index % cfg.n_lps]
-        radius = cfg.spawn_radius_m * math.sqrt(float(rng.uniform(0.0, 1.0)))
-        angle = 2.0 * math.pi * float(rng.uniform(0.0, 1.0))
-        position = _clamp_to_area(
-            home[0] + radius * math.cos(angle),
-            home[1] + radius * math.sin(angle),
-            cfg.area_m,
-        )
-        battery = float(rng.uniform(*cfg.initial_battery_pct))
-        node = ApNode(
-            ap_id,
-            roster,
-            request_threshold_pct=cfg.request_threshold_pct,
-            reserve_floor_pct=cfg.fail_threshold_pct,
-            cruise_speed_m_per_s=cfg.max_step_m_per_s,
-            max_consumption_pct_per_s=cfg.consumption_pct_per_s[1],
-            service_duration_estimate_s=cfg.service_duration_s,
-            departure_clear_s=cfg.departure_clear_s,
-        )
-        node.battery_pct = battery
-        node.position = position
-        uavs.append(
-            _UavBody(
-                sys_id=ap_id,
-                actor=f"AP{ap_id}",
-                node=node,
-                rng=rng,
-                battery=battery,
-                position=position,
-                min_battery=battery,
-            )
-        )
-        bus.register(
-            ap_id,
-            "AP",
-            signing=SigningContext(NETWORK_SECRET, 0, clock.timestamp_units),
-            keystore=Keystore({0: NETWORK_SECRET}),
-        )
-
-    nodes = {lp.sys_id: lp for lp in lps}
-    nodes.update({body.sys_id: body.node for body in uavs})
-    bodies = {body.sys_id: body for body in uavs}
-    actor_names = {lp.sys_id: f"LP{lp.sys_id}" for lp in lps}
-    actor_names.update({body.sys_id: body.actor for body in uavs})
-
-    tracer = TraceWriter(trace) if trace is not None else None
-    if tracer is not None:
-        tracer.header(cfg.to_dict())
-
-    failures: list[dict] = []
-
-    def flush(sys_id: int, outbound_list, t: float) -> None:
-        node = nodes[sys_id]
-        for from_state, to_state in node.drain_transitions():
-            if tracer is not None:
-                tracer.record(
-                    t,
-                    actor_names[sys_id],
-                    "STATE_CHANGE",
-                    _dumps({"from": from_state.name, "to": to_state.name}),
+        self._lps: list[LpNode] = []
+        for lp_id, position in roster:
+            self._lps.append(
+                LpNode(
+                    lp_id,
+                    position,
+                    service_duration_s=cfg.service_duration_s,
+                    alignment_duration_s=cfg.alignment_duration_s,
+                    boarding_timeout_s=cfg.boarding_timeout_s,
+                    critical_threshold_pct=cfg.critical_pct,
+                    lp_roster=roster,
+                    liveness_window_s=cfg.liveness_window_s,
+                    liveness_min_count=cfg.liveness_min_count,
                 )
+            )
+            self._register(lp_id, "LP")
+
+        self._uavs: list[_UavBody] = []
+        for index, ap_id in enumerate(ap_ids):
+            rng = uav_rng(cfg.seed, index)
+            home = lp_positions[index % cfg.n_lps]
+            radius = cfg.spawn_radius_m * math.sqrt(float(rng.uniform(0.0, 1.0)))
+            angle = 2.0 * math.pi * float(rng.uniform(0.0, 1.0))
+            position = _clamp_to_area(
+                home[0] + radius * math.cos(angle),
+                home[1] + radius * math.sin(angle),
+                cfg.area_m,
+            )
+            battery = float(rng.uniform(*cfg.initial_battery_pct))
+            node = ApNode(
+                ap_id,
+                roster,
+                request_threshold_pct=cfg.request_threshold_pct,
+                reserve_floor_pct=cfg.fail_threshold_pct,
+                cruise_speed_m_per_s=cfg.max_step_m_per_s,
+                max_consumption_pct_per_s=cfg.consumption_pct_per_s[1],
+                service_duration_estimate_s=cfg.service_duration_s,
+                departure_clear_s=cfg.departure_clear_s,
+            )
+            node.battery_pct = battery
+            node.position = position
+            self._uavs.append(
+                _UavBody(
+                    sys_id=ap_id,
+                    actor=f"AP{ap_id}",
+                    node=node,
+                    rng=rng,
+                    battery=battery,
+                    position=position,
+                    min_battery=battery,
+                )
+            )
+            self._register(ap_id, "AP")
+
+        self._nodes = {lp.sys_id: lp for lp in self._lps}
+        self._nodes.update({body.sys_id: body.node for body in self._uavs})
+        self._bodies = {body.sys_id: body for body in self._uavs}
+        self._actor_names = {lp.sys_id: f"LP{lp.sys_id}" for lp in self._lps}
+        self._actor_names.update({body.sys_id: body.actor for body in self._uavs})
+        self._failures: list[dict] = []
+
+        self._tracer = TraceWriter(trace) if trace is not None else None
+        if self._tracer is not None:
+            self._tracer.header(cfg.to_dict())
+
+    def _register(self, sys_id: int, role: str) -> None:
+        self._bus.register(
+            sys_id,
+            role,
+            signing=SigningContext(NETWORK_SECRET, 0, self._timestamp_units),
+            keystore=Keystore({0: NETWORK_SECRET}),
+        )
+
+    def _timestamp_units(self) -> int:
+        return int(self.now * TIMESTAMP_UNITS_PER_S)
+
+    def _send(self, sys_id: int, outbound_list, t: float) -> None:
+        """Trace sys_id's state changes, then put its outbound messages on the bus."""
+        tracer = self._tracer
+        actor = self._actor_names[sys_id]
+        for from_state, to_state in self._nodes[sys_id].drain_transitions():
+            if tracer is not None:
+                detail = _dumps({"from": from_state.name, "to": to_state.name})
+                tracer.record(t, actor, "STATE_CHANGE", detail)
             if (from_state, to_state) == (NodeState.BEING_SERVICED, NodeState.DEPARTING):
-                body = bodies[sys_id]
+                body = self._bodies[sys_id]
                 body.battery = 100.0
                 body.node.battery_pct = 100.0
                 if tracer is not None:
                     tracer.record(
                         t,
-                        actor_names[sys_id],
+                        actor,
                         "BATTERY",
                         _dumps({"battery_pct": 100.0, "event": "service_complete_restore"}),
                     )
         for outbound in outbound_list:
-            deliveries = bus.send(sys_id, outbound, t)
+            deliveries = self._bus.send(sys_id, outbound, t)
             if tracer is not None and deliveries:
                 head = _message_head(outbound.msg, "dst")
                 for delivery in deliveries:
-                    tracer.record(
-                        t, actor_names[sys_id], "MSG_SENT", f"{head}{delivery.dest_sys_id}}}"
-                    )
+                    tracer.record(t, actor, "MSG_SENT", f"{head}{delivery.dest_sys_id}}}")
 
-    # The MSG_RECV detail head of the last message received. The receivers
-    # of one broadcast share its decoded message object.
-    recv_msg = recv_head = None
-
-    for step in range(int(cfg.duration_s)):
-        t = float(step)
-        clock.now = t
-
-        # Messages sent last tick arrive now.
+    def _deliver(self, t: float) -> None:
+        """Messages sent last tick arrive now."""
+        bus, nodes, tracer = self._bus, self._nodes, self._tracer
+        # The receivers of one broadcast share its decoded message object,
+        # so its MSG_RECV detail head is built once.
+        recv_msg = recv_head = None
         for delivery in bus.pop_due(t):
-            header, msg, _sig = bus.decode_for(delivery.dest_sys_id, delivery.frame)
+            dest = delivery.dest_sys_id
+            header, msg, _sig = bus.decode_for(dest, delivery.frame)
             if tracer is not None:
                 if msg is not recv_msg:
                     recv_msg, recv_head = msg, _message_head(msg, "src")
                 tracer.record(
-                    t,
-                    actor_names[delivery.dest_sys_id],
-                    "MSG_RECV",
-                    f"{recv_head}{delivery.src_sys_id}}}",
+                    t, self._actor_names[dest], "MSG_RECV", f"{recv_head}{delivery.src_sys_id}}}"
                 )
-            outs = nodes[delivery.dest_sys_id].handle_message(msg, header.sys_id, t)
-            flush(delivery.dest_sys_id, outs, t)
+            self._send(dest, nodes[dest].handle_message(msg, header.sys_id, t), t)
 
-        # Physics: consumption, failure detection, motion, arrivals.
-        for body in uavs:
+    def _physics(self, t: float) -> None:
+        """Consumption, failure detection, motion and arrivals."""
+        cfg, tracer = self.cfg, self._tracer
+        for body in self._uavs:
             if body.failed:
                 continue
             state = body.node.state
@@ -465,7 +454,7 @@ def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
                     body.min_battery = body.battery
                 if body.battery < cfg.fail_threshold_pct:
                     body.failed = True
-                    failures.append(
+                    self._failures.append(
                         {"uav": body.actor, "t": t, "battery_pct": body.battery}
                     )
                     if tracer is not None:
@@ -479,11 +468,11 @@ def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
                     body.position[0] + dx, body.position[1] + dy, cfg.area_m
                 )
             elif state is NodeState.BOARDING:
-                target = lp_pos_by_id[body.node.current_reservation[0]]
+                target = self._lp_pos_by_id[body.node.current_reservation[0]]
                 distance = math.dist(body.position, target)
                 if distance <= cfg.max_step_m_per_s:
                     body.position = target
-                    flush(body.sys_id, body.node.notify_arrival(t), t)
+                    self._send(body.sys_id, body.node.notify_arrival(t), t)
                 else:
                     scale = cfg.max_step_m_per_s / distance
                     body.position = (
@@ -491,44 +480,63 @@ def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
                         body.position[1] + (target[1] - body.position[1]) * scale,
                     )
 
-        for body in uavs:
-            if body.failed:
-                continue
-            flush(body.sys_id, body.node.tick(t, body.battery, body.position), t)
+    def _tick_aps(self, t: float) -> None:
+        for body in self._uavs:
+            if not body.failed:
+                self._send(body.sys_id, body.node.tick(t, body.battery, body.position), t)
 
-        for lp in lps:
-            flush(lp.sys_id, lp.tick(t), t)
+    def _tick_lps(self, t: float) -> None:
+        for lp in self._lps:
+            self._send(lp.sys_id, lp.tick(t), t)
 
-        if tracer is not None:
-            for lp in lps:
-                current_ap = "null" if lp.current_ap is None else lp.current_ap
-                tracer.record(
-                    t,
-                    actor_names[lp.sys_id],
-                    "TICK",
-                    _LP_TICK % (lp.state.name, len(lp.queue), current_ap),
-                )
-            for body in uavs:
-                x, y = body.position
-                failed = "true" if body.failed else "false"
-                tracer.record(
-                    t,
-                    body.actor,
-                    "TICK",
-                    _AP_TICK % (body.node.state.name, body.battery, x, y, failed),
-                )
+    def _trace_ticks(self, t: float) -> None:
+        tracer = self._tracer
+        if tracer is None:
+            return
+        for lp in self._lps:
+            current_ap = "null" if lp.current_ap is None else lp.current_ap
+            tracer.record(
+                t,
+                self._actor_names[lp.sys_id],
+                "TICK",
+                _LP_TICK % (lp.state.name, len(lp.queue), current_ap),
+            )
+        for body in self._uavs:
+            x, y = body.position
+            failed = "true" if body.failed else "false"
+            tracer.record(
+                t,
+                body.actor,
+                "TICK",
+                _AP_TICK % (body.node.state.name, body.battery, x, y, failed),
+            )
 
-    waits = [wait for lp in lps for wait in lp.wait_samples]
-    return SimReport(
-        outcome="FAIL" if failures else "PASS",
-        min_battery_pct={body.actor: body.min_battery for body in uavs},
-        failures=failures,
-        services_completed={f"LP{lp.sys_id}": lp.services_completed for lp in lps},
-        queue_wait_mean_s=sum(waits) / len(waits) if waits else 0.0,
-        queue_wait_max_s=max(waits) if waits else 0.0,
-        queue_wait_count=len(waits),
-        config=cfg.to_dict(),
-    )
+    def _report(self) -> SimReport:
+        waits = [wait for lp in self._lps for wait in lp.wait_samples]
+        return SimReport(
+            outcome="FAIL" if self._failures else "PASS",
+            min_battery_pct={body.actor: body.min_battery for body in self._uavs},
+            failures=self._failures,
+            services_completed={f"LP{lp.sys_id}": lp.services_completed for lp in self._lps},
+            queue_wait_mean_s=sum(waits) / len(waits) if waits else 0.0,
+            queue_wait_max_s=max(waits) if waits else 0.0,
+            queue_wait_count=len(waits),
+            config=self.cfg.to_dict(),
+        )
+
+
+def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
+    """Run one simulation; optionally stream the trace to a text file."""
+    cfg.validate()
+    sim = Simulation(cfg, trace)
+    for step in range(int(cfg.duration_s)):
+        t = sim.now = float(step)
+        sim._deliver(t)
+        sim._physics(t)
+        sim._tick_aps(t)
+        sim._tick_lps(t)
+        sim._trace_ticks(t)
+    return sim._report()
 
 
 @dataclass
