@@ -36,8 +36,6 @@ from .wire import (
     ExtendedHeartbeat,
     FrameHeader,
     Keystore,
-    LinkState,
-    LivenessTracker,
     LpReservationConfirmation,
     Message,
     NodeState,
@@ -57,7 +55,6 @@ from .wire import (
     decode_frame,
     dump_frame,
     encode_frame,
-    track_liveness,
     verify_frame,
 )
 

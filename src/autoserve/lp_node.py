@@ -31,8 +31,6 @@ from .wire import (
     ApReservationDecision,
     ExtendedHeartbeat,
     FlightStack,
-    LinkState,
-    LivenessTracker,
     LpReservationConfirmation,
     Message,
     NodeState,
@@ -69,7 +67,7 @@ class ProtocolStateError(RuntimeError):
 
 
 class LpNode:
-    """One landing platform: queue, phase machine and peer health records."""
+    """One landing platform: its queue and phase machine."""
 
     def __init__(
         self,
@@ -81,8 +79,6 @@ class LpNode:
         boarding_timeout_s: float = 180.0,
         critical_threshold_pct: float = 15.0,
         lp_roster: Sequence[tuple[int, tuple[float, float]]] | None = None,
-        liveness_window_s: float = 5.0,
-        liveness_min_count: int = 3,
         heartbeat_interval_s: float = 1.0,
     ):
         self.sys_id = sys_id
@@ -100,7 +96,6 @@ class LpNode:
         if all(entry[0] != sys_id for entry in roster):
             roster.append((sys_id, self.position))
         self.lp_roster = [(int(i), (float(p[0]), float(p[1]))) for i, p in roster]
-        self.liveness = LivenessTracker(liveness_window_s, liveness_min_count)
         self.heartbeat_interval_s = heartbeat_interval_s
 
         self.services_completed = 0
@@ -108,7 +103,6 @@ class LpNode:
 
         self._phase_started_at: float | None = None
         self._last_heartbeat_at: float | None = None
-        self._last_tick_at: float | None = None
         self._transitions: list[tuple[NodeState, NodeState]] = []
 
     # -- state machine plumbing -------------------------------------------
@@ -263,7 +257,6 @@ class LpNode:
     def _handle_heartbeat(
         self, msg: ExtendedHeartbeat, from_sys_id: int, now: float
     ) -> list[Outbound]:
-        self.liveness.record(from_sys_id, now)
         if msg.vehicle_type == VehicleType.AERIAL_PLATFORM:
             self.consider_auto_reserve(msg, from_sys_id, now)
             if self.state is NodeState.IDLE:
@@ -339,7 +332,6 @@ class LpNode:
             )
 
         out.extend(self._promote(now))
-        self._last_tick_at = now
 
         if (
             self._last_heartbeat_at is None
@@ -348,16 +340,6 @@ class LpNode:
             self._last_heartbeat_at = now
             out.append(Outbound(None, self.heartbeat()))
         return out
-
-    @property
-    def connectivity(self) -> dict[int, LinkState]:
-        """Link state of every heartbeat stream as of the last tick."""
-        if self._last_tick_at is None:
-            return {}
-        return {
-            stream_id: self.liveness.status(stream_id, self._last_tick_at)
-            for stream_id in self.liveness.known_streams()
-        }
 
     def heartbeat(self) -> ExtendedHeartbeat:
         # Platforms are mains-powered ground stations; battery reads full.

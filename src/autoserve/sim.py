@@ -96,8 +96,6 @@ class SimConfig:
     alignment_duration_s: float = 10.0
     boarding_timeout_s: float = 180.0
     critical_threshold_pct: float | None = None
-    liveness_window_s: float = 5.0
-    liveness_min_count: int = 3
     departure_clear_s: float = 1.0
 
     _TUPLE_FIELDS = ("area_m", "consumption_pct_per_s", "initial_battery_pct")
@@ -306,9 +304,9 @@ class Simulation:
 
     run_sim advances it one tick at a time through the phases _deliver,
     _physics, _tick_aps, _tick_lps and _trace_ticks, then builds the
-    report with _report. The methods stay private: the benchmark splits
-    phases by the spans directly under run_sim, and a span per phase
-    method would hide them.
+    report with _report. The methods stay private: the benchmark's span
+    recorder wraps public methods, and it finds the tick phases among the
+    spans directly under run_sim.
     """
 
     def __init__(self, cfg: SimConfig, trace: IO[str] | None) -> None:
@@ -332,8 +330,6 @@ class Simulation:
                     boarding_timeout_s=cfg.boarding_timeout_s,
                     critical_threshold_pct=cfg.critical_pct,
                     lp_roster=roster,
-                    liveness_window_s=cfg.liveness_window_s,
-                    liveness_min_count=cfg.liveness_min_count,
                 )
             )
             self._register(lp_id, "LP")

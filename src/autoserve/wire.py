@@ -38,11 +38,10 @@ import json
 import operator
 import struct
 import time
-from collections import deque
 from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum, IntEnum
 from hashlib import sha256
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 MAGIC_V2 = 0xFD
 HEADER_LEN = 10
@@ -199,7 +198,7 @@ class FlightStack(IntEnum):
 
 @dataclass(frozen=True)
 class ExtendedHeartbeat:
-    """Liveness/health beacon with battery, position and mission state.
+    """Health beacon with battery, position and mission state.
 
     component_type and flight_mode are carried opaquely and never
     interpreted by the protocol.
@@ -296,10 +295,11 @@ def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable]:
     """Write and exec one message's pack(msg) and unpack(payload).
 
     pack converts each field once and range-checks it with one chained
-    comparison; a scaled value is checked before round() so that infinity
-    and NaN fail like any other value off the wire. unpack checks only
-    the ranges narrower than the C type, and builds the frozen instance
-    by filling its __dict__ in field order instead of calling __init__.
+    comparison; a scaled value is checked before round() so that infinity,
+    NaN and an int too large for a float fail like any other value off
+    the wire. unpack checks only the ranges narrower than the C type, and
+    builds the frozen instance by filling its __dict__ in field order
+    instead of calling __init__.
     """
     env = {"_pack": spec.struct.pack, "_unpack_from": spec.struct.unpack_from,
            "_new": object.__new__, "_cls": spec.cls, "MalformedPayload": MalformedPayload}
@@ -318,7 +318,8 @@ def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable]:
         if f.scale is None:
             pack += f"\n    {v} = int(msg.{f.attr})"
         else:
-            pack += f"\n    {v} = float(msg.{f.attr}) * {f.scale!r}"
+            pack += f"\n    try: {v} = float(msg.{f.attr}) * {f.scale!r}"
+            pack += f"\n    except OverflowError: {off_wire} from None"
             pack += f"\n    if not {lo - 1} < {v} < {hi + 1}: {off_wire}"
             pack += f"\n    {v} = round({v})"
         pack += f"\n    if not {lo} <= {v} <= {hi}: {off_wire}"
@@ -727,63 +728,3 @@ def dump_frame(data: bytes) -> str:
         lines.append(f"signature.timestamp={signature.timestamp}")
         lines.append(f"signature.sig={signature.sig.hex()}")
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# Heartbeat liveness
-
-
-class LinkState(Enum):
-    CONNECTED = "CONNECTED"
-    DISCONNECTED = "DISCONNECTED"
-
-
-def track_liveness(
-    heartbeat_timestamps: Iterable[float],
-    now: float,
-    window_s: float,
-    min_count: int,
-) -> LinkState:
-    """CONNECTED iff at least min_count heartbeats lie in (now - window_s, now]."""
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
-    if min_count < 1:
-        raise ValueError("min_count must be at least 1")
-    cutoff = now - window_s
-    hits = 0
-    for ts in heartbeat_timestamps:
-        if cutoff < ts <= now:
-            hits += 1
-            if hits >= min_count:
-                return LinkState.CONNECTED
-    return LinkState.DISCONNECTED
-
-
-class LivenessTracker:
-    """Sliding-window heartbeat bookkeeping for many peer streams."""
-
-    def __init__(self, window_s: float = 5.0, min_count: int = 3):
-        if window_s <= 0:
-            raise ValueError("window_s must be positive")
-        if min_count < 1:
-            raise ValueError("min_count must be at least 1")
-        self.window_s = window_s
-        self.min_count = min_count
-        self._streams: dict[object, deque[float]] = {}
-
-    def record(self, stream_id: object, timestamp: float) -> None:
-        stream = self._streams.get(stream_id)
-        if stream is None:
-            stream = self._streams[stream_id] = deque()
-        stream.append(timestamp)
-        cutoff = timestamp - self.window_s
-        while stream and stream[0] <= cutoff:
-            stream.popleft()
-
-    def status(self, stream_id: object, now: float) -> LinkState:
-        return track_liveness(
-            self._streams.get(stream_id, ()), now, self.window_s, self.min_count
-        )
-
-    def known_streams(self) -> list:
-        return list(self._streams)

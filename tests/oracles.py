@@ -198,8 +198,9 @@ def _struct_of(fields):
 def reference_pack(fields, msg) -> bytes:
     """Pack msg's fields in wire order; ValueError for a value off the wire.
 
-    A scaled value that is not finite after scaling (infinity, NaN, or a
-    product that overflows) is out of range like any other."""
+    A scaled value that is not finite after scaling (infinity, NaN, an int
+    too large for a float, or a product that overflows) is out of range
+    like any other."""
     values = []
     for field in fields:
         allowed, _ = _field_codec(field)
@@ -207,7 +208,10 @@ def reference_pack(fields, msg) -> bytes:
         if field.scale is None:
             raw = int(value)
         else:
-            scaled = float(value) * field.scale
+            try:
+                scaled = float(value) * field.scale
+            except OverflowError:  # an int too large for a float
+                scaled = inf
             raw = round(scaled) if isfinite(scaled) else None
         if raw is None or raw not in allowed:
             raise ValueError(f"{field.attr} out of range: {value!r}")

@@ -56,23 +56,25 @@ FRAMES = [
     ),
 ]
 
-# (config, report SHA-256, trace SHA-256) at seed 0.
+# (config, report SHA-256, trace SHA-256) at seed 0. Re-pinned when the
+# liveness_window_s and liveness_min_count fields left SimConfig: only the
+# config echo in the trace header and the report changed.
 RUNS = [
     (
         SimConfig(duration_s=1800),
-        "ba53c4e4f04a289ceb98671c657726dcf9faf4b8dedbc63234097c2571d4c5b2",
-        "881ac978d64b13240fe022c4b96f443012fb0d2aa6883714beded38282d3041e",
+        "d46e5278978b1d829ce6063696c544c975474cf294806883fccb2646552f0577",
+        "1eb5c9c33e7c2558d45663c3d45caa0e1ca1a93bd7d27d9f2391687b3284585f",
     ),
     (
         SimConfig(n_uavs=20, n_lps=5, duration_s=300),
-        "2207b53e43c03cd93de501ff21a8b357bf87402b2ddbc82a678a9bdd21c90d6c",
-        "14f127a260bf600d8f755c8911a571232a0905bd9c4bd462fb06cbebb93d041a",
+        "20fd65775cc042532314e2e4f9580a59bf9f8628a1b40184ff50dd20a09492e5",
+        "0f08d161325eca939e33e53012328926a52941ec9fefe6ee9cec341c7d927015",
     ),
     # Fails: 4 FAILURE records and 1,371 TICKs with "failed":true.
     (
         SimConfig(duration_s=900, consumption_pct_per_s=(0.35, 0.45)),
-        "b349595db1fe8b03430da7ea9c1283ca7fb332dcca2fd97c3a6e6680431b7c5e",
-        "c97918da4b9c2aa901f5ca72031b5a0032b637ef5186c2e249fedf17d309b088",
+        "ed4ffc1787344e7e3458a10d70bda17e8a885d7ebadb1770518fe6f5297334c8",
+        "1210321bf286283262242975ba8bea44bd873bc3e1d5083c972feecabb4b3b98",
     ),
 ]
 

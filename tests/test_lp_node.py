@@ -5,7 +5,6 @@ from autoserve.reservation import Reservation
 from autoserve.wire import (
     ApReservationDecision,
     ExtendedHeartbeat,
-    LinkState,
     LpReservationConfirmation,
     NodeState,
     ReservationAction,
@@ -271,17 +270,7 @@ def test_transition_table_is_complete():
         assert targets  # no dead ends
 
 
-# --- liveness and auto-reservation -----------------------------------------------------
-
-
-def test_heartbeats_drive_connectivity():
-    lp = make_lp()
-    for t in (0.0, 1.0, 2.0):
-        lp.handle_message(ap_heartbeat(80.0), 7, now=t)
-    lp.tick(3.0)
-    assert lp.connectivity[7] is LinkState.CONNECTED
-    lp.tick(30.0)
-    assert lp.connectivity[7] is LinkState.DISCONNECTED
+# --- auto-reservation -----------------------------------------------------------------
 
 
 def test_auto_reserve_for_critical_battery():

@@ -3,6 +3,7 @@ import io
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -104,9 +105,14 @@ def test_added_vehicle_does_not_disturb_existing_spawns():
 # --- config ---------------------------------------------------------------------
 
 
-def test_config_rejects_unknown_keys():
-    with pytest.raises(InvalidConfig):
-        SimConfig.from_dict({"n_uav": 3})
+# liveness_window_s: a key that older config files still carry fails by name too.
+@pytest.mark.parametrize(
+    "data", [{"n_uav": 3}, {"liveness_window_s": 5.0}], ids=["n_uav", "liveness_window_s"]
+)
+def test_config_rejects_unknown_keys(data):
+    (key,) = data
+    with pytest.raises(InvalidConfig, match=key):
+        SimConfig.from_dict(data)
 
 
 def test_config_auto_positions_accepted():
@@ -372,8 +378,6 @@ def test_replaying_messages_reproduces_state_changes(traced_run):
             boarding_timeout_s=cfg.boarding_timeout_s,
             critical_threshold_pct=cfg.critical_pct,
             lp_roster=roster,
-            liveness_window_s=cfg.liveness_window_s,
-            liveness_min_count=cfg.liveness_min_count,
         )
         for lp_id, position in roster
     }
@@ -496,3 +500,23 @@ def test_codec_calls_are_visible_at_their_module_bindings(monkeypatch):
     assert n_verifies == len(delivered_frames)
     # One checksum per encode plus one per verified send, looked up in wire.
     assert checksums == {"autoserve.wire.compute_checksum": n_encodes + n_verifies}
+
+
+def test_bench_span_recorder_splits_run_sim_into_its_tick_phases(monkeypatch):
+    """The benchmark's phase split needs run_sim as the only root span, the
+    phase markers directly under it, and one pop_due call per tick."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from spans import SpanRecorder
+
+    import autoserve.sim as sim_module
+
+    with SpanRecorder() as recorder:
+        sim_module.run_sim(SimConfig(duration_s=300), trace=io.StringIO())
+    stats = recorder.analyse()
+    roots = [i for i, parent in enumerate(stats.parents) if parent < 0]
+    assert [stats.names[stats.codes[i]] for i in roots] == ["sim.run_sim"]
+    assert stats.nested()
+    assert stats.calls("transport.InMemoryBus.pop_due") == 300
+    phases = stats.phases_s()
+    assert set(phases) == {"deliver", "physics", "ap_tick", "lp_tick", "trace"}
+    assert all(seconds > 0 for seconds in phases.values())
