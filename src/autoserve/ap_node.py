@@ -138,18 +138,20 @@ class ApNode:
         self._departing_from: int | None = None
         self._departing_since: float | None = None
         self._last_heartbeat_at: float | None = None
-        self._transitions: list[tuple[NodeState, NodeState]] = []
+        # (from, to) pairs not yet drained; the simulator reads it after
+        # each message to skip nodes with nothing to report.
+        self.transitions: list[tuple[NodeState, NodeState]] = []
 
     # -- state machine plumbing -------------------------------------------
 
     def _transition(self, to: NodeState) -> None:
         if to not in AP_TRANSITIONS[self.state]:
             raise ProtocolStateError(f"AP {self.sys_id}: {self.state.name} -> {to.name}")
-        self._transitions.append((self.state, to))
+        self.transitions.append((self.state, to))
         self.state = to
 
     def drain_transitions(self) -> list[tuple[NodeState, NodeState]]:
-        out, self._transitions = self._transitions, []
+        out, self.transitions = self.transitions, []
         return out
 
     def _lp_position(self, lp_sys_id: int) -> tuple[float, float]:
@@ -230,12 +232,15 @@ class ApNode:
     # -- message handling ------------------------------------------------------
 
     def handle_message(self, msg: Message, from_sys_id: int, now: float) -> list[Outbound]:
-        if isinstance(msg, LpReservationConfirmation):
-            return self._handle_confirmation(msg, from_sys_id, now)
-        if isinstance(msg, SystemStateUpdate):
-            return self.handle_state_update(msg, from_sys_id, now)
-        if isinstance(msg, ExtendedHeartbeat):
+        # Platform heartbeats, half of all deliveries, carry nothing a
+        # vehicle acts on.
+        kind = type(msg)
+        if kind is ExtendedHeartbeat:
             return []
+        if kind is LpReservationConfirmation:
+            return self._handle_confirmation(msg, from_sys_id, now)
+        if kind is SystemStateUpdate:
+            return self.handle_state_update(msg, from_sys_id, now)
         logger.debug("AP %d: ignoring %s", self.sys_id, type(msg).__name__)
         return []
 

@@ -103,18 +103,20 @@ class LpNode:
 
         self._phase_started_at: float | None = None
         self._last_heartbeat_at: float | None = None
-        self._transitions: list[tuple[NodeState, NodeState]] = []
+        # (from, to) pairs not yet drained; the simulator reads it after
+        # each message to skip nodes with nothing to report.
+        self.transitions: list[tuple[NodeState, NodeState]] = []
 
     # -- state machine plumbing -------------------------------------------
 
     def _transition(self, to: NodeState) -> None:
         if to not in LP_TRANSITIONS[self.state]:
             raise ProtocolStateError(f"LP {self.sys_id}: {self.state.name} -> {to.name}")
-        self._transitions.append((self.state, to))
+        self.transitions.append((self.state, to))
         self.state = to
 
     def drain_transitions(self) -> list[tuple[NodeState, NodeState]]:
-        out, self._transitions = self._transitions, []
+        out, self.transitions = self.transitions, []
         return out
 
     def effective_position(self, raw_position: int) -> int:
@@ -148,14 +150,15 @@ class LpNode:
 
     def handle_message(self, msg: Message, from_sys_id: int, now: float) -> list[Outbound]:
         """Process one decoded, verified message; returns replies to send."""
-        if isinstance(msg, ServiceReservationRequest):
-            return self._handle_request(msg, from_sys_id, now)
-        if isinstance(msg, ApReservationDecision):
-            return self._handle_decision(msg, from_sys_id, now)
-        if isinstance(msg, SystemStateUpdate):
-            return self._handle_state_update(msg, from_sys_id, now)
-        if isinstance(msg, ExtendedHeartbeat):
+        kind = type(msg)
+        if kind is ExtendedHeartbeat:
             return self._handle_heartbeat(msg, from_sys_id, now)
+        if kind is ServiceReservationRequest:
+            return self._handle_request(msg, from_sys_id, now)
+        if kind is ApReservationDecision:
+            return self._handle_decision(msg, from_sys_id, now)
+        if kind is SystemStateUpdate:
+            return self._handle_state_update(msg, from_sys_id, now)
         logger.debug("LP %d: ignoring %s", self.sys_id, type(msg).__name__)
         return []
 
@@ -257,9 +260,11 @@ class LpNode:
     def _handle_heartbeat(
         self, msg: ExtendedHeartbeat, from_sys_id: int, now: float
     ) -> list[Outbound]:
+        # Both calls return early otherwise; testing here saves the call.
         if msg.vehicle_type == VehicleType.AERIAL_PLATFORM:
-            self.consider_auto_reserve(msg, from_sys_id, now)
-            if self.state is NodeState.IDLE:
+            if msg.battery_pct < self.critical_threshold_pct:
+                self.consider_auto_reserve(msg, from_sys_id, now)
+            if self.state is NodeState.IDLE and len(self.queue):
                 return self._promote(now)
         return []
 

@@ -421,20 +421,21 @@ class Simulation:
 
     def _deliver(self, t: float) -> None:
         """Messages sent last tick arrive now."""
-        bus, nodes, tracer = self._bus, self._nodes, self._tracer
+        decode_for, nodes, tracer = self._bus.decode_for, self._nodes, self._tracer
         # The receivers of one broadcast share its decoded message object,
         # so its MSG_RECV detail head is built once.
         recv_msg = recv_head = None
-        for delivery in bus.pop_due(t):
-            dest = delivery.dest_sys_id
-            header, msg, _sig = bus.decode_for(dest, delivery.frame)
+        for src, dest, _sent_at, _deliver_at, frame in self._bus.pop_due(t):
+            header, msg, _sig = decode_for(dest, frame)
             if tracer is not None:
                 if msg is not recv_msg:
                     recv_msg, recv_head = msg, _message_head(msg, "src")
-                tracer.record(
-                    t, self._actor_names[dest], "MSG_RECV", f"{recv_head}{delivery.src_sys_id}}}"
-                )
-            self._send(dest, nodes[dest].handle_message(msg, header.sys_id, t), t)
+                tracer.record(t, self._actor_names[dest], "MSG_RECV", f"{recv_head}{src}}}")
+            node = nodes[dest]
+            outbound = node.handle_message(msg, header.sys_id, t)
+            # Most deliveries are heartbeats that neither reply nor change state.
+            if outbound or node.transitions:
+                self._send(dest, outbound, t)
 
     def _physics(self, t: float) -> None:
         """Consumption, failure detection, motion and arrivals."""

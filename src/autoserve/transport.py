@@ -13,11 +13,19 @@ platforms, which are the only cross-kind consumers of them.
 All deliveries of one send share one frame object. `decode_for` verifies
 checksum and signature once per (frame, secret) and runs only the replay
 check per receiver: in MAVLink v2 signing the replay state is the only
-part of decoding that depends on the receiver.
+part of decoding that depends on the receiver. Its memo keeps the last
+frame verified with the link_id and secret it was verified under, so a
+further receiver of that frame pays one identity test and one secret
+lookup before its replay check.
+
+`pop_due` returns the whole in-flight list at once when the latest
+deadline queued is due, which is every tick under a fixed latency; with
+mixed deadlines it filters, keeping send order.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -60,8 +68,11 @@ class InMemoryBus:
     _endpoints: dict[int, _Endpoint] = field(default_factory=dict)
     _in_flight: list[Delivery] = field(default_factory=list)
     _by_kind: dict[str, list[int]] = field(default_factory=lambda: {"AP": [], "LP": []})
-    # (frame, secret, verify_frame result) of the last frame verified.
-    _verified: tuple | None = None
+    # The latest deliver_at in _in_flight; -inf when it is empty.
+    _due_by: float = -math.inf
+    # (frame, link_id, secret, verify_frame result) of the last frame
+    # verified; link_id and secret are None for an unsigned frame.
+    _verified: tuple = (None, None, None, None)
 
     def register(
         self,
@@ -94,8 +105,12 @@ class InMemoryBus:
             signing=endpoint.signing,
         )
         deliver_at = now + self.latency_s
+        if deliver_at > self._due_by:
+            self._due_by = deliver_at
+        # tuple.__new__ builds the named tuples without their Python-level __new__.
+        new = tuple.__new__
         queued = [
-            Delivery(src_sys_id, dest, now, deliver_at, frame)
+            new(Delivery, (src_sys_id, dest, now, deliver_at, frame))
             for dest in self._destinations(src_sys_id, outbound.dest_sys_id)
         ]
         self._in_flight.extend(queued)
@@ -103,6 +118,10 @@ class InMemoryBus:
 
     def pop_due(self, now: float) -> list[Delivery]:
         """Remove and return deliveries due by now, in send order."""
+        if self._due_by <= now:
+            due, self._in_flight = self._in_flight, []
+            self._due_by = -math.inf
+            return due
         due = [d for d in self._in_flight if d.deliver_at <= now]
         self._in_flight = [d for d in self._in_flight if d.deliver_at > now]
         return due
@@ -113,24 +132,27 @@ class InMemoryBus:
     def decode_for(self, dest_sys_id: int, frame: bytes):
         """Decode a frame with the destination endpoint's keystore.
 
-        Reuses the last verification when it was of this frame object under
-        the receiver's secret (None for an unsigned frame). Failures are
-        never reused, so every receiver of a bad frame raises.
+        Reuses the last verification when it was of this frame object and,
+        for a signed frame, the receiver holds the same secret for its
+        link_id. Failures are never reused, so every receiver of a bad
+        frame raises; every receiver of a signed frame runs its replay
+        check.
         """
         keystore = self._endpoints[dest_sys_id].keystore
-        memo = self._verified
-        if memo is not None and memo[0] is frame and memo[1] == _secret(keystore, memo[2][2]):
-            header, _, signature = result = memo[2]
-        else:
-            header, _, signature = result = verify_frame(frame, keystore)
-            self._verified = (frame, _secret(keystore, signature), result)
-        if signature is not None:
-            keystore.accept(signature.link_id, header.sys_id, header.comp_id, signature.timestamp)
+        verified_frame, link_id, secret, result = self._verified
+        if verified_frame is not frame or (
+            link_id is not None
+            and (keystore is None or keystore.secrets.get(link_id) != secret)
+        ):
+            result = verify_frame(frame, keystore)
+            signature = result[2]
+            if signature is None:
+                link_id = secret = None
+            else:
+                link_id = signature.link_id
+                secret = keystore.secrets[link_id]
+            self._verified = (frame, link_id, secret, result)
+        if link_id is not None:
+            header, _, signature = result
+            keystore.accept(link_id, header.sys_id, header.comp_id, signature.timestamp)
         return result
-
-
-def _secret(keystore: Keystore | None, signature) -> bytes | None:
-    """The receiver's secret for a frame's signature; None if unsigned."""
-    if signature is None or keystore is None:
-        return None
-    return keystore.secret_for(signature.link_id)

@@ -485,12 +485,18 @@ class SigningContext:
         self.secret_key = bytes(secret_key)
         self.link_id = link_id
         self._timestamp_source = timestamp_source or timestamp_now
-        self._last: dict[tuple[int, int, int], int] = {}
+        # Each stream's last timestamp in a one-element list, updated in place.
+        self._last: dict[tuple[int, int, int], list[int]] = {}
 
     def next_timestamp(self, sys_id: int, comp_id: int) -> int:
-        stream = (self.link_id, sys_id, comp_id)
-        ts = max(int(self._timestamp_source()), self._last.get(stream, -1) + 1)
-        self._last[stream] = ts
+        ts = int(self._timestamp_source())
+        last = self._last.get((self.link_id, sys_id, comp_id))
+        if last is None:
+            self._last[(self.link_id, sys_id, comp_id)] = [ts]
+            return ts
+        if ts <= last[0]:
+            ts = last[0] + 1
+        last[0] = ts
         return ts
 
 
@@ -507,7 +513,8 @@ class Keystore:
         keys: Mapping[int, bytes] | None = None,
         replay_window_s: float = 6.0,
     ):
-        self._keys: dict[int, bytes] = {}
+        # link_id -> secret; add_key checks each secret before it enters.
+        self.secrets: dict[int, bytes] = {}
         # Each stream's last timestamp in a one-element list, updated in place.
         self._last: dict[tuple[int, int, int], list[int]] = {}
         self._link_max: dict[int, int] = {}
@@ -518,10 +525,7 @@ class Keystore:
     def add_key(self, link_id: int, secret_key: bytes) -> None:
         if len(secret_key) != 32:
             raise ValueError("secret_key must be exactly 32 bytes")
-        self._keys[int(link_id)] = bytes(secret_key)
-
-    def secret_for(self, link_id: int) -> bytes | None:
-        return self._keys.get(link_id)
+        self.secrets[int(link_id)] = bytes(secret_key)
 
     def accept(self, link_id: int, sys_id: int, comp_id: int, ts: int) -> None:
         """Replay check of one verified frame; records ts only if it passes."""
@@ -659,7 +663,7 @@ def verify_frame(
         if keystore is None:
             raise SignatureInvalid("signed frame but no keystore supplied")
         store = keystore if isinstance(keystore, Keystore) else Keystore(keystore)
-        secret = store.secret_for(signature.link_id)
+        secret = store.secrets.get(signature.link_id)
         if secret is None:
             raise SignatureInvalid(f"no key for link_id {signature.link_id}")
         expected = _sign(secret, data[: end + _SIGNED_TRAILER_LEN])

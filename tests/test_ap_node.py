@@ -244,6 +244,27 @@ def test_clearance_while_operating_is_ignored():
     assert ap.state is NodeState.OPERATING
 
 
+@pytest.mark.parametrize(
+    "msg",
+    [
+        ServiceReservationRequest(priority=90, target_lp_sys_id=1),
+        ApReservationDecision(target_lp_sys_id=1, decision=ReservationAction.CANCEL),
+        LpNode(1, (0.0, 0.0)).heartbeat(),
+    ],
+    ids=["request", "decision", "platform-heartbeat"],
+)
+def test_message_the_vehicle_does_not_act_on_changes_nothing(msg):
+    ap = make_ap()
+    tick(ap, 0.0, battery=49.0)
+    ap.handle_message(conf(1), 1, 1.0)
+    assert ap.state is NodeState.RESERVED_WAITING
+    ap.drain_transitions()
+    before = (ap.state, ap.current_reservation)
+    assert ap.handle_message(msg, 1, 2.0) == []
+    assert (ap.state, ap.current_reservation) == before
+    assert ap.transitions == []
+
+
 # --- state updates ---------------------------------------------------------------------
 
 

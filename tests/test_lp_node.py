@@ -1,7 +1,7 @@
 import pytest
 
 from autoserve.lp_node import LP_TRANSITIONS, LpNode, ProtocolStateError
-from autoserve.reservation import Reservation
+from autoserve.reservation import MAX_PRIORITY, Reservation
 from autoserve.wire import (
     ApReservationDecision,
     ExtendedHeartbeat,
@@ -304,6 +304,50 @@ def test_critical_heartbeat_confirms_immediately_when_idle():
     confs = confirmations(out)
     assert confs and confs[0].msg.queue_position == 0
     assert lp.current_ap == 7
+
+
+def test_critical_heartbeat_queues_at_max_priority_while_busy():
+    lp = make_lp()
+    drive_to_servicing(lp, ap=7)
+    lp.handle_message(request(60), 8, now=20.0)
+    assert lp.handle_message(ap_heartbeat(15.0), 9, now=21.0) == []  # at the threshold
+    assert lp.queue.position_of(9) is None
+    assert lp.handle_message(ap_heartbeat(14.9), 9, now=22.0) == []
+    assert lp.queue.get(9) == Reservation(ap_sys_id=9, priority=MAX_PRIORITY, requested_at=22.0)
+    assert lp.queue.position_of(9) == 0
+    assert lp.state is NodeState.SERVICING and lp.current_ap == 7
+
+
+def test_healthy_heartbeat_leaves_an_idle_platform_alone():
+    lp = make_lp()
+    assert lp.handle_message(ap_heartbeat(80.0), 7, now=0.0) == []
+    assert lp.state is NodeState.IDLE and lp.transitions == []
+
+
+@pytest.mark.parametrize(
+    "msg",
+    [
+        LpReservationConfirmation(target_ap_sys_id=9, queue_position=0),
+        ExtendedHeartbeat(
+            vehicle_type=VehicleType.LANDING_PLATFORM,
+            flight_stack=0,
+            system_state=NodeState.IDLE,
+            battery_pct=5.0,
+            pos_x=0.0,
+            pos_y=0.0,
+        ),
+    ],
+    ids=["confirmation", "platform-heartbeat"],
+)
+def test_message_the_platform_does_not_act_on_changes_nothing(msg):
+    lp = make_lp()
+    lp.handle_message(request(60), 7, now=0.0)  # cleared to board
+    lp.handle_message(request(50), 8, now=1.0)  # queued
+    lp.drain_transitions()
+    before = (lp.state, lp.current_ap, lp.queue.reservations())
+    assert lp.handle_message(msg, 9, now=2.0) == []
+    assert (lp.state, lp.current_ap, lp.queue.reservations()) == before
+    assert lp.transitions == []
 
 
 def test_random_message_storm_never_faults_the_platform():

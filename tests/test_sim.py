@@ -363,6 +363,39 @@ def test_services_match_restores(traced_run):
     assert len(restores) == sum(report.services_completed.values())
 
 
+def test_state_changes_from_handlers_that_reply_nothing_follow_their_message(traced_run):
+    # LANDED at the platform and SERVICE_COMPLETE at the vehicle each get
+    # no reply, yet their transition (and the vehicle's restore) must be
+    # recorded right after the MSG_RECV of that tick.
+    cfg, _, _, records = traced_run
+    expected = {
+        NodeState.LANDED: ("AWAITING_BOARDING", "ALIGNING"),
+        NodeState.SERVICE_COMPLETE: ("BEING_SERVICED", "DEPARTING"),
+    }
+    seen = Counter()
+    for i, r in enumerate(records):
+        if r["kind"] != "MSG_RECV" or r["detail"]["msg"] != "SystemStateUpdate":
+            continue
+        state = NodeState(r["detail"]["fields"]["state"])
+        if state not in expected:
+            continue
+        seen[state] += 1
+        change = records[i + 1]
+        assert (change["t"], change["actor"], change["kind"]) == (r["t"], r["actor"], "STATE_CHANGE")
+        assert (change["detail"]["from"], change["detail"]["to"]) == expected[state]
+        if state is NodeState.SERVICE_COMPLETE:
+            restore = records[i + 2]
+            assert (restore["t"], restore["actor"], restore["kind"]) == (r["t"], r["actor"], "BATTERY")
+            assert restore["detail"]["battery_pct"] == 100.0
+            # The departure leg then burns at most one tick's consumption.
+            tick = next(
+                x for x in records[i:] if x["kind"] == "TICK" and x["actor"] == r["actor"]
+            )
+            assert tick["t"] == r["t"]
+            assert tick["detail"]["battery_pct"] >= 100.0 - cfg.consumption_pct_per_s[1]
+    assert seen[NodeState.LANDED] >= 1 and seen[NodeState.SERVICE_COMPLETE] >= 1
+
+
 def test_replaying_messages_reproduces_state_changes(traced_run):
     cfg, _, _, records = traced_run
     lp_positions = cfg.resolved_lp_positions()

@@ -129,3 +129,32 @@ def test_unsigned_frame_shared_by_receivers_without_keystores(monkeypatch):
         _, msg, sig = bus.decode_for(delivery.dest_sys_id, delivery.frame)
         assert msg == update and sig is None
     assert len(verify_calls) == 1
+
+
+def unsigned_bus(n_aps=2):
+    bus = InMemoryBus(latency_s=1.0)
+    bus.register(1, "LP")
+    for ap_id in range(2, 2 + n_aps):
+        bus.register(ap_id, "AP")
+    return bus
+
+
+def test_pop_due_with_mixed_deadlines_keeps_later_sends_in_flight():
+    bus = unsigned_bus()
+    first = bus.send(1, Outbound(None, HEARTBEAT), now=0.0)
+    first += bus.send(3, Outbound(1, HEARTBEAT), now=0.0)
+    later = bus.send(1, Outbound(None, HEARTBEAT), now=3.0)
+    assert bus.pop_due(1.0) == first
+    assert bus.pending() == len(later) == 2
+    assert bus.pop_due(3.0) == []
+    assert bus.pop_due(4.0) == later
+    assert bus.pending() == 0 and bus.pop_due(5.0) == []
+
+
+def test_send_with_earlier_now_pops_at_its_own_deadline():
+    bus = unsigned_bus()
+    late = bus.send(1, Outbound(None, HEARTBEAT), now=5.0)
+    early = bus.send(1, Outbound(None, HEARTBEAT), now=2.0)
+    assert bus.pop_due(3.0) == early
+    assert bus.pop_due(5.0) == []
+    assert bus.pop_due(6.0) == late

@@ -440,6 +440,11 @@ def test_timestamps_strictly_monotonic_per_stream():
     other_stream = ctx.next_timestamp(2, 1)
     assert second == first + 1
     assert other_stream == 500
+    ctx._test_counter["ts"] = 400  # the clock steps back
+    assert ctx.next_timestamp(1, 1) == first + 2
+    ctx._test_counter["ts"] = 900
+    assert ctx.next_timestamp(1, 1) == 900
+    assert ctx.next_timestamp(2, 1) == 900
 
 
 def test_rejected_frame_does_not_advance_replay_state():
