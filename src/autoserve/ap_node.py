@@ -443,11 +443,9 @@ class ApNode:
         return out
 
     def heartbeat(self) -> ExtendedHeartbeat:
+        # Positional arguments, in field order: a class called with keywords
+        # packs them into a dict first, and every vehicle beats every tick.
+        x, y = self.position
         return ExtendedHeartbeat(
-            vehicle_type=VehicleType.AERIAL_PLATFORM,
-            flight_stack=self.flight_stack,
-            system_state=self.state,
-            battery_pct=self.battery_pct,
-            pos_x=self.position[0],
-            pos_y=self.position[1],
+            VehicleType.AERIAL_PLATFORM, self.flight_stack, self.state, self.battery_pct, x, y
         )

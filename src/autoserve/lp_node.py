@@ -348,11 +348,8 @@ class LpNode:
 
     def heartbeat(self) -> ExtendedHeartbeat:
         # Platforms are mains-powered ground stations; battery reads full.
+        # Positional, in field order, as in ApNode.heartbeat.
+        x, y = self.position
         return ExtendedHeartbeat(
-            vehicle_type=VehicleType.LANDING_PLATFORM,
-            flight_stack=FlightStack.UNKNOWN,
-            system_state=self.state,
-            battery_pct=100.0,
-            pos_x=self.position[0],
-            pos_y=self.position[1],
+            VehicleType.LANDING_PLATFORM, FlightStack.UNKNOWN, self.state, 100.0, x, y
         )

@@ -14,8 +14,10 @@ drops below the failure threshold.
 Every run is a pure function of its SimConfig: per-vehicle random
 streams come from numpy's PCG64 seeded with
 SeedSequence(seed, spawn_key=(1, vehicle_index)), so adding vehicle k+1
-never alters the draws of vehicles 1..k. Two runs of the same config
-produce byte-identical traces.
+never alters the draws of vehicles 1..k. After its three spawn draws a
+vehicle takes its per-tick draws from blocks of the same stream, with
+values bit-identical to drawing them one at a time. Two runs of the same
+config produce byte-identical traces.
 
 Trace files are UTF-8 JSON lines. The first line is
 {"header": {config, rng, trace_format}}; every following line is a
@@ -74,6 +76,14 @@ DRAIN_STATES = frozenset(
 
 class InvalidConfig(Exception):
     pass
+
+
+def _non_finite(value) -> bool:
+    """Whether value, or any number nested in its tuples and lists, is a
+    NaN or an infinity."""
+    if isinstance(value, (tuple, list)):
+        return any(_non_finite(item) for item in value)
+    return isinstance(value, float) and not math.isfinite(value)
 
 
 @dataclass
@@ -146,6 +156,10 @@ class SimConfig:
         return self.critical_threshold_pct
 
     def validate(self) -> None:
+        # JSON config files may spell NaN and Infinity; no field takes them.
+        for name in self.__dataclass_fields__:
+            if _non_finite(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be finite")
         if self.n_uavs < 1:
             raise InvalidConfig("n_uavs must be at least 1")
         if self.n_lps < 1:
@@ -171,6 +185,10 @@ class SimConfig:
             raise InvalidConfig("phase durations must be non-negative")
         if self.boarding_timeout_s <= 0:
             raise InvalidConfig("boarding_timeout_s must be positive")
+        if self.critical_threshold_pct is not None and not 0 <= self.critical_threshold_pct <= 100:
+            raise InvalidConfig("critical_threshold_pct must lie in [0, 100]")
+        if self.departure_clear_s < 0:
+            raise InvalidConfig("departure_clear_s must be non-negative")
         if not 0 <= self.seed < 2**64:
             raise InvalidConfig("seed must be an unsigned 64-bit integer")
         if self.lp_positions is not None:
@@ -203,7 +221,37 @@ def uav_rng(seed: int, index: int) -> np.random.Generator:
     )
 
 
-def sample_consumption(rng: np.random.Generator, min_pct: float, max_pct: float) -> float:
+# Doubles each vehicle draws from its generator at a time.
+BLOCK = 256
+
+
+class _BlockDraws:
+    """A vehicle's random stream, drawn from its generator BLOCK doubles at
+    a time.
+
+    uniform(low, high) is Generator.uniform's own formula,
+    low + (high - low) * u, over the same doubles in the same order, so
+    every value is bit-identical to drawing one at a time.
+    """
+
+    __slots__ = ("_random", "_next")
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._random = rng.random
+        self._next = iter(()).__next__
+
+    def uniform(self, low: float, high: float) -> float:
+        try:
+            u = self._next()
+        except StopIteration:
+            self._next = iter(self._random(BLOCK).tolist()).__next__
+            u = self._next()
+        return low + (high - low) * u
+
+
+def sample_consumption(
+    rng: np.random.Generator | _BlockDraws, min_pct: float, max_pct: float
+) -> float:
     """One battery-consumption draw, uniform in [min_pct, max_pct]."""
     if min_pct > max_pct:
         raise ValueError("min_pct must not exceed max_pct")
@@ -211,7 +259,7 @@ def sample_consumption(rng: np.random.Generator, min_pct: float, max_pct: float)
 
 
 def sample_displacement(
-    rng: np.random.Generator, max_step: float
+    rng: np.random.Generator | _BlockDraws, max_step: float
 ) -> tuple[float, float]:
     """One 2D displacement draw, each component uniform in [-max_step, max_step]."""
     if max_step < 0:
@@ -281,7 +329,7 @@ class _UavBody:
     sys_id: int
     actor: str
     node: ApNode
-    rng: np.random.Generator
+    rng: _BlockDraws
     battery: float
     position: tuple[float, float]
     min_battery: float
@@ -363,7 +411,7 @@ class Simulation:
                     sys_id=ap_id,
                     actor=f"AP{ap_id}",
                     node=node,
-                    rng=rng,
+                    rng=_BlockDraws(rng),
                     battery=battery,
                     position=position,
                     min_battery=battery,
@@ -397,21 +445,23 @@ class Simulation:
         """Trace sys_id's state changes, then put its outbound messages on the bus."""
         tracer = self._tracer
         actor = self._actor_names[sys_id]
-        for from_state, to_state in self._nodes[sys_id].drain_transitions():
-            if tracer is not None:
-                detail = _dumps({"from": from_state.name, "to": to_state.name})
-                tracer.record(t, actor, "STATE_CHANGE", detail)
-            if (from_state, to_state) == (NodeState.BEING_SERVICED, NodeState.DEPARTING):
-                body = self._bodies[sys_id]
-                body.battery = 100.0
-                body.node.battery_pct = 100.0
+        node = self._nodes[sys_id]
+        if node.transitions:
+            for from_state, to_state in node.drain_transitions():
                 if tracer is not None:
-                    tracer.record(
-                        t,
-                        actor,
-                        "BATTERY",
-                        _dumps({"battery_pct": 100.0, "event": "service_complete_restore"}),
-                    )
+                    detail = _dumps({"from": from_state.name, "to": to_state.name})
+                    tracer.record(t, actor, "STATE_CHANGE", detail)
+                if (from_state, to_state) == (NodeState.BEING_SERVICED, NodeState.DEPARTING):
+                    body = self._bodies[sys_id]
+                    body.battery = 100.0
+                    body.node.battery_pct = 100.0
+                    if tracer is not None:
+                        tracer.record(
+                            t,
+                            actor,
+                            "BATTERY",
+                            _dumps({"battery_pct": 100.0, "event": "service_complete_restore"}),
+                        )
         for outbound in outbound_list:
             deliveries = self._bus.send(sys_id, outbound, t)
             if tracer is not None and deliveries:

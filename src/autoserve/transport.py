@@ -1,6 +1,6 @@
 """Injected transport between nodes.
 
-Node state machines emit `Outbound` values and never touch sockets or
+Node state machines emit `Outbound` named tuples and never touch sockets or
 frame bytes themselves; the transport owns per-endpoint frame sequence
 numbers, signing contexts and keystores. `InMemoryBus` is the simulation
 transport: lossless, fixed one-tick latency, deterministic delivery
@@ -33,8 +33,7 @@ from typing import NamedTuple
 from .wire import Keystore, Message, SigningContext, encode_frame, verify_frame
 
 
-@dataclass(frozen=True)
-class Outbound:
+class Outbound(NamedTuple):
     """A message addressed by system id; dest_sys_id None means broadcast."""
 
     dest_sys_id: int | None
@@ -55,11 +54,6 @@ class _Endpoint:
     signing: SigningContext | None
     keystore: Keystore | None
     tx_seq: int = 0
-
-    def next_seq(self) -> int:
-        seq = self.tx_seq
-        self.tx_seq = (seq + 1) & 0xFF
-        return seq
 
 
 @dataclass
@@ -96,14 +90,11 @@ class InMemoryBus:
 
     def send(self, src_sys_id: int, outbound: Outbound, now: float) -> list[Delivery]:
         """Frame, sign and queue a message; returns the queued deliveries."""
+        dest_sys_id, msg = outbound
         endpoint = self._endpoints[src_sys_id]
-        frame = encode_frame(
-            outbound.msg,
-            seq=endpoint.next_seq(),
-            sys_id=src_sys_id,
-            comp_id=1,
-            signing=endpoint.signing,
-        )
+        seq = endpoint.tx_seq
+        endpoint.tx_seq = (seq + 1) & 0xFF
+        frame = encode_frame(msg, seq, src_sys_id, 1, endpoint.signing)  # comp_id 1
         deliver_at = now + self.latency_s
         if deliver_at > self._due_by:
             self._due_by = deliver_at
@@ -111,7 +102,7 @@ class InMemoryBus:
         new = tuple.__new__
         queued = [
             new(Delivery, (src_sys_id, dest, now, deliver_at, frame))
-            for dest in self._destinations(src_sys_id, outbound.dest_sys_id)
+            for dest in self._destinations(src_sys_id, dest_sys_id)
         ]
         self._in_flight.extend(queued)
         return queued

@@ -38,7 +38,7 @@ import json
 import operator
 import struct
 import time
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from enum import Enum, IntEnum
 from hashlib import sha256
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
@@ -275,8 +275,9 @@ class _Field(NamedTuple):
 class _MessageSpec:
     """One message's codec, generated entirely from its field table.
 
-    pack(msg) and unpack(payload) are straight-line functions compiled
-    once per message from the rows, as dataclasses builds its methods.
+    pack(msg), unpack(payload) and init, installed as the message class's
+    __init__, are straight-line functions compiled once per message from
+    the rows, as dataclasses builds its methods.
     """
 
     def __init__(self, msg_id: int, wire_name: str, cls: type, fields: Sequence[_Field]):
@@ -288,18 +289,19 @@ class _MessageSpec:
         self.crc_extra = _seed_crc_extra(
             wire_name, [(f.ctype, f.seed_name or f.attr) for f in fields]
         )
-        self.pack, self.unpack = _compile_codec(self)
+        self.pack, self.unpack, self.init = _compile_codec(self)
 
 
-def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable]:
-    """Write and exec one message's pack(msg) and unpack(payload).
+def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable, Callable]:
+    """Write and exec one message's pack(msg), unpack(payload) and __init__.
 
     pack converts each field once and range-checks it with one chained
     comparison; a scaled value is checked before round() so that infinity,
     NaN and an int too large for a float fail like any other value off
-    the wire. unpack checks only the ranges narrower than the C type, and
-    builds the frozen instance by filling its __dict__ in field order
-    instead of calling __init__.
+    the wire. unpack checks only the ranges narrower than the C type.
+    Both unpack and __init__ build the frozen instance by filling its
+    __dict__ in field order, the class's dataclass fields when it has
+    them; __init__ takes the dataclass's parameters and defaults.
     """
     env = {"_pack": spec.struct.pack, "_unpack_from": spec.struct.unpack_from,
            "_new": object.__new__, "_cls": spec.cls, "MalformedPayload": MalformedPayload}
@@ -326,7 +328,13 @@ def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable]:
         if (lo, hi) != (type_lo, type_hi):
             unpack += f"\n    if not {lo} <= {v} <= {hi}: raise MalformedPayload("
             unpack += f'f"{f.attr} field out of range: {{{v}}}")'
-    order = getattr(spec.cls, "__dataclass_fields__", values)
+    fields = getattr(spec.cls, "__dataclass_fields__", {})
+    order = fields or values
+    defaults = env["_defaults"] = {
+        name: f.default for name, f in fields.items() if f.default is not MISSING
+    }
+    params = [f"{name}=_defaults[{name!r}]" if name in defaults else name for name in order]
+    stores = "".join(f"\n    attrs[{name!r}] = {name}" for name in order)
     exec(f"""
 def pack(msg):{pack}
     return _pack({", ".join(raw)})
@@ -337,8 +345,12 @@ def unpack(payload):
     msg = _new(_cls)
     msg.__dict__.update({", ".join(f"{name}={values[name]}" for name in order)})
     return msg
+def __init__(self, {", ".join(params)}):
+    attrs = self.__dict__{stores}
 """, env)
-    return env["pack"], env["unpack"]
+    init = env["__init__"]
+    init.__qualname__ = f"{spec.cls.__qualname__}.__init__"
+    return env["pack"], env["unpack"], init
 
 
 # The message table: each message's fields exactly once, in wire order.
@@ -376,6 +388,12 @@ _MESSAGE_SPECS: dict[int, _MessageSpec] = {
 _SPEC_BY_TYPE: dict[type, _MessageSpec] = {
     spec.cls: spec for spec in _MESSAGE_SPECS.values()
 }
+# The compiled constructors replace the frozen dataclasses' own, which
+# make one object.__setattr__ call per field, and keep their annotations.
+for _spec in _MESSAGE_SPECS.values():
+    _spec.init.__annotations__ = _spec.cls.__init__.__annotations__
+    _spec.cls.__init__ = _spec.init
+del _spec
 _SPEC_BY_NAME: dict[str, _MessageSpec] = {
     spec.cls.__name__: spec for spec in _MESSAGE_SPECS.values()
 }
@@ -482,7 +500,8 @@ class SigningContext:
             raise ValueError("secret_key must be exactly 32 bytes")
         if not 0 <= link_id <= 255:
             raise ValueError("link_id must fit in one byte")
-        self.secret_key = bytes(secret_key)
+        # SHA-256 with the secret already absorbed; each signature copies it.
+        self.keyed_sha256 = sha256(secret_key)
         self.link_id = link_id
         self._timestamp_source = timestamp_source or timestamp_now
         # Each stream's last timestamp in a one-element list, updated in place.
@@ -603,7 +622,9 @@ def encode_frame(
         return body + _CHECKSUM.pack(checksum)
     ts = signing.next_timestamp(sys_id, comp_id)
     signed = body + _SIGNED_TAIL.pack(checksum, signing.link_id, ts & 0xFFFFFFFF, ts >> 32)
-    return signed + _sign(signing.secret_key, signed)
+    hasher = signing.keyed_sha256.copy()
+    hasher.update(signed)
+    return signed + hasher.digest()[:6]
 
 
 def _parse_frame(data: bytes) -> tuple[FrameHeader, bytes, int, Signature | None, int]:
@@ -648,7 +669,8 @@ def verify_frame(
     then runs its own Keystore.accept. Bytes after the end of the frame
     are ignored.
     """
-    data = bytes(data)
+    if not isinstance(data, bytes):
+        data = bytes(data)
     header, payload, stored_crc, signature, end = _parse_frame(data)
 
     spec = _MESSAGE_SPECS.get(header.msg_id)

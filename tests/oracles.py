@@ -6,6 +6,7 @@ hide behind shared code. The codec oracle reads the package's message
 table as data.
 """
 
+import dataclasses
 import struct
 from collections import deque
 from math import dist, inf, isfinite
@@ -171,7 +172,8 @@ def min_hop_length(nodes: dict, path) -> float:
 # against its C type's range, narrowed by lo/hi or by its enum's codes,
 # then packed or unpacked one field at a time. The rows are data; the
 # only package name used is the decode error class, so that failures
-# compare by class.
+# compare by class. Messages are built by reference_message, never by
+# the package's compiled constructors.
 
 _CTYPE_RANGES = {
     "uint8_t": ("B", 0, 0xFF),
@@ -236,4 +238,29 @@ def reference_unpack(fields, cls, payload: bytes):
         elif field.scale is not None:
             raw = raw / field.scale
         kwargs[field.attr] = raw
-    return cls(**kwargs)
+    return reference_message(cls, **kwargs)
+
+
+def reference_message(cls, *args, **kwargs):
+    """Build a message the way its frozen dataclass __init__ did.
+
+    Binds the arguments to dataclasses.fields(cls) (positional first,
+    then keywords, then each field's default), then fills an
+    object.__new__ instance with one object.__setattr__ per field, in
+    field order. A missing, repeated or unknown argument is a TypeError.
+    """
+    fields = dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__}: {len(args)} positional arguments")
+    bound = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names or name in bound:
+            raise TypeError(f"{cls.__name__}: unexpected or repeated argument {name!r}")
+        bound[name] = value
+    msg = object.__new__(cls)
+    for f in fields:
+        if f.name not in bound and f.default is dataclasses.MISSING:
+            raise TypeError(f"{cls.__name__}: missing argument {f.name!r}")
+        object.__setattr__(msg, f.name, bound.get(f.name, f.default))
+    return msg

@@ -2,7 +2,9 @@
 
 Both sides read the same message table rows; they must agree on every
 input: identical bytes, an equal message, or the same exception class
-and message.
+and message. Expected messages come from oracles.reference_message, the
+frozen dataclass's own construction, so the compiled constructors are
+checked here too.
 """
 
 import dataclasses
@@ -14,7 +16,7 @@ import hypothesis.strategies as st
 
 import autoserve.wire as wire
 from autoserve.wire import FlightStack, NodeState, ReservationAction, VehicleType
-from oracles import _CTYPE_RANGES, reference_pack, reference_unpack
+from oracles import _CTYPE_RANGES, reference_message, reference_pack, reference_unpack
 
 SPECS = [wire._MESSAGE_SPECS[msg_id] for msg_id in sorted(wire._MESSAGE_SPECS)]
 SPEC_IDS = [spec.cls.__name__ for spec in SPECS]
@@ -55,10 +57,12 @@ def sent_values(field):
     )
 
 
+def field_values_of(spec):
+    return st.fixed_dictionaries({f.attr: sent_values(f) for f in spec.fields})
+
+
 def messages_of(spec):
-    return st.fixed_dictionaries({f.attr: sent_values(f) for f in spec.fields}).map(
-        lambda kwargs: spec.cls(**kwargs)
-    )
+    return field_values_of(spec).map(lambda kwargs: reference_message(spec.cls, **kwargs))
 
 
 def payloads_of(spec):
@@ -76,7 +80,7 @@ def outcome(fn, *args):
 
 
 def assert_same_message(decoded, expected):
-    """decoded behaves exactly like the constructor-built expected."""
+    """decoded behaves exactly like the reference-built expected."""
     assert type(decoded) is type(expected)
     assert decoded == expected
     assert hash(decoded) == hash(expected)
@@ -121,3 +125,40 @@ def test_unpack_matches_reference_at_every_length(spec):
         check_unpack(spec, bytes(n))
         check_unpack(spec, b"\x01" * n)
         check_unpack(spec, b"\xff" * n)
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_constructor_matches_reference(spec, data):
+    kwargs = data.draw(field_values_of(spec))
+    names = [f.name for f in dataclasses.fields(spec.cls)]
+    args = [kwargs[name] for name in names]
+    expected = reference_message(spec.cls, **kwargs)
+    assert_same_message(spec.cls(*args), expected)
+    assert_same_message(spec.cls(**kwargs), expected)
+    assert_same_message(spec.cls(args[0], **{n: kwargs[n] for n in names[1:]}), expected)
+    required = {
+        f.name: kwargs[f.name]
+        for f in dataclasses.fields(spec.cls)
+        if f.default is dataclasses.MISSING
+    }
+    assert_same_message(spec.cls(**required), reference_message(spec.cls, **required))
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_constructor_rejects_what_the_reference_rejects(spec):
+    names = [f.name for f in dataclasses.fields(spec.cls)]
+    kwargs = {name: 1 for name in names}
+    missing = {name: 1 for name in names[1:]}
+    bad_calls = [
+        ((), missing),  # the first field has no default
+        ((), {**kwargs, "bogus": 1}),
+        ((1,) * (len(names) + 1), {}),
+        ((1,), kwargs),  # the first field given twice
+    ]
+    for args, keywords in bad_calls:
+        with pytest.raises(TypeError):
+            reference_message(spec.cls, *args, **keywords)
+        with pytest.raises(TypeError):
+            spec.cls(*args, **keywords)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -10,9 +11,11 @@ import pytest
 from autoserve.ap_node import ApNode
 from autoserve.lp_node import LpNode
 from autoserve.sim import (
+    BLOCK,
     InvalidConfig,
     SimConfig,
     TraceWriter,
+    _BlockDraws,
     run_sim,
     sample_consumption,
     sample_displacement,
@@ -88,6 +91,38 @@ def test_displacement_negative_step_rejected():
         sample_displacement(uav_rng(0, 0), -0.1)
 
 
+# Consumption and displacement ranges interleaved as a run draws them,
+# then a zero-width range and ranges with a negative low.
+DRAW_RANGES = [
+    (0.15, 0.20), (-0.3, 0.3), (-0.3, 0.3), (0.18, 0.18), (-5.0, -2.5), (-1e-3, 7.0),
+]
+SPAWN_RANGES = [(0.0, 1.0), (0.0, 1.0), (60.0, 100.0)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
+@pytest.mark.parametrize("index", [0, 3])
+def test_block_draws_equal_generator_uniform(seed, index):
+    reference, stream = uav_rng(seed, index), uav_rng(seed, index)
+    # The three spawn draws stay on the generator itself.
+    for low, high in SPAWN_RANGES:
+        assert stream.uniform(low, high) == reference.uniform(low, high)
+    draws = _BlockDraws(stream)
+    # Four refills: the first block and three block boundaries.
+    for i in range(3 * BLOCK + 5):
+        low, high = DRAW_RANGES[i % len(DRAW_RANGES)]
+        expected = reference.uniform(low, high)
+        got = draws.uniform(low, high)
+        assert type(got) is float
+        assert got == expected, (i, low, high)
+
+
+def test_samples_from_block_draws_equal_samples_from_the_generator():
+    reference, draws = uav_rng(5, 1), _BlockDraws(uav_rng(5, 1))
+    for _ in range(2 * BLOCK):
+        assert sample_consumption(draws, 0.15, 0.2) == sample_consumption(reference, 0.15, 0.2)
+        assert sample_displacement(draws, 0.3) == sample_displacement(reference, 0.3)
+
+
 def test_vehicle_streams_are_independent_of_fleet_size():
     # Vehicle k's draws do not change when vehicle k+1 joins.
     first = [uav_rng(42, i).uniform(0, 1) for i in range(3)]
@@ -156,12 +191,48 @@ def test_config_tuple_coercion_and_roundtrip(tmp_path):
         {"lp_positions": [(2000.0, 0.0)], "n_lps": 1},
         {"lp_positions": [(1.0, 1.0), (2.0, 2.0)], "n_lps": 1},
         {"boarding_timeout_s": 0.0},
+        {"service_duration_s": math.nan},
+        {"alignment_duration_s": math.inf},
+        {"spawn_radius_m": math.nan},
+        {"boarding_timeout_s": math.inf},
+        {"max_step_m_per_s": math.inf},
+        {"duration_s": math.inf},
+        {"area_m": (math.inf, 1000.0)},
+        {"consumption_pct_per_s": (0.15, math.inf)},
+        {"lp_positions": [(math.nan, 500.0)], "n_lps": 1},
+        {"critical_threshold_pct": math.nan},
+        {"critical_threshold_pct": 250.0},
+        {"critical_threshold_pct": -1.0},
+        {"departure_clear_s": -5.0},
+        {"departure_clear_s": math.inf},
     ],
 )
 def test_config_validation_rejects(overrides):
     cfg = small_cfg(**overrides)
     with pytest.raises(InvalidConfig):
         cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"critical_threshold_pct": 0.0},
+        {"critical_threshold_pct": 100.0},
+        {"departure_clear_s": 0.0},
+        {"service_duration_s": 0.0, "alignment_duration_s": 0.0},
+    ],
+)
+def test_config_validation_accepts_range_edges(overrides):
+    small_cfg(**overrides).validate()
+
+
+def test_config_file_spelling_nan_fails_before_the_run(tmp_path):
+    # json.load accepts the NaN literal; such a run stalled yet read PASS.
+    path = tmp_path / "stall.json"
+    path.write_text('{"n_uavs": 2, "duration_s": 900, "service_duration_s": NaN}')
+    cfg = SimConfig.from_file(path)
+    with pytest.raises(InvalidConfig, match="service_duration_s"):
+        run_sim(cfg)
 
 
 def test_auto_grid_positions_stay_inside_area():
