@@ -2,13 +2,7 @@
 and a deterministic fleet simulator for an autonomous UAV service network.
 """
 
-from .ap_node import (
-    AP_TRANSITIONS,
-    ApNode,
-    CancelAndRetry,
-    ConfirmationForWrongAp,
-    Keep,
-)
+from .ap_node import AP_TRANSITIONS, ApNode
 from .lp_node import LP_TRANSITIONS, LpNode, ProtocolStateError
 from .reservation import (
     DuplicateReservation,

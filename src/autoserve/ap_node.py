@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from .lp_node import ProtocolStateError
 from .reservation import priority_from_battery
+from .routing import LpGraph, reachable_lps
 from .transport import Outbound
 from .wire import (
     ApReservationDecision,
@@ -52,18 +52,6 @@ from .wire import (
 
 logger = logging.getLogger(__name__)
 
-AP_STATES = frozenset(
-    {
-        NodeState.OPERATING,
-        NodeState.REQUEST_PENDING,
-        NodeState.RESERVED_WAITING,
-        NodeState.BOARDING,
-        NodeState.LANDED,
-        NodeState.BEING_SERVICED,
-        NodeState.DEPARTING,
-    }
-)
-
 AP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
     NodeState.OPERATING: frozenset({NodeState.REQUEST_PENDING}),
     NodeState.REQUEST_PENDING: frozenset(
@@ -75,25 +63,6 @@ AP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
     NodeState.BEING_SERVICED: frozenset({NodeState.DEPARTING}),
     NodeState.DEPARTING: frozenset({NodeState.OPERATING}),
 }
-
-
-class ConfirmationForWrongAp(Exception):
-    """A confirmation addressed to a different vehicle was evaluated."""
-
-
-@dataclass(frozen=True)
-class Keep:
-    """Verdict: the confirmed position meets this vehicle's needs."""
-
-
-@dataclass(frozen=True)
-class CancelAndRetry:
-    """Verdict: cancel here and request the given platform instead."""
-
-    next_lp_sys_id: int
-
-
-Verdict = Union[Keep, CancelAndRetry]
 
 
 class ApNode:
@@ -114,7 +83,7 @@ class ApNode:
         flight_stack: int = FlightStack.PX4,
     ):
         self.sys_id = sys_id
-        self.known_lps = [(int(i), (float(p[0]), float(p[1]))) for i, p in known_lps]
+        self.known_lps = LpGraph(known_lps)
         self.request_threshold_pct = request_threshold_pct
         self.reserve_floor_pct = reserve_floor_pct
         self.cruise_speed_m_per_s = cruise_speed_m_per_s
@@ -154,22 +123,11 @@ class ApNode:
         out, self.transitions = self.transitions, []
         return out
 
-    def _lp_position(self, lp_sys_id: int) -> tuple[float, float]:
-        for sys_id, position in self.known_lps:
-            if sys_id == lp_sys_id:
-                return position
-        raise KeyError(f"LP {lp_sys_id} is not in the roster")
-
-    def nearest_lp(self, exclude: set[int] | None = None) -> int | None:
-        candidates = [
-            (math.dist(self.position, position), sys_id)
-            for sys_id, position in self.known_lps
-            if not exclude or sys_id not in exclude
-        ]
-        return min(candidates)[1] if candidates else None
+    def _nearest_first(self) -> list[int]:
+        return reachable_lps(self.known_lps, self.position, math.inf)
 
     def _travel_time_to(self, lp_sys_id: int) -> float:
-        distance = math.dist(self.position, self._lp_position(lp_sys_id))
+        distance = math.dist(self.position, self.known_lps.position_of(lp_sys_id))
         if distance == 0:
             return 0.0
         if self.cruise_speed_m_per_s <= 0:
@@ -184,50 +142,31 @@ class ApNode:
 
     # -- confirmation evaluation --------------------------------------------
 
-    def evaluate_confirmation(
-        self, conf: LpReservationConfirmation, now: float
-    ) -> Verdict:
-        """Decide whether the offered queue position meets the battery margin.
+    def evaluate_confirmation(self, lp_sys_id: int, queue_position: int) -> int | None:
+        """Judge the queue position lp_sys_id offers against the battery margin.
 
-        Valid while a request is pending or a reservation is held. The
-        offer under evaluation is the one from the platform currently
-        requested (or reserved).
+        Records the offer's estimated time to service. Returns None to keep
+        the offer, or else the platform to request next: the nearest one not
+        yet tried this episode, or, once every platform has been tried, the
+        one with the best offer seen.
         """
-        if conf.target_ap_sys_id != self.sys_id:
-            raise ConfirmationForWrongAp(
-                f"confirmation for AP {conf.target_ap_sys_id} reached AP {self.sys_id}"
-            )
-        lp_sys_id = self._pending_target
-        if lp_sys_id is None and self.current_reservation is not None:
-            lp_sys_id = self.current_reservation[0]
-        if lp_sys_id is None:
-            raise ProtocolStateError(
-                f"AP {self.sys_id}: no platform under evaluation in {self.state.name}"
-            )
-
-        estimated = self._estimated_wait(lp_sys_id, conf.queue_position)
+        estimated = self._estimated_wait(lp_sys_id, queue_position)
+        self._offers[lp_sys_id] = estimated
         budget = math.inf
         if self.max_consumption_pct_per_s > 0:
             budget = (
                 self.battery_pct - self.reserve_floor_pct
             ) / self.max_consumption_pct_per_s
         if estimated <= budget:
-            return Keep()
+            return None
 
-        untried = {sys_id for sys_id, _ in self.known_lps} - self._tried
-        if untried:
-            nearest_untried = min(
-                (math.dist(self.position, self._lp_position(s)), s) for s in untried
-            )[1]
-            return CancelAndRetry(nearest_untried)
+        for sys_id in self._nearest_first():
+            if sys_id not in self._tried:
+                return sys_id
         # Every platform was tried and none fits: settle for the best offer
         # seen rather than starve.
-        offers = dict(self._offers)
-        offers[lp_sys_id] = estimated
-        best = min(offers.items(), key=lambda item: (item[1], item[0]))[0]
-        if best == lp_sys_id:
-            return Keep()
-        return CancelAndRetry(best)
+        best = min(self._offers.items(), key=lambda item: (item[1], item[0]))[0]
+        return None if best == lp_sys_id else best
 
     # -- message handling ------------------------------------------------------
 
@@ -238,7 +177,7 @@ class ApNode:
         if kind is ExtendedHeartbeat:
             return []
         if kind is LpReservationConfirmation:
-            return self._handle_confirmation(msg, from_sys_id, now)
+            return self._handle_confirmation(msg, from_sys_id)
         if kind is SystemStateUpdate:
             return self.handle_state_update(msg, from_sys_id, now)
         logger.debug("AP %d: ignoring %s", self.sys_id, type(msg).__name__)
@@ -284,7 +223,7 @@ class ApNode:
         )
 
     def _handle_confirmation(
-        self, conf: LpReservationConfirmation, from_sys_id: int, now: float
+        self, conf: LpReservationConfirmation, from_sys_id: int
     ) -> list[Outbound]:
         if conf.target_ap_sys_id != self.sys_id:
             logger.debug(
@@ -295,24 +234,18 @@ class ApNode:
             return []
 
         if self.state is NodeState.REQUEST_PENDING and from_sys_id == self._pending_target:
-            self._offers[from_sys_id] = self._estimated_wait(
-                from_sys_id, conf.queue_position
-            )
             if self._settling:
                 return self._accept(from_sys_id, conf.queue_position)
-            verdict = self.evaluate_confirmation(conf, now)
-            if isinstance(verdict, Keep):
+            next_lp = self.evaluate_confirmation(from_sys_id, conf.queue_position)
+            if next_lp is None:
                 return self._accept(from_sys_id, conf.queue_position)
-            if verdict.next_lp_sys_id in self._tried:
+            if next_lp in self._tried:
                 # Exhausted-alternatives fallback: one final hop back to the
                 # best offer, accepted whatever position it confirms.
                 self._settling = True
-                self._cancelled.discard(verdict.next_lp_sys_id)
+                self._cancelled.discard(next_lp)
             # Cancel strictly before the replacement request.
-            return [
-                self._cancel_msg(from_sys_id),
-                self._request_msg(verdict.next_lp_sys_id),
-            ]
+            return [self._cancel_msg(from_sys_id), self._request_msg(next_lp)]
 
         if (
             self.state is NodeState.RESERVED_WAITING
@@ -420,10 +353,6 @@ class ApNode:
             self._departing_from = None
             self._departing_since = None
             self._transition(NodeState.OPERATING)
-            self._tried.clear()
-            self._cancelled.clear()
-            self._offers.clear()
-            self._settling = False
             out.append(
                 Outbound(departed_lp, SystemStateUpdate(state=NodeState.DEPARTED))
             )
@@ -432,14 +361,14 @@ class ApNode:
             self.state is NodeState.OPERATING
             and self.battery_pct < self.request_threshold_pct
         ):
-            target = self.nearest_lp()
-            if target is not None:
+            ranked = self._nearest_first()
+            if ranked:
                 self._tried.clear()
                 self._cancelled.clear()
                 self._offers.clear()
                 self._settling = False
                 self._transition(NodeState.REQUEST_PENDING)
-                out.append(self._request_msg(target))
+                out.append(self._request_msg(ranked[0]))
         return out
 
     def heartbeat(self) -> ExtendedHeartbeat:

@@ -26,6 +26,7 @@ import math
 from typing import Sequence
 
 from .reservation import MAX_PRIORITY, Reservation, ServiceQueue
+from .routing import LpGraph, reachable_lps
 from .transport import Outbound
 from .wire import (
     ApReservationDecision,
@@ -41,16 +42,6 @@ from .wire import (
 )
 
 logger = logging.getLogger(__name__)
-
-LP_STATES = frozenset(
-    {
-        NodeState.IDLE,
-        NodeState.AWAITING_BOARDING,
-        NodeState.ALIGNING,
-        NodeState.SERVICING,
-        NodeState.RELEASING,
-    }
-)
 
 # AWAITING_BOARDING -> IDLE is the cancel/no-show revert.
 LP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
@@ -91,11 +82,9 @@ class LpNode:
         self.boarding_timeout_s = boarding_timeout_s
         self.critical_threshold_pct = critical_threshold_pct
         # Static network roster used for the "am I the nearest platform"
-        # check; always contains this platform itself.
-        roster = list(lp_roster) if lp_roster else []
-        if all(entry[0] != sys_id for entry in roster):
-            roster.append((sys_id, self.position))
-        self.lp_roster = [(int(i), (float(p[0]), float(p[1]))) for i, p in roster]
+        # check; always contains this platform itself, at the position the
+        # roster gives it if it lists it.
+        self.lp_roster = LpGraph([(sys_id, self.position), *(lp_roster or ())])
         self.heartbeat_interval_s = heartbeat_interval_s
 
         self.services_completed = 0
@@ -280,11 +269,10 @@ class LpNode:
         """
         if heartbeat.battery_pct >= self.critical_threshold_pct:
             return None
-        ap_position = (heartbeat.pos_x, heartbeat.pos_y)
-        nearest = min(
-            self.lp_roster, key=lambda entry: (math.dist(ap_position, entry[1]), entry[0])
+        nearest_first = reachable_lps(
+            self.lp_roster, (heartbeat.pos_x, heartbeat.pos_y), math.inf
         )
-        if nearest[0] != self.sys_id:
+        if nearest_first[:1] != [self.sys_id]:
             return None
         if from_sys_id == self.current_ap or self.queue.position_of(from_sys_id) is not None:
             return None

@@ -78,6 +78,18 @@ class InvalidConfig(Exception):
     pass
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_pair(value) -> bool:
+    return (
+        isinstance(value, (tuple, list))
+        and len(value) == 2
+        and all(_is_number(item) for item in value)
+    )
+
+
 def _non_finite(value) -> bool:
     """Whether value, or any number nested in its tuples and lists, is a
     NaN or an infinity."""
@@ -109,6 +121,7 @@ class SimConfig:
     departure_clear_s: float = 1.0
 
     _TUPLE_FIELDS = ("area_m", "consumption_pct_per_s", "initial_battery_pct")
+    _INT_FIELDS = ("n_uavs", "n_lps", "duration_s", "seed")
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SimConfig":
@@ -116,17 +129,19 @@ class SimConfig:
         unknown = set(data) - known
         if unknown:
             raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
+        # JSON arrays become tuples; any other value is left for validate
+        # to reject.
         kwargs = dict(data)
         for name in cls._TUPLE_FIELDS:
-            if name in kwargs:
+            if isinstance(kwargs.get(name), list):
                 kwargs[name] = tuple(kwargs[name])
         positions = kwargs.get("lp_positions")
         if isinstance(positions, str):
             if positions.upper() != "AUTO":
                 raise InvalidConfig("lp_positions: expected coordinates or 'AUTO'")
             kwargs["lp_positions"] = None
-        elif positions is not None:
-            kwargs["lp_positions"] = [tuple(p) for p in positions]
+        elif isinstance(positions, list):
+            kwargs["lp_positions"] = [tuple(p) if isinstance(p, list) else p for p in positions]
         return cls(**kwargs)
 
     @classmethod
@@ -156,9 +171,23 @@ class SimConfig:
         return self.critical_threshold_pct
 
     def validate(self) -> None:
-        # JSON config files may spell NaN and Infinity; no field takes them.
         for name in self.__dataclass_fields__:
-            if _non_finite(getattr(self, name)):
+            value = getattr(self, name)
+            if name in self._INT_FIELDS:
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise InvalidConfig(f"{name} must be an integer")
+            elif name in self._TUPLE_FIELDS:
+                if not _is_pair(value):
+                    raise InvalidConfig(f"{name} must be a pair of numbers")
+            elif name == "lp_positions":
+                if value is not None and not (
+                    isinstance(value, (tuple, list)) and all(_is_pair(p) for p in value)
+                ):
+                    raise InvalidConfig(f"{name} must be a list of [x, y] number pairs")
+            elif not (_is_number(value) or (name == "critical_threshold_pct" and value is None)):
+                raise InvalidConfig(f"{name} must be a number")
+            # JSON config files may spell NaN and Infinity; no field takes them.
+            if _non_finite(value):
                 raise InvalidConfig(f"{name} must be finite")
         if self.n_uavs < 1:
             raise InvalidConfig("n_uavs must be at least 1")
@@ -364,7 +393,6 @@ class Simulation:
         lp_ids = list(range(1, cfg.n_lps + 1))
         ap_ids = list(range(cfg.n_lps + 1, cfg.n_lps + 1 + cfg.n_uavs))
         roster = list(zip(lp_ids, lp_positions))
-        self._lp_pos_by_id = dict(roster)
         self._bus = InMemoryBus(latency_s=1.0)
 
         self._lps: list[LpNode] = []
@@ -475,7 +503,7 @@ class Simulation:
         # The receivers of one broadcast share its decoded message object,
         # so its MSG_RECV detail head is built once.
         recv_msg = recv_head = None
-        for src, dest, _sent_at, _deliver_at, frame in self._bus.pop_due(t):
+        for src, dest, _deliver_at, frame in self._bus.pop_due(t):
             header, msg, _sig = decode_for(dest, frame)
             if tracer is not None:
                 if msg is not recv_msg:
@@ -515,7 +543,8 @@ class Simulation:
                     body.position[0] + dx, body.position[1] + dy, cfg.area_m
                 )
             elif state is NodeState.BOARDING:
-                target = self._lp_pos_by_id[body.node.current_reservation[0]]
+                node = body.node
+                target = node.known_lps.position_of(node.current_reservation[0])
                 distance = math.dist(body.position, target)
                 if distance <= cfg.max_step_m_per_s:
                     body.position = target
@@ -576,7 +605,7 @@ def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
     """Run one simulation; optionally stream the trace to a text file."""
     cfg.validate()
     sim = Simulation(cfg, trace)
-    for step in range(int(cfg.duration_s)):
+    for step in range(cfg.duration_s):
         t = sim.now = float(step)
         sim._deliver(t)
         sim._physics(t)

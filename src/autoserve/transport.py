@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .wire import Keystore, Message, SigningContext, encode_frame, verify_frame
@@ -43,7 +43,6 @@ class Outbound(NamedTuple):
 class Delivery(NamedTuple):
     src_sys_id: int
     dest_sys_id: int
-    sent_at: float
     deliver_at: float
     frame: bytes
 
@@ -56,17 +55,17 @@ class _Endpoint:
     tx_seq: int = 0
 
 
-@dataclass
 class InMemoryBus:
-    latency_s: float = 1.0
-    _endpoints: dict[int, _Endpoint] = field(default_factory=dict)
-    _in_flight: list[Delivery] = field(default_factory=list)
-    _by_kind: dict[str, list[int]] = field(default_factory=lambda: {"AP": [], "LP": []})
-    # The latest deliver_at in _in_flight; -inf when it is empty.
-    _due_by: float = -math.inf
-    # (frame, link_id, secret, verify_frame result) of the last frame
-    # verified; link_id and secret are None for an unsigned frame.
-    _verified: tuple = (None, None, None, None)
+    def __init__(self, latency_s: float = 1.0) -> None:
+        self.latency_s = latency_s
+        self._endpoints: dict[int, _Endpoint] = {}
+        self._in_flight: list[Delivery] = []
+        self._by_kind: dict[str, list[int]] = {"AP": [], "LP": []}
+        # The latest deliver_at in _in_flight; -inf when it is empty.
+        self._due_by = -math.inf
+        # (frame, link_id, secret, verify_frame result) of the last frame
+        # verified; link_id and secret are None for an unsigned frame.
+        self._verified: tuple = (None, None, None, None)
 
     def register(
         self,
@@ -101,7 +100,7 @@ class InMemoryBus:
         # tuple.__new__ builds the named tuples without their Python-level __new__.
         new = tuple.__new__
         queued = [
-            new(Delivery, (src_sys_id, dest, now, deliver_at, frame))
+            new(Delivery, (src_sys_id, dest, deliver_at, frame))
             for dest in self._destinations(src_sys_id, dest_sys_id)
         ]
         self._in_flight.extend(queued)

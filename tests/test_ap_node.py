@@ -1,12 +1,6 @@
 import pytest
 
-from autoserve.ap_node import (
-    AP_TRANSITIONS,
-    ApNode,
-    CancelAndRetry,
-    ConfirmationForWrongAp,
-    Keep,
-)
+from autoserve.ap_node import AP_TRANSITIONS, ApNode
 from autoserve.lp_node import LpNode, ProtocolStateError
 from autoserve.reservation import priority_from_battery
 from autoserve.wire import (
@@ -114,7 +108,7 @@ def test_priority_monotone_non_increasing_in_battery():
 def test_position_zero_adjacent_keeps_and_boards():
     ap = make_ap()
     tick(ap, 0.0, battery=49.0, pos=(0.0, 0.0))
-    assert isinstance(ap.evaluate_confirmation(conf(0), 1.0), Keep)
+    assert ap.evaluate_confirmation(1, 0) is None
     out = ap.handle_message(conf(0), 1, 1.0)
     assert out == []
     assert ap.state is NodeState.BOARDING
@@ -126,30 +120,21 @@ def test_deep_queue_position_exceeds_margin_and_retries():
     ap = make_ap()
     tick(ap, 0.0, battery=49.5, pos=(0.0, 0.0))
     ap.battery_pct = 50.0  # position 4 needs 480 s; budget is 175 s
-    verdict = ap.evaluate_confirmation(conf(4), 1.0)
-    assert verdict == CancelAndRetry(next_lp_sys_id=2)
+    assert ap.evaluate_confirmation(1, 4) == 2
 
 
 def test_full_battery_accepts_position_one():
     ap = make_ap()
     tick(ap, 0.0, battery=49.0, pos=(0.0, 0.0))
     ap.battery_pct = 100.0
-    assert isinstance(ap.evaluate_confirmation(conf(1), 1.0), Keep)
+    assert ap.evaluate_confirmation(1, 1) is None
 
 
 def test_travel_time_counts_against_margin():
     ap = make_ap()
     tick(ap, 0.0, battery=20.0, pos=(50.0, 0.0))
     # position 0 but 50 m away at 0.3 m/s is 167 s > (20-15)/0.2 = 25 s
-    verdict = ap.evaluate_confirmation(conf(0), 1.0)
-    assert isinstance(verdict, CancelAndRetry)
-
-
-def test_confirmation_for_wrong_vehicle_raises_on_evaluate():
-    ap = make_ap()
-    tick(ap, 0.0, battery=49.0)
-    with pytest.raises(ConfirmationForWrongAp):
-        ap.evaluate_confirmation(conf(0, ap=9), 1.0)
+    assert ap.evaluate_confirmation(1, 0) == 2
 
 
 def test_confirmation_for_wrong_vehicle_dropped_by_handler():
@@ -163,7 +148,7 @@ def test_keep_is_monotone_in_queue_position():
     ap = make_ap()
     tick(ap, 0.0, battery=49.0, pos=(0.0, 0.0))
     ap.battery_pct = 49.0
-    keeps = [isinstance(ap.evaluate_confirmation(conf(p), 1.0), Keep) for p in range(6)]
+    keeps = [ap.evaluate_confirmation(1, p) is None for p in range(6)]
     # Once a position is rejected, every deeper position is rejected too.
     assert keeps == sorted(keeps, reverse=True)
 

@@ -70,6 +70,20 @@ def test_run_invalid_config_exit_code(tmp_path, capsys):
     assert "autoserve-sim:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "document",
+    [{"n_uavs": "3"}, {"area_m": 5}, {"lp_positions": [5], "n_lps": 1}],
+)
+def test_run_mistyped_config_exit_code(tmp_path, capsys, document):
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(document))
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("autoserve-sim: ")
+    assert next(iter(document)) in err  # names the mistyped field
+    assert "Traceback" not in err
+
+
 def test_run_unknown_key_exit_code(tmp_path):
     path = tmp_path / "typo.json"
     path.write_text(json.dumps({"n_uav": 3}))

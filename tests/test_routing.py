@@ -3,7 +3,16 @@ import random
 
 import pytest
 
+from autoserve.ap_node import ApNode
+from autoserve.lp_node import LpNode
 from autoserve.routing import LpGraph, Unreachable, UnknownNode, plan_route, reachable_lps
+from autoserve.wire import (
+    ExtendedHeartbeat,
+    LpReservationConfirmation,
+    NodeState,
+    ServiceReservationRequest,
+    VehicleType,
+)
 from oracles import bfs_hops, enumerate_min_hop_paths, min_hop_length
 
 
@@ -136,3 +145,50 @@ def test_reachable_matches_linear_scan_oracle():
 def test_reachable_sorted_by_distance():
     g = LpGraph({1: (0.0, 0.0), 2: (30.0, 0.0), 3: (10.0, 0.0)})
     assert reachable_lps(g, (0.0, 0.0), 100.0) == [1, 3, 2]
+
+
+def test_vehicle_and_platforms_share_the_nearest_first_order():
+    """A vehicle requests platforms in reachable_lps order, and only the
+    first platform in that order reserves itself for a critical vehicle.
+    Positions on a 5x5 integer grid make exact distance ties common."""
+    rng = random.Random(10)
+    ap_id = 50
+    # Position 50 is far beyond what 40% battery affords, so every offer
+    # is rejected and the vehicle moves on.
+    deep_offer = LpReservationConfirmation(target_ap_sys_id=ap_id, queue_position=50)
+    tied_rosters = 0
+    for _ in range(200):
+        ids = rng.sample(range(1, 40), rng.randint(2, 8))
+        roster = [(i, (float(rng.randint(0, 4)), float(rng.randint(0, 4)))) for i in ids]
+        position = (float(rng.randint(0, 4)), float(rng.randint(0, 4)))
+        order = reachable_lps(LpGraph(roster), position, math.inf)
+        distances = [math.dist(position, dict(roster)[i]) for i in order]
+        tied_rosters += len(set(distances)) < len(distances)
+
+        ap = ApNode(ap_id, roster)
+        out = ap.tick(0.0, 40.0, position)
+        requested = []
+        while len(requested) < len(order):
+            (req,) = [o for o in out if isinstance(o.msg, ServiceReservationRequest)]
+            requested.append(req.dest_sys_id)
+            out = ap.handle_message(deep_offer, req.dest_sys_id, 1.0)
+        assert requested == order
+
+        heartbeat = ExtendedHeartbeat(
+            vehicle_type=VehicleType.AERIAL_PLATFORM,
+            flight_stack=0,
+            system_state=NodeState.OPERATING,
+            battery_pct=5.0,
+            pos_x=position[0],
+            pos_y=position[1],
+        )
+        reserving = [
+            sys_id
+            for sys_id, lp_position in roster
+            if LpNode(sys_id, lp_position, lp_roster=roster).consider_auto_reserve(
+                heartbeat, ap_id, 0.0
+            )
+            is not None
+        ]
+        assert reserving == [order[0]]
+    assert tied_rosters > 50

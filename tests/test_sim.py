@@ -205,6 +205,20 @@ def test_config_tuple_coercion_and_roundtrip(tmp_path):
         {"critical_threshold_pct": -1.0},
         {"departure_clear_s": -5.0},
         {"departure_clear_s": math.inf},
+        {"n_uavs": 2.5},
+        {"seed": 1.5},
+        {"n_uavs": "3"},
+        {"request_threshold_pct": "50"},
+        {"duration_s": 10.7},
+        {"n_uavs": True},
+        {"spawn_radius_m": False},
+        {"critical_threshold_pct": True},
+        {"area_m": (1000.0,)},
+        {"consumption_pct_per_s": (0.15, "0.2")},
+        {"initial_battery_pct": 80.0},
+        {"lp_positions": [(1.0,)], "n_lps": 1},
+        {"lp_positions": [(1.0, 2.0, 3.0)], "n_lps": 1},
+        {"lp_positions": [(1.0, None)], "n_lps": 1},
     ],
 )
 def test_config_validation_rejects(overrides):
