@@ -52,6 +52,23 @@ from .wire import (
 
 logger = logging.getLogger(__name__)
 
+# Enum members bound once at import. Inside a function, NodeState.X is a
+# class attribute load that CPython 3.11 cannot specialise, because EnumType
+# defines __getattr__: about 150 ns against about 20 ns for a module global.
+BEING_SERVICED = NodeState.BEING_SERVICED
+BOARDING = NodeState.BOARDING
+DEPARTED = NodeState.DEPARTED
+DEPARTING = NodeState.DEPARTING
+LANDED = NodeState.LANDED
+OPERATING = NodeState.OPERATING
+REQUEST_PENDING = NodeState.REQUEST_PENDING
+RESERVED_WAITING = NodeState.RESERVED_WAITING
+SERVICE_COMPLETE = NodeState.SERVICE_COMPLETE
+SERVICING = NodeState.SERVICING
+CANCEL = ReservationAction.CANCEL
+KEEP = ReservationAction.KEEP
+AERIAL_PLATFORM = VehicleType.AERIAL_PLATFORM
+
 AP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
     NodeState.OPERATING: frozenset({NodeState.REQUEST_PENDING}),
     NodeState.REQUEST_PENDING: frozenset(
@@ -93,7 +110,7 @@ class ApNode:
         self.departure_clear_s = departure_clear_s
         self.flight_stack = flight_stack
 
-        self.state = NodeState.OPERATING
+        self.state = OPERATING
         self.battery_pct = 100.0
         self.position = (0.0, 0.0)
         # (lp_sys_id, last confirmed queue position) while reserved/boarding.
@@ -107,6 +124,7 @@ class ApNode:
         self._departing_from: int | None = None
         self._departing_since: float | None = None
         self._last_heartbeat_at: float | None = None
+        self._heartbeat: ExtendedHeartbeat | None = None
         # (from, to) pairs not yet drained; the simulator reads it after
         # each message to skip nodes with nothing to report.
         self.transitions: list[tuple[NodeState, NodeState]] = []
@@ -188,17 +206,15 @@ class ApNode:
     ) -> list[Outbound]:
         self.current_reservation = (lp_sys_id, queue_position)
         self._pending_target = None
-        if self.state is NodeState.REQUEST_PENDING:
-            self._transition(NodeState.RESERVED_WAITING)
+        if self.state is REQUEST_PENDING:
+            self._transition(RESERVED_WAITING)
         if queue_position == 0:
-            self._transition(NodeState.BOARDING)
+            self._transition(BOARDING)
             return []
         return [
             Outbound(
                 lp_sys_id,
-                ApReservationDecision(
-                    target_lp_sys_id=lp_sys_id, decision=ReservationAction.KEEP
-                ),
+                ApReservationDecision(target_lp_sys_id=lp_sys_id, decision=KEEP),
             )
         ]
 
@@ -206,9 +222,7 @@ class ApNode:
         self._cancelled.add(lp_sys_id)
         return Outbound(
             lp_sys_id,
-            ApReservationDecision(
-                target_lp_sys_id=lp_sys_id, decision=ReservationAction.CANCEL
-            ),
+            ApReservationDecision(target_lp_sys_id=lp_sys_id, decision=CANCEL),
         )
 
     def _request_msg(self, lp_sys_id: int) -> Outbound:
@@ -233,7 +247,7 @@ class ApNode:
             )
             return []
 
-        if self.state is NodeState.REQUEST_PENDING and from_sys_id == self._pending_target:
+        if self.state is REQUEST_PENDING and from_sys_id == self._pending_target:
             if self._settling:
                 return self._accept(from_sys_id, conf.queue_position)
             next_lp = self.evaluate_confirmation(from_sys_id, conf.queue_position)
@@ -248,23 +262,23 @@ class ApNode:
             return [self._cancel_msg(from_sys_id), self._request_msg(next_lp)]
 
         if (
-            self.state is NodeState.RESERVED_WAITING
+            self.state is RESERVED_WAITING
             and self.current_reservation is not None
             and from_sys_id == self.current_reservation[0]
         ):
             self.current_reservation = (from_sys_id, conf.queue_position)
             if conf.queue_position == 0:
-                self._transition(NodeState.BOARDING)
+                self._transition(BOARDING)
             return []
 
         if (
             conf.queue_position == 0
             and from_sys_id not in self._cancelled
-            and self.state in (NodeState.REQUEST_PENDING, NodeState.RESERVED_WAITING)
+            and self.state in (REQUEST_PENDING, RESERVED_WAITING)
         ):
             # Boarding signal from a platform that reserved itself for us.
             out: list[Outbound] = []
-            if self.state is NodeState.REQUEST_PENDING and self._pending_target is not None:
+            if self.state is REQUEST_PENDING and self._pending_target is not None:
                 out.append(self._cancel_msg(self._pending_target))
                 self._pending_target = None
             elif self.current_reservation is not None:
@@ -292,14 +306,11 @@ class ApNode:
                 from_sys_id,
             )
             return []
-        if upd.state is NodeState.SERVICING and self.state is NodeState.LANDED:
-            self._transition(NodeState.BEING_SERVICED)
+        if upd.state is SERVICING and self.state is LANDED:
+            self._transition(BEING_SERVICED)
             return []
-        if (
-            upd.state is NodeState.SERVICE_COMPLETE
-            and self.state is NodeState.BEING_SERVICED
-        ):
-            self._transition(NodeState.DEPARTING)
+        if upd.state is SERVICE_COMPLETE and self.state is BEING_SERVICED:
+            self._transition(DEPARTING)
             self._departing_from = from_sys_id
             self._departing_since = now
             self.current_reservation = None
@@ -314,16 +325,12 @@ class ApNode:
 
     def notify_arrival(self, now: float) -> list[Outbound]:
         """The vehicle has touched down on its reserved platform."""
-        if self.state is not NodeState.BOARDING or self.current_reservation is None:
+        if self.state is not BOARDING or self.current_reservation is None:
             raise ProtocolStateError(
                 f"AP {self.sys_id}: arrival notified while {self.state.name}"
             )
-        self._transition(NodeState.LANDED)
-        return [
-            Outbound(
-                self.current_reservation[0], SystemStateUpdate(state=NodeState.LANDED)
-            )
-        ]
+        self._transition(LANDED)
+        return [Outbound(self.current_reservation[0], SystemStateUpdate(state=LANDED))]
 
     # -- periodic work -----------------------------------------------------------
 
@@ -345,36 +352,43 @@ class ApNode:
             self._last_heartbeat_at = now
             out.append(Outbound(None, self.heartbeat()))
 
-        if (
-            self.state is NodeState.DEPARTING
-            and now - self._departing_since >= self.departure_clear_s
-        ):
+        if self.state is DEPARTING and now - self._departing_since >= self.departure_clear_s:
             departed_lp = self._departing_from
             self._departing_from = None
             self._departing_since = None
-            self._transition(NodeState.OPERATING)
-            out.append(
-                Outbound(departed_lp, SystemStateUpdate(state=NodeState.DEPARTED))
-            )
+            self._transition(OPERATING)
+            out.append(Outbound(departed_lp, SystemStateUpdate(state=DEPARTED)))
 
-        if (
-            self.state is NodeState.OPERATING
-            and self.battery_pct < self.request_threshold_pct
-        ):
+        if self.state is OPERATING and self.battery_pct < self.request_threshold_pct:
             ranked = self._nearest_first()
             if ranked:
                 self._tried.clear()
                 self._cancelled.clear()
                 self._offers.clear()
                 self._settling = False
-                self._transition(NodeState.REQUEST_PENDING)
+                self._transition(REQUEST_PENDING)
                 out.append(self._request_msg(ranked[0]))
         return out
 
     def heartbeat(self) -> ExtendedHeartbeat:
-        # Positional arguments, in field order: a class called with keywords
-        # packs them into a dict first, and every vehicle beats every tick.
+        """The current heartbeat: the previous message object while the
+        fields it reports are unchanged, so that the codec's memos can skip
+        packing and unpacking it again."""
         x, y = self.position
-        return ExtendedHeartbeat(
-            VehicleType.AERIAL_PLATFORM, self.flight_stack, self.state, self.battery_pct, x, y
-        )
+        beat = self._heartbeat
+        # Identity, not ==: the same objects give the same wire bytes and
+        # trace text, which == does not promise for 0.0 and -0.0.
+        if (
+            beat is None
+            or beat.system_state is not self.state
+            or beat.battery_pct is not self.battery_pct
+            or beat.pos_x is not x
+            or beat.pos_y is not y
+            or beat.flight_stack is not self.flight_stack
+        ):
+            # Positional arguments, in field order: a class called with
+            # keywords packs them into a dict first.
+            beat = self._heartbeat = ExtendedHeartbeat(
+                AERIAL_PLATFORM, self.flight_stack, self.state, self.battery_pct, x, y
+            )
+        return beat

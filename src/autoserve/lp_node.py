@@ -43,6 +43,21 @@ from .wire import (
 
 logger = logging.getLogger(__name__)
 
+# Enum members bound once at import, as in ap_node: a function-level
+# NodeState.X load is unspecialised and slow on CPython 3.11.
+ALIGNING = NodeState.ALIGNING
+AWAITING_BOARDING = NodeState.AWAITING_BOARDING
+DEPARTED = NodeState.DEPARTED
+IDLE = NodeState.IDLE
+LANDED = NodeState.LANDED
+RELEASING = NodeState.RELEASING
+SERVICE_COMPLETE = NodeState.SERVICE_COMPLETE
+SERVICING = NodeState.SERVICING
+UNKNOWN_STACK = FlightStack.UNKNOWN
+KEEP = ReservationAction.KEEP
+AERIAL_PLATFORM = VehicleType.AERIAL_PLATFORM
+LANDING_PLATFORM = VehicleType.LANDING_PLATFORM
+
 # AWAITING_BOARDING -> IDLE is the cancel/no-show revert.
 LP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
     NodeState.IDLE: frozenset({NodeState.AWAITING_BOARDING}),
@@ -75,7 +90,7 @@ class LpNode:
         self.sys_id = sys_id
         self.position = (float(position[0]), float(position[1]))
         self.queue = ServiceQueue()
-        self.state = NodeState.IDLE
+        self.state = IDLE
         self.current_ap: int | None = None
         self.service_duration_s = service_duration_s
         self.alignment_duration_s = alignment_duration_s
@@ -92,6 +107,7 @@ class LpNode:
 
         self._phase_started_at: float | None = None
         self._last_heartbeat_at: float | None = None
+        self._heartbeat: ExtendedHeartbeat | None = None
         # (from, to) pairs not yet drained; the simulator reads it after
         # each message to skip nodes with nothing to report.
         self.transitions: list[tuple[NodeState, NodeState]] = []
@@ -114,11 +130,11 @@ class LpNode:
 
     def _promote(self, now: float) -> list[Outbound]:
         """If free and the queue is non-empty, clear the head for boarding."""
-        if self.state is not NodeState.IDLE or len(self.queue) == 0:
+        if self.state is not IDLE or len(self.queue) == 0:
             return []
         reservation = self.queue.pop_next()
         self.current_ap = reservation.ap_sys_id
-        self._transition(NodeState.AWAITING_BOARDING)
+        self._transition(AWAITING_BOARDING)
         self._phase_started_at = now
         self.wait_samples.append(now - reservation.requested_at)
         return [
@@ -132,7 +148,7 @@ class LpNode:
 
     def _release_current(self, now: float) -> list[Outbound]:
         self.current_ap = None
-        self._transition(NodeState.IDLE)
+        self._transition(IDLE)
         return self._promote(now)
 
     # -- message handling ---------------------------------------------------
@@ -182,7 +198,7 @@ class LpNode:
                 )
             )
         out: list[Outbound] = []
-        if self.state is NodeState.IDLE:
+        if self.state is IDLE:
             out = self._promote(now)
             if self.current_ap == from_sys_id:
                 # The promotion confirmation with position 0 is the reply.
@@ -204,10 +220,10 @@ class LpNode:
     def _handle_decision(
         self, msg: ApReservationDecision, from_sys_id: int, now: float
     ) -> list[Outbound]:
-        if msg.target_lp_sys_id != self.sys_id or msg.decision is ReservationAction.KEEP:
+        if msg.target_lp_sys_id != self.sys_id or msg.decision is KEEP:
             return []
         if from_sys_id == self.current_ap:
-            if self.state is NodeState.AWAITING_BOARDING:
+            if self.state is AWAITING_BOARDING:
                 return self._release_current(now)
             logger.debug(
                 "LP %d: AP %d cancelled while %s, ignoring",
@@ -232,11 +248,11 @@ class LpNode:
                 from_sys_id,
             )
             return []
-        if msg.state is NodeState.LANDED and self.state is NodeState.AWAITING_BOARDING:
-            self._transition(NodeState.ALIGNING)
+        if msg.state is LANDED and self.state is AWAITING_BOARDING:
+            self._transition(ALIGNING)
             self._phase_started_at = now
             return []
-        if msg.state is NodeState.DEPARTED and self.state is NodeState.RELEASING:
+        if msg.state is DEPARTED and self.state is RELEASING:
             return self._release_current(now)
         logger.debug(
             "LP %d: state update %s while %s, ignoring",
@@ -250,10 +266,10 @@ class LpNode:
         self, msg: ExtendedHeartbeat, from_sys_id: int, now: float
     ) -> list[Outbound]:
         # Both calls return early otherwise; testing here saves the call.
-        if msg.vehicle_type == VehicleType.AERIAL_PLATFORM:
+        if msg.vehicle_type == AERIAL_PLATFORM:
             if msg.battery_pct < self.critical_threshold_pct:
                 self.consider_auto_reserve(msg, from_sys_id, now)
-            if self.state is NodeState.IDLE and len(self.queue):
+            if self.state is IDLE and len(self.queue):
                 return self._promote(now)
         return []
 
@@ -301,28 +317,20 @@ class LpNode:
             now - self._phase_started_at if self._phase_started_at is not None else 0.0
         )
 
-        if self.state is NodeState.AWAITING_BOARDING and elapsed >= self.boarding_timeout_s:
+        if self.state is AWAITING_BOARDING and elapsed >= self.boarding_timeout_s:
             logger.debug(
                 "LP %d: AP %s never boarded, dropping reservation", self.sys_id, self.current_ap
             )
             out.extend(self._release_current(now))
-        if self.state is NodeState.ALIGNING and elapsed >= self.alignment_duration_s:
-            self._transition(NodeState.SERVICING)
+        if self.state is ALIGNING and elapsed >= self.alignment_duration_s:
+            self._transition(SERVICING)
             self._phase_started_at = now
-            out.append(
-                Outbound(self.current_ap, SystemStateUpdate(state=NodeState.SERVICING))
-            )
-        if self.state is NodeState.SERVICING and (
-            now - self._phase_started_at >= self.service_duration_s
-        ):
-            self._transition(NodeState.RELEASING)
+            out.append(Outbound(self.current_ap, SystemStateUpdate(state=SERVICING)))
+        if self.state is SERVICING and now - self._phase_started_at >= self.service_duration_s:
+            self._transition(RELEASING)
             self._phase_started_at = now
             self.services_completed += 1
-            out.append(
-                Outbound(
-                    self.current_ap, SystemStateUpdate(state=NodeState.SERVICE_COMPLETE)
-                )
-            )
+            out.append(Outbound(self.current_ap, SystemStateUpdate(state=SERVICE_COMPLETE)))
 
         out.extend(self._promote(now))
 
@@ -335,9 +343,15 @@ class LpNode:
         return out
 
     def heartbeat(self) -> ExtendedHeartbeat:
-        # Platforms are mains-powered ground stations; battery reads full.
-        # Positional, in field order, as in ApNode.heartbeat.
+        """The current heartbeat, reused while state and position are the
+        same objects, as in ApNode.heartbeat."""
         x, y = self.position
-        return ExtendedHeartbeat(
-            VehicleType.LANDING_PLATFORM, FlightStack.UNKNOWN, self.state, 100.0, x, y
-        )
+        beat = self._heartbeat
+        if beat is None or beat.system_state is not self.state or (
+            beat.pos_x is not x or beat.pos_y is not y
+        ):
+            # Platforms are mains-powered ground stations; battery reads full.
+            beat = self._heartbeat = ExtendedHeartbeat(
+                LANDING_PLATFORM, UNKNOWN_STACK, self.state, 100.0, x, y
+            )
+        return beat

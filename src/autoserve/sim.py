@@ -73,6 +73,17 @@ DRAIN_STATES = frozenset(
     {NodeState.OPERATING, NodeState.BOARDING, NodeState.DEPARTING}
 )
 
+# Enum members bound once at import, as in ap_node: a function-level
+# NodeState.X load is unspecialised and slow on CPython 3.11.
+BEING_SERVICED = NodeState.BEING_SERVICED
+BOARDING = NodeState.BOARDING
+DEPARTING = NodeState.DEPARTING
+OPERATING = NodeState.OPERATING
+
+# Each state's name by its code; NodeState.name is a property, slower than
+# a tuple index. Raises unless the codes run 0, 1, 2, ...
+_STATE_NAMES = tuple(NodeState(code).name for code in range(len(NodeState)))
+
 
 class InvalidConfig(Exception):
     pass
@@ -477,9 +488,11 @@ class Simulation:
         if node.transitions:
             for from_state, to_state in node.drain_transitions():
                 if tracer is not None:
-                    detail = _dumps({"from": from_state.name, "to": to_state.name})
+                    detail = _dumps(
+                        {"from": _STATE_NAMES[from_state], "to": _STATE_NAMES[to_state]}
+                    )
                     tracer.record(t, actor, "STATE_CHANGE", detail)
-                if (from_state, to_state) == (NodeState.BEING_SERVICED, NodeState.DEPARTING):
+                if (from_state, to_state) == (BEING_SERVICED, DEPARTING):
                     body = self._bodies[sys_id]
                     body.battery = 100.0
                     body.node.battery_pct = 100.0
@@ -537,12 +550,12 @@ class Simulation:
                             t, body.actor, "FAILURE", _dumps({"battery_pct": body.battery})
                         )
                     continue
-            if state is NodeState.OPERATING:
+            if state is OPERATING:
                 dx, dy = sample_displacement(body.rng, cfg.max_step_m_per_s)
                 body.position = _clamp_to_area(
                     body.position[0] + dx, body.position[1] + dy, cfg.area_m
                 )
-            elif state is NodeState.BOARDING:
+            elif state is BOARDING:
                 node = body.node
                 target = node.known_lps.position_of(node.current_reservation[0])
                 distance = math.dist(body.position, target)
@@ -569,13 +582,14 @@ class Simulation:
         tracer = self._tracer
         if tracer is None:
             return
+        names = _STATE_NAMES
         for lp in self._lps:
             current_ap = "null" if lp.current_ap is None else lp.current_ap
             tracer.record(
                 t,
                 self._actor_names[lp.sys_id],
                 "TICK",
-                _LP_TICK % (lp.state.name, len(lp.queue), current_ap),
+                _LP_TICK % (names[lp.state], len(lp.queue), current_ap),
             )
         for body in self._uavs:
             x, y = body.position
@@ -584,7 +598,7 @@ class Simulation:
                 t,
                 body.actor,
                 "TICK",
-                _AP_TICK % (body.node.state.name, body.battery, x, y, failed),
+                _AP_TICK % (names[body.node.state], body.battery, x, y, failed),
             )
 
     def _report(self) -> SimReport:

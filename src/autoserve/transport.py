@@ -14,9 +14,9 @@ All deliveries of one send share one frame object. `decode_for` verifies
 checksum and signature once per (frame, secret) and runs only the replay
 check per receiver: in MAVLink v2 signing the replay state is the only
 part of decoding that depends on the receiver. Its memo keeps the last
-frame verified with the link_id and secret it was verified under, so a
-further receiver of that frame pays one identity test and one secret
-lookup before its replay check.
+frame verified with the secret it was verified under and the arguments
+of its replay check, so a further receiver of that frame pays one
+identity test and one secret lookup before its replay check.
 
 `pop_due` returns the whole in-flight list at once when the latest
 deadline queued is due, which is every tick under a fixed latency; with
@@ -51,7 +51,6 @@ class Delivery(NamedTuple):
 class _Endpoint:
     peers: list[int]  # sorted sys_ids of the other kind: broadcast targets
     signing: SigningContext | None
-    keystore: Keystore | None
     tx_seq: int = 0
 
 
@@ -59,12 +58,14 @@ class InMemoryBus:
     def __init__(self, latency_s: float = 1.0) -> None:
         self.latency_s = latency_s
         self._endpoints: dict[int, _Endpoint] = {}
+        self._keystores: dict[int, Keystore | None] = {}
         self._in_flight: list[Delivery] = []
         self._by_kind: dict[str, list[int]] = {"AP": [], "LP": []}
         # The latest deliver_at in _in_flight; -inf when it is empty.
         self._due_by = -math.inf
-        # (frame, link_id, secret, verify_frame result) of the last frame
-        # verified; link_id and secret are None for an unsigned frame.
+        # (frame, secret, verify_frame result, Keystore.accept arguments) of
+        # the last frame verified; secret and arguments are None for an
+        # unsigned frame.
         self._verified: tuple = (None, None, None, None)
 
     def register(
@@ -80,12 +81,8 @@ class InMemoryBus:
             raise ValueError(f"sys_id {sys_id} already registered")
         insort(self._by_kind[kind], sys_id)
         peers = self._by_kind["LP" if kind == "AP" else "AP"]
-        self._endpoints[sys_id] = _Endpoint(peers=peers, signing=signing, keystore=keystore)
-
-    def _destinations(self, src_sys_id: int, dest: int | None) -> list[int]:
-        if dest is not None:
-            return [dest] if dest in self._endpoints else []
-        return self._endpoints[src_sys_id].peers
+        self._endpoints[sys_id] = _Endpoint(peers=peers, signing=signing)
+        self._keystores[sys_id] = keystore
 
     def send(self, src_sys_id: int, outbound: Outbound, now: float) -> list[Delivery]:
         """Frame, sign and queue a message; returns the queued deliveries."""
@@ -97,12 +94,13 @@ class InMemoryBus:
         deliver_at = now + self.latency_s
         if deliver_at > self._due_by:
             self._due_by = deliver_at
+        if dest_sys_id is None:
+            dests = endpoint.peers
+        else:
+            dests = (dest_sys_id,) if dest_sys_id in self._endpoints else ()
         # tuple.__new__ builds the named tuples without their Python-level __new__.
         new = tuple.__new__
-        queued = [
-            new(Delivery, (src_sys_id, dest, deliver_at, frame))
-            for dest in self._destinations(src_sys_id, dest_sys_id)
-        ]
+        queued = [new(Delivery, (src_sys_id, dest, deliver_at, frame)) for dest in dests]
         self._in_flight.extend(queued)
         return queued
 
@@ -128,21 +126,21 @@ class InMemoryBus:
         frame raises; every receiver of a signed frame runs its replay
         check.
         """
-        keystore = self._endpoints[dest_sys_id].keystore
-        verified_frame, link_id, secret, result = self._verified
+        keystore = self._keystores[dest_sys_id]
+        verified_frame, secret, result, accept_args = self._verified
         if verified_frame is not frame or (
-            link_id is not None
-            and (keystore is None or keystore.secrets.get(link_id) != secret)
+            accept_args is not None
+            and (keystore is None or keystore.secrets.get(accept_args[0]) != secret)
         ):
             result = verify_frame(frame, keystore)
-            signature = result[2]
+            header, _, signature = result
             if signature is None:
-                link_id = secret = None
+                secret = accept_args = None
             else:
                 link_id = signature.link_id
                 secret = keystore.secrets[link_id]
-            self._verified = (frame, link_id, secret, result)
-        if link_id is not None:
-            header, _, signature = result
-            keystore.accept(link_id, header.sys_id, header.comp_id, signature.timestamp)
+                accept_args = (link_id, header.sys_id, header.comp_id, signature.timestamp)
+            self._verified = (frame, secret, result, accept_args)
+        if accept_args is not None:
+            keystore.accept(*accept_args)
         return result

@@ -51,6 +51,13 @@ MAX_PAYLOAD_LEN = 255
 MAX_FRAME_LEN = HEADER_LEN + MAX_PAYLOAD_LEN + CHECKSUM_LEN + SIGNATURE_LEN
 INCOMPAT_SIGNED = 0x01
 
+# Entries held by each codec memo before it is emptied: the payloads the
+# compiled pack made from recently packed message objects, and the messages
+# verify_frame decoded from recently seen payloads. A node that reports the
+# same fields beats with the same message object, and its frames carry the
+# same payload bytes, so these repeats skip the field conversions.
+MEMO_ENTRIES = 256
+
 # 2015-01-01T00:00:00Z, the epoch for signature timestamps.
 SIGNATURE_EPOCH_UNIX_S = 1420070400
 TIMESTAMP_UNITS_PER_S = 100_000
@@ -277,11 +284,13 @@ class _MessageSpec:
 
     pack(msg), unpack(payload) and init, installed as the message class's
     __init__, are straight-line functions compiled once per message from
-    the rows, as dataclasses builds its methods.
+    the rows, as dataclasses builds its methods. packed is pack's memo.
     """
 
     def __init__(self, msg_id: int, wire_name: str, cls: type, fields: Sequence[_Field]):
         self.msg_id = msg_id
+        # The header carries msg_id as its low 16 and high 8 bits.
+        self.msg_id_lo, self.msg_id_hi = msg_id & 0xFFFF, msg_id >> 16
         self.cls = cls
         self.fields = tuple(fields)
         self.struct = struct.Struct("<" + "".join(_CTYPES[f.ctype][0] for f in fields))
@@ -289,22 +298,28 @@ class _MessageSpec:
         self.crc_extra = _seed_crc_extra(
             wire_name, [(f.ctype, f.seed_name or f.attr) for f in fields]
         )
+        self.packed: dict[int, tuple[object, bytes]] = {}
         self.pack, self.unpack, self.init = _compile_codec(self)
 
 
 def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable, Callable]:
     """Write and exec one message's pack(msg), unpack(payload) and __init__.
 
-    pack converts each field once and range-checks it with one chained
-    comparison; a scaled value is checked before round() so that infinity,
-    NaN and an int too large for a float fail like any other value off
-    the wire. unpack checks only the ranges narrower than the C type.
+    pack first looks the message object up in spec.packed, keyed by id()
+    and holding the object, so no other object can take its id while the
+    entry lasts. Otherwise it converts each field once and range-checks it
+    with one chained comparison; a scaled value is checked before round()
+    so that infinity, NaN and an int too large for a float fail like any
+    other value off the wire, and only a payload that passed every check
+    enters the memo. unpack checks only the ranges narrower than the C type.
     Both unpack and __init__ build the frozen instance by filling its
     __dict__ in field order, the class's dataclass fields when it has
     them; __init__ takes the dataclass's parameters and defaults.
     """
     env = {"_pack": spec.struct.pack, "_unpack_from": spec.struct.unpack_from,
-           "_new": object.__new__, "_cls": spec.cls, "MalformedPayload": MalformedPayload}
+           "_new": object.__new__, "_cls": spec.cls, "MalformedPayload": MalformedPayload,
+           "_id": id, "_packed": spec.packed, "_packed_get": spec.packed.get,
+           "MEMO_ENTRIES": MEMO_ENTRIES}
     raw = [f"v{i}" for i in range(len(spec.fields))]
     pack, unpack, values = "", "", {}
     for v, f in zip(raw, spec.fields):
@@ -336,8 +351,16 @@ def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable, Callable]:
     params = [f"{name}=_defaults[{name!r}]" if name in defaults else name for name in order]
     stores = "".join(f"\n    attrs[{name!r}] = {name}" for name in order)
     exec(f"""
-def pack(msg):{pack}
-    return _pack({", ".join(raw)})
+def pack(msg):
+    key = _id(msg)
+    packed = _packed_get(key)
+    if packed is not None:
+        return packed[1]{pack}
+    payload = _pack({", ".join(raw)})
+    if len(_packed) >= MEMO_ENTRIES:
+        _packed.clear()
+    _packed[key] = msg, payload
+    return payload
 def unpack(payload):
     if len(payload) < {spec.size}:
         payload += bytes({spec.size} - len(payload))
@@ -581,6 +604,8 @@ _CHECKSUM = struct.Struct("<H")
 _SIGNATURE_BLOCK = struct.Struct("<BIH6s")
 # The checksum, then the signature block up to sig: the end of the signed bytes.
 _SIGNED_TAIL = struct.Struct("<HBIH")
+# The three msg_id bytes come last in the header, just before the payload.
+_MSG_ID_OFFSET = HEADER_LEN - 3
 # Signed bytes end after link_id and timestamp, 7 bytes past the checksum.
 _SIGNED_TRAILER_LEN = SIGNATURE_LEN - 6
 
@@ -612,10 +637,9 @@ def encode_frame(
     payload = payload.rstrip(b"\x00") or payload[:1]
 
     incompat = INCOMPAT_SIGNED if signing is not None else 0
-    msg_id = spec.msg_id
     body = _HEADER.pack(
         MAGIC_V2, len(payload), incompat, 0, seq & 0xFF, sys_id, comp_id,
-        msg_id & 0xFFFF, msg_id >> 16,
+        spec.msg_id_lo, spec.msg_id_hi,
     ) + payload
     checksum = compute_checksum(body[1:], spec.crc_extra)
     if signing is None:
@@ -657,6 +681,11 @@ def _parse_frame(data: bytes) -> tuple[FrameHeader, bytes, int, Signature | None
     return header, payload, stored_crc, signature, end
 
 
+# msg_id and payload bytes of recently verified frames -> the message
+# unpacked from them; equal bytes of the same msg_id unpack to equal messages.
+_decoded: dict[bytes, Message] = {}
+
+
 def verify_frame(
     data: bytes, keystore: Keystore | Mapping[int, bytes] | None = None
 ) -> tuple[FrameHeader, Message, Signature | None]:
@@ -668,31 +697,56 @@ def verify_frame(
     can be shared by every receiver holding the same secret; each receiver
     then runs its own Keystore.accept. Bytes after the end of the frame
     are ignored.
+
+    Reads the frame in one pass; a frame too short for its header, payload
+    or signature, or with a bad magic byte, is handed to _parse_frame to
+    raise its error. A frame whose msg_id and payload bytes equal those of
+    a recently verified one reuses that frame's message object.
     """
     if not isinstance(data, bytes):
         data = bytes(data)
-    header, payload, stored_crc, signature, end = _parse_frame(data)
+    if len(data) < HEADER_LEN or data[0] != MAGIC_V2:
+        _parse_frame(data)  # raises BadMagic or TruncatedFrame
+    _, length, incompat, compat, seq, sys_id, comp_id, id_lo, id_hi = _HEADER.unpack_from(data)
+    end = HEADER_LEN + length + CHECKSUM_LEN
+    signed = incompat & INCOMPAT_SIGNED
+    if len(data) < (end + SIGNATURE_LEN if signed else end):
+        _parse_frame(data)  # raises TruncatedFrame
 
-    spec = _MESSAGE_SPECS.get(header.msg_id)
+    msg_id = id_lo | id_hi << 16
+    spec = _MESSAGE_SPECS.get(msg_id)
     if spec is None:
-        raise UnknownMsgId(f"msg_id {header.msg_id}")
+        raise UnknownMsgId(f"msg_id {msg_id}")
 
+    stored_crc = data[end - 2] | data[end - 1] << 8
     computed = compute_checksum(data[1 : end - CHECKSUM_LEN], spec.crc_extra)
     if computed != stored_crc:
         raise ChecksumMismatch(f"stored 0x{stored_crc:04X}, computed 0x{computed:04X}")
 
-    if signature is not None:
+    signature = None
+    if signed:
+        link_id, ts_lo, ts_hi, sig = _SIGNATURE_BLOCK.unpack_from(data, end)
         if keystore is None:
             raise SignatureInvalid("signed frame but no keystore supplied")
         store = keystore if isinstance(keystore, Keystore) else Keystore(keystore)
-        secret = store.secrets.get(signature.link_id)
+        secret = store.secrets.get(link_id)
         if secret is None:
-            raise SignatureInvalid(f"no key for link_id {signature.link_id}")
+            raise SignatureInvalid(f"no key for link_id {link_id}")
         expected = _sign(secret, data[: end + _SIGNED_TRAILER_LEN])
-        if not hmac.compare_digest(expected, signature.sig):
+        if not hmac.compare_digest(expected, sig):
             raise SignatureInvalid("signature does not match frame contents")
+        # tuple.__new__ builds the named tuples without their Python-level __new__.
+        signature = tuple.__new__(Signature, (link_id, ts_lo | ts_hi << 32, sig))
 
-    return header, spec.unpack(payload), signature
+    key = data[_MSG_ID_OFFSET : end - CHECKSUM_LEN]  # msg_id, then payload
+    msg = _decoded.get(key)
+    if msg is None:
+        msg = spec.unpack(data[HEADER_LEN : end - CHECKSUM_LEN])
+        if len(_decoded) >= MEMO_ENTRIES:
+            _decoded.clear()
+        _decoded[key] = msg
+    fields = (length, incompat, compat, seq, sys_id, comp_id, msg_id, MAGIC_V2)
+    return tuple.__new__(FrameHeader, fields), msg, signature
 
 
 def decode_frame(

@@ -3,13 +3,16 @@ import pytest
 from autoserve.ap_node import AP_TRANSITIONS, ApNode
 from autoserve.lp_node import LpNode, ProtocolStateError
 from autoserve.reservation import priority_from_battery
+from autoserve.transport import InMemoryBus
 from autoserve.wire import (
     ApReservationDecision,
     ExtendedHeartbeat,
+    Keystore,
     LpReservationConfirmation,
     NodeState,
     ReservationAction,
     ServiceReservationRequest,
+    SigningContext,
     SystemStateUpdate,
 )
 
@@ -95,6 +98,52 @@ def test_heartbeat_every_second_in_all_states():
         beats.extend(o for o in out if isinstance(o.msg, ExtendedHeartbeat))
     assert len(beats) == 3
     assert all(o.dest_sys_id is None for o in beats)  # broadcast
+
+
+def test_reused_heartbeat_frames_get_fresh_seq_and_timestamp():
+    """An unchanged heartbeat is one message object, but each send of it is a
+    new frame that verifies and passes every receiver's replay check."""
+    secret = bytes(range(32))
+    ap = make_ap()
+    bus = InMemoryBus(latency_s=1.0)
+    # A stalled clock: the sender still stamps each frame later than the last.
+    bus.register(ap.sys_id, "AP", SigningContext(secret, 0, lambda: 5_000), Keystore({0: secret}))
+    for lp_id, _ in ROSTER:
+        bus.register(lp_id, "LP", keystore=Keystore({0: secret}))
+    beats, received = [], {lp_id: [] for lp_id, _ in ROSTER}
+    for now in (0.0, 1.0, 2.0):
+        for outbound in tick(ap, now, battery=90.0, pos=(3.0, 4.0)):
+            beats.append(outbound.msg)
+            bus.send(ap.sys_id, outbound, now)
+        for delivery in bus.pop_due(now + 1.0):
+            header, msg, signature = bus.decode_for(delivery.dest_sys_id, delivery.frame)
+            received[delivery.dest_sys_id].append((header.seq, signature.timestamp, msg))
+    assert len(beats) == 3 and beats[0] is beats[1] is beats[2]
+    for got in received.values():
+        assert [(seq, ts) for seq, ts, _ in got] == [(0, 5_000), (1, 5_001), (2, 5_002)]
+        assert all(msg == beats[0] for _, _, msg in got)
+
+
+@pytest.mark.parametrize("field", ["state", "battery_pct", "pos_x", "pos_y"])
+def test_heartbeat_is_new_when_any_field_changes(field):
+    ap = make_ap()
+    ap.battery_pct, ap.position = 80.0, (1.0, 2.0)
+    first = ap.heartbeat()
+    assert ap.heartbeat() is first
+    if field == "state":
+        ap.state = NodeState.REQUEST_PENDING
+    elif field == "battery_pct":
+        ap.battery_pct = 79.5
+    elif field == "pos_x":
+        ap.position = (1.5, 2.0)
+    else:
+        ap.position = (1.0, 2.5)
+    second = ap.heartbeat()
+    assert second is not first
+    assert (second.system_state, second.battery_pct, second.pos_x, second.pos_y) == (
+        ap.state, ap.battery_pct, *ap.position
+    )
+    assert ap.heartbeat() is second
 
 
 def test_priority_monotone_non_increasing_in_battery():

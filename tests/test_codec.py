@@ -15,7 +15,16 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import autoserve.wire as wire
-from autoserve.wire import FlightStack, NodeState, ReservationAction, VehicleType
+from autoserve.wire import (
+    ApReservationDecision,
+    ExtendedHeartbeat,
+    FlightStack,
+    LpReservationConfirmation,
+    NodeState,
+    ReservationAction,
+    ServiceReservationRequest,
+    VehicleType,
+)
 from oracles import _CTYPE_RANGES, reference_message, reference_pack, reference_unpack
 
 SPECS = [wire._MESSAGE_SPECS[msg_id] for msg_id in sorted(wire._MESSAGE_SPECS)]
@@ -162,3 +171,99 @@ def test_constructor_rejects_what_the_reference_rejects(spec):
             reference_message(spec.cls, *args, **keywords)
         with pytest.raises(TypeError):
             spec.cls(*args, **keywords)
+
+
+# --- the pack and decode memos ---------------------------------------------------
+#
+# pack remembers the payload of each message object it packed recently, and
+# verify_frame the message it decoded from each recent msg_id and payload.
+# Every case below must still agree with the oracles.
+
+HEARTBEAT_SPEC = wire._MESSAGE_SPECS[42000]
+SECRET = bytes(range(32))
+
+
+def frame_of(msg, ts=1):
+    signing = wire.SigningContext(SECRET, 0, lambda: ts)
+    return wire.encode_frame(msg, 0, 1, 1, signing)
+
+
+def check_round_trip(spec, msg):
+    """pack matches reference_pack, and the message verify_frame decodes from
+    the frame matches reference_unpack of that payload."""
+    payload = spec.pack(msg)
+    assert payload == reference_pack(spec.fields, msg)
+    _, decoded, _ = wire.verify_frame(frame_of(msg), {0: SECRET})
+    assert_same_message(decoded, reference_unpack(spec.fields, spec.cls, payload))
+    return decoded
+
+
+def test_same_object_packed_twice_matches_reference():
+    msg = ExtendedHeartbeat(VehicleType.AERIAL_PLATFORM, 1, NodeState.BOARDING, 42.5, 3.25, -7.5)
+    first = check_round_trip(HEARTBEAT_SPEC, msg)
+    assert id(msg) in HEARTBEAT_SPEC.packed
+    second = check_round_trip(HEARTBEAT_SPEC, msg)
+    assert second is first
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (VehicleType.AERIAL_PLATFORM, 1),
+        (True, 1),
+        (-0.0, 0.0),
+        (0.0, -0.0),
+    ],
+    ids=["intenum-int", "bool-int", "minus-zero-zero", "zero-minus-zero"],
+)
+def test_equal_values_of_other_types_match_reference(first, second):
+    """Equal-valued messages are distinct objects to pack; their equal payloads
+    decode to one message, the oracles' own."""
+    for field in ("vehicle_type", "pos_x"):
+        for value in (first, second):
+            kwargs = dict(vehicle_type=2, flight_stack=0, system_state=NodeState.IDLE,
+                          battery_pct=100.0, pos_x=500.0, pos_y=500.0)
+            kwargs[field] = value
+            check_round_trip(HEARTBEAT_SPEC, ExtendedHeartbeat(**kwargs))
+
+
+def test_more_messages_than_the_memo_holds_match_reference():
+    messages = [
+        ExtendedHeartbeat(1, 1, NodeState.OPERATING, n / 100, 1.0, 2.0)
+        for n in range(2 * wire.MEMO_ENTRIES + 1)
+    ]
+    for _ in range(2):  # the second pass finds the first messages evicted
+        for msg in messages:
+            check_round_trip(HEARTBEAT_SPEC, msg)
+            assert len(HEARTBEAT_SPEC.packed) <= wire.MEMO_ENTRIES
+            assert len(wire._decoded) <= wire.MEMO_ENTRIES
+
+
+def test_equal_payload_bytes_under_other_msg_ids_match_reference():
+    # Each packs to 05 01 (00), sent as the truncated payload 05 01.
+    messages = [
+        ServiceReservationRequest(5, 1),
+        ApReservationDecision(5, ReservationAction.KEEP),
+        LpReservationConfirmation(5, 1),
+    ]
+    for msg in messages * 2:
+        spec = wire._SPEC_BY_TYPE[type(msg)]
+        decoded = check_round_trip(spec, msg)
+        assert type(decoded) is type(msg)
+
+
+def test_failures_are_not_memoised():
+    off_wire = ExtendedHeartbeat(1, 1, NodeState.IDLE, 100.01, 0.0, 0.0)
+    for _ in range(2):
+        assert outcome(HEARTBEAT_SPEC.pack, off_wire) == outcome(
+            reference_pack, HEARTBEAT_SPEC.fields, off_wire
+        )
+    assert id(off_wire) not in HEARTBEAT_SPEC.packed
+    request_spec = wire._SPEC_BY_TYPE[ServiceReservationRequest]
+    payload = bytes([101, 1])  # priority 101 is off the wire
+    header = bytes([0xFD, len(payload), 0, 0, 0, 1, 1]) + (42001).to_bytes(3, "little")
+    crc = wire.compute_checksum(header[1:] + payload, request_spec.crc_extra)
+    frame = header + payload + crc.to_bytes(2, "little")
+    for _ in range(2):
+        with pytest.raises(wire.MalformedPayload):
+            wire.verify_frame(frame)

@@ -243,6 +243,20 @@ def test_heartbeat_emitted_at_one_hertz():
     assert beats == 3  # t=0, t=1, t=2
 
 
+def test_heartbeat_is_reused_until_the_state_changes():
+    lp = make_lp()
+    first = lp.heartbeat()
+    assert lp.heartbeat() is first
+    lp.handle_message(request(50), 7, now=0.0)  # IDLE -> AWAITING_BOARDING
+    second = lp.heartbeat()
+    assert second is not first
+    assert second.system_state is NodeState.AWAITING_BOARDING
+    assert second == ExtendedHeartbeat(
+        VehicleType.LANDING_PLATFORM, 0, NodeState.AWAITING_BOARDING, 100.0, 0.0, 0.0
+    )
+    assert lp.heartbeat() is second
+
+
 # --- robustness --------------------------------------------------------------------
 
 

@@ -620,6 +620,33 @@ def test_codec_calls_are_visible_at_their_module_bindings(monkeypatch):
     assert checksums == {"autoserve.wire.compute_checksum": n_encodes + n_verifies}
 
 
+def test_function_bodies_read_no_enum_member_through_its_class():
+    """On CPython 3.11 a NodeState.X load in a function is not specialised
+    (EnumType defines __getattr__), so the per-tick modules read members
+    from module-level bindings. Module-level tables are exempt."""
+    import ast
+
+    import autoserve
+
+    enums = {"NodeState", "VehicleType", "FlightStack", "ReservationAction"}
+    package = Path(autoserve.__file__).parent
+    reads = []
+    for module in ("ap_node.py", "lp_node.py", "sim.py", "transport.py"):
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for statement in function.body:
+                for node in ast.walk(statement):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in enums
+                    ):
+                        reads.append(f"{module}:{node.lineno} {node.value.id}.{node.attr}")
+    assert reads == []
+
+
 def test_bench_span_recorder_splits_run_sim_into_its_tick_phases(monkeypatch):
     """The benchmark's phase split needs run_sim as the only root span, the
     phase markers directly under it, and one pop_due call per tick."""

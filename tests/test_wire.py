@@ -370,6 +370,23 @@ def test_truncated_header_and_body():
             decode_frame(frame[:cut])
 
 
+@pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
+def test_every_prefix_raises_as_the_structural_parse_does(signed):
+    """verify_frame reads a frame in one pass; every cut of a valid frame
+    must fail there exactly as wire._parse_frame fails on it."""
+    msg = ExtendedHeartbeat(1, 1, NodeState.OPERATING, 50.0, 1.0, 2.0)
+    frame = encode_frame(msg, 0, 1, 1, signing() if signed else None)
+    for cut in range(len(frame)):
+        prefix = frame[:cut]
+        with pytest.raises(FrameDecodeError) as parsed:
+            wire._parse_frame(prefix)
+        expected = (type(parsed.value), str(parsed.value))
+        for decode in (verify_frame, decode_frame):
+            with pytest.raises(FrameDecodeError) as raised:
+                decode(prefix, Keystore({0: SECRET}))
+            assert (type(raised.value), str(raised.value)) == expected
+
+
 def test_unknown_msg_id():
     frame = bytearray(encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1))
     frame[7:10] = (41999).to_bytes(3, "little")
