@@ -1,5 +1,5 @@
-"""AutoServe: signed wire protocol, reservation scheduling, route planning
-and a deterministic fleet simulator for an autonomous UAV service network.
+"""AutoServe: signed wire protocol, reservation scheduling and a
+deterministic fleet simulator for an autonomous UAV service network.
 """
 
 from .ap_node import AP_TRANSITIONS, ApNode
@@ -11,7 +11,7 @@ from .reservation import (
     ServiceQueue,
     priority_from_battery,
 )
-from .routing import LpGraph, Unreachable, UnknownNode, plan_route, reachable_lps
+from .routing import reachable_lps
 from .sim import (
     InvalidConfig,
     SimConfig,

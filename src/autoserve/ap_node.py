@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .lp_node import ProtocolStateError
 from .reservation import priority_from_battery
-from .routing import LpGraph, reachable_lps
+from .routing import reachable_lps
 from .transport import Outbound
 from .wire import (
     ApReservationDecision,
@@ -100,7 +100,9 @@ class ApNode:
         flight_stack: int = FlightStack.PX4,
     ):
         self.sys_id = sys_id
-        self.known_lps = LpGraph(known_lps)
+        self.known_lps = {
+            int(lp_id): (float(pos[0]), float(pos[1])) for lp_id, pos in known_lps
+        }
         self.request_threshold_pct = request_threshold_pct
         self.reserve_floor_pct = reserve_floor_pct
         self.cruise_speed_m_per_s = cruise_speed_m_per_s
@@ -145,7 +147,7 @@ class ApNode:
         return reachable_lps(self.known_lps, self.position, math.inf)
 
     def _travel_time_to(self, lp_sys_id: int) -> float:
-        distance = math.dist(self.position, self.known_lps.position_of(lp_sys_id))
+        distance = math.dist(self.position, self.known_lps[lp_sys_id])
         if distance == 0:
             return 0.0
         if self.cruise_speed_m_per_s <= 0:

@@ -26,7 +26,7 @@ import math
 from typing import Sequence
 
 from .reservation import MAX_PRIORITY, Reservation, ServiceQueue
-from .routing import LpGraph, reachable_lps
+from .routing import reachable_lps
 from .transport import Outbound
 from .wire import (
     ApReservationDecision,
@@ -99,7 +99,10 @@ class LpNode:
         # Static network roster used for the "am I the nearest platform"
         # check; always contains this platform itself, at the position the
         # roster gives it if it lists it.
-        self.lp_roster = LpGraph([(sys_id, self.position), *(lp_roster or ())])
+        self.lp_roster = {
+            int(lp_id): (float(pos[0]), float(pos[1]))
+            for lp_id, pos in [(sys_id, self.position), *(lp_roster or ())]
+        }
         self.heartbeat_interval_s = heartbeat_interval_s
 
         self.services_completed = 0

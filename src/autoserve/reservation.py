@@ -53,9 +53,6 @@ class ServiceQueue:
     def __len__(self) -> int:
         return len(self._items)
 
-    def __iter__(self):
-        return iter(self._items)
-
     def reservations(self) -> list[Reservation]:
         return list(self._items)
 
@@ -89,15 +86,8 @@ class ServiceQueue:
             raise EmptyQueue("pop_next on an empty queue")
         return self._items.pop(0)
 
-    def peek_next(self) -> Reservation | None:
-        return self._items[0] if self._items else None
-
     def position_of(self, ap_sys_id: int) -> int | None:
         for index, item in enumerate(self._items):
             if item.ap_sys_id == ap_sys_id:
                 return index
         return None
-
-    def get(self, ap_sys_id: int) -> Reservation | None:
-        index = self.position_of(ap_sys_id)
-        return self._items[index] if index is not None else None

@@ -1,166 +1,30 @@
-"""Landing-platform graph and range-bounded multi-hop route planning.
+"""Nearest-first ranking of landing platforms.
 
-The network is a graph with one node per landing platform; an edge
-exists between two platforms iff their Euclidean distance is within the
-configured safe range (and the edge is not explicitly blocked, which is
-how known obstructions are modelled). Route planning minimizes the hop
-count first, then among minimum-hop routes maximizes the shortest hop
-so each leg is pushed as far as the safe range allows, with remaining
-ties broken by the lexicographically smallest id sequence.
+A platform roster maps each platform's sys_id to its (x, y) position.
+Vehicles ask platforms in this order, and a platform reserves itself for
+a critically low vehicle only when it comes first in it, so both node
+types share this one rule.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Position = tuple[float, float]
 
-# Desk-scale default hop limit; real deployments override it.
-DEFAULT_SAFE_RANGE_M = 60.0
-
-
-class RoutingError(Exception):
-    pass
-
-
-class UnknownNode(RoutingError):
-    pass
-
-
-class Unreachable(RoutingError):
-    pass
-
-
-def _normalize_edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
-
-
-class LpGraph:
-    """Immutable set of platform nodes with range-implied edges."""
-
-    def __init__(
-        self,
-        nodes: Mapping[int, Position] | Iterable[tuple[int, Position]],
-        blocked_edges: Iterable[tuple[int, int]] = (),
-    ):
-        items = nodes.items() if isinstance(nodes, Mapping) else nodes
-        self._nodes: dict[int, Position] = {
-            int(sys_id): (float(pos[0]), float(pos[1])) for sys_id, pos in items
-        }
-        self._blocked = frozenset(_normalize_edge(int(u), int(v)) for u, v in blocked_edges)
-
-    @classmethod
-    def from_config(cls, config: Mapping) -> "LpGraph":
-        """Build from the network configuration document.
-
-        Expects `lp_positions` as a list of [x, y] pairs (ids are assigned
-        1..n in order, matching the simulator) and an optional
-        `blocked_edges` list of [u, v] pairs.
-        """
-        positions = config.get("lp_positions") or []
-        nodes = {i + 1: (p[0], p[1]) for i, p in enumerate(positions)}
-        return cls(nodes, config.get("blocked_edges") or ())
-
-    def __contains__(self, sys_id: int) -> bool:
-        return sys_id in self._nodes
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def node_ids(self) -> list[int]:
-        return sorted(self._nodes)
-
-    def position_of(self, sys_id: int) -> Position:
-        try:
-            return self._nodes[sys_id]
-        except KeyError:
-            raise UnknownNode(f"no landing platform with sys_id {sys_id}") from None
-
-    def distance(self, u: int, v: int) -> float:
-        return math.dist(self.position_of(u), self.position_of(v))
-
-    def has_edge(self, u: int, v: int, safe_range_m: float) -> bool:
-        if u == v or _normalize_edge(u, v) in self._blocked:
-            return False
-        return self.distance(u, v) <= safe_range_m
-
-    def neighbors(self, u: int, safe_range_m: float) -> list[int]:
-        return [v for v in sorted(self._nodes) if self.has_edge(u, v, safe_range_m)]
-
 
 def reachable_lps(
-    graph: LpGraph, from_position: Position, safe_range_m: float = DEFAULT_SAFE_RANGE_M
+    roster: Mapping[int, Position], from_position: Position, safe_range_m: float
 ) -> list[int]:
     """Platforms within safe range of a position, nearest first.
 
     The boundary is inclusive; distance ties break by sys_id.
     """
     hits = []
-    for sys_id in graph.node_ids():
-        d = math.dist(from_position, graph.position_of(sys_id))
+    for sys_id, position in roster.items():
+        d = math.dist(from_position, position)
         if d <= safe_range_m:
             hits.append((d, sys_id))
     hits.sort()
     return [sys_id for _, sys_id in hits]
-
-
-def plan_route(
-    graph: LpGraph, src: int, dst: int, safe_range_m: float = DEFAULT_SAFE_RANGE_M
-) -> list[int]:
-    """Plan a platform-to-platform route under the safe-range constraint.
-
-    Returns the node sequence src..dst. Objective: fewest hops, then the
-    largest minimum hop length, then the lexicographically smallest id
-    sequence. src == dst yields [src].
-    """
-    if src not in graph:
-        raise UnknownNode(f"no landing platform with sys_id {src}")
-    if dst not in graph:
-        raise UnknownNode(f"no landing platform with sys_id {dst}")
-    if src == dst:
-        return [src]
-
-    adjacency = {u: graph.neighbors(u, safe_range_m) for u in graph.node_ids()}
-
-    # Hop distances to the destination.
-    dist = {dst: 0}
-    frontier = deque([dst])
-    while frontier:
-        u = frontier.popleft()
-        for v in adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                frontier.append(v)
-    if src not in dist:
-        raise Unreachable(f"no route from {src} to {dst} within {safe_range_m} m")
-
-    # best_min[u]: the largest achievable minimum hop length from u to dst
-    # along minimum-hop routes, computed layer by layer outward from dst.
-    best_min: dict[int, float] = {dst: math.inf}
-    for u in sorted(dist, key=dist.__getitem__):
-        if u == dst:
-            continue
-        best_min[u] = max(
-            min(graph.distance(u, v), best_min[v])
-            for v in adjacency[u]
-            if dist[v] == dist[u] - 1
-        )
-
-    # Greedy reconstruction: at each step take the smallest-id neighbor
-    # that can still complete a route achieving the optimal bottleneck.
-    target = best_min[src]
-    route = [src]
-    current_min = math.inf
-    while route[-1] != dst:
-        here = route[-1]
-        step = min(
-            v
-            for v in adjacency[here]
-            if dist[v] == dist[here] - 1
-            and min(current_min, graph.distance(here, v), best_min[v]) >= target
-        )
-        current_min = min(current_min, graph.distance(here, step))
-        route.append(step)
-    return route

@@ -160,7 +160,7 @@ class SimConfig:
         with open(path, "r", encoding="utf-8") as handle:
             try:
                 data = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise InvalidConfig(f"{path}: {exc}") from None
         if not isinstance(data, dict):
             raise InvalidConfig(f"{path}: expected a JSON object")
@@ -557,7 +557,7 @@ class Simulation:
                 )
             elif state is BOARDING:
                 node = body.node
-                target = node.known_lps.position_of(node.current_reservation[0])
+                target = node.known_lps[node.current_reservation[0]]
                 distance = math.dist(body.position, target)
                 if distance <= cfg.max_step_m_per_s:
                     body.position = target

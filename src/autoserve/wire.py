@@ -490,10 +490,6 @@ class FrameHeader(NamedTuple):
     msg_id: int
     magic: int = MAGIC_V2
 
-    @property
-    def is_signed(self) -> bool:
-        return bool(self.incompat_flags & INCOMPAT_SIGNED)
-
 
 class Signature(NamedTuple):
     link_id: int

@@ -8,8 +8,7 @@ table as data.
 
 import dataclasses
 import struct
-from collections import deque
-from math import dist, inf, isfinite
+from math import inf, isfinite
 
 # --- table-driven CRC-16/X.25 oracle ---------------------------------------
 # Reflected polynomial of 0x1021. Table entries derived per byte with the
@@ -108,62 +107,6 @@ class OracleQueue:
 
     def ordered_ids(self):
         return [item[0] for item in self._sorted()]
-
-
-# --- graph oracles ------------------------------------------------------------
-
-
-def edges_within_range(nodes: dict, safe_range_m: float) -> dict:
-    ids = sorted(nodes)
-    return {
-        u: [v for v in ids if v != u and dist(nodes[u], nodes[v]) <= safe_range_m]
-        for u in ids
-    }
-
-
-def bfs_hops(nodes: dict, safe_range_m: float, src: int) -> dict:
-    """Hop counts from src to every reachable node, by plain BFS."""
-    adjacency = edges_within_range(nodes, safe_range_m)
-    hops = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if v not in hops:
-                hops[v] = hops[u] + 1
-                queue.append(v)
-    return hops
-
-
-def enumerate_min_hop_paths(nodes: dict, safe_range_m: float, src: int, dst: int):
-    """All minimum-hop paths src..dst (exhaustive; small graphs only)."""
-    adjacency = edges_within_range(nodes, safe_range_m)
-    hops = bfs_hops(nodes, safe_range_m, src)
-    if dst not in hops:
-        return []
-    paths = []
-
-    def extend(path):
-        here = path[-1]
-        if here == dst:
-            paths.append(list(path))
-            return
-        for v in adjacency[here]:
-            # Only steps that stay on some minimum-hop path.
-            remaining = bfs_hops(nodes, safe_range_m, v).get(dst)
-            if remaining is not None and remaining == hops[dst] - len(path):
-                path.append(v)
-                extend(path)
-                path.pop()
-
-    extend([src])
-    return paths
-
-
-def min_hop_length(nodes: dict, path) -> float:
-    if len(path) < 2:
-        return inf
-    return min(dist(nodes[a], nodes[b]) for a, b in zip(path, path[1:]))
 
 
 # --- per-field message codec oracle -------------------------------------------

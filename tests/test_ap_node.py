@@ -165,6 +165,20 @@ def test_position_zero_adjacent_keeps_and_boards():
     check_reservation_invariant(ap)
 
 
+def test_integer_roster_boards_toward_a_float_target():
+    ap = make_ap(roster=[(1, (3, 4)), (2, (100, 0))])
+    assert ap.known_lps == {1: (3.0, 4.0), 2: (100.0, 0.0)}
+    tick(ap, 0.0, battery=49.0, pos=(3.0, 4.0))
+    ap.handle_message(conf(0), 1, 1.0)
+    assert ap.state is NodeState.BOARDING
+    # The simulator snaps a boarding vehicle onto this target, and the
+    # trace renders it, so 3 and 3.0 would differ there.
+    target = ap.known_lps[ap.current_reservation[0]]
+    assert repr(target) == "(3.0, 4.0)"
+    (heartbeat,) = [o.msg for o in tick(ap, 2.0, 49.0, target) if isinstance(o.msg, ExtendedHeartbeat)]
+    assert (type(heartbeat.pos_x), type(heartbeat.pos_y)) == (float, float)
+
+
 def test_deep_queue_position_exceeds_margin_and_retries():
     ap = make_ap()
     tick(ap, 0.0, battery=49.5, pos=(0.0, 0.0))

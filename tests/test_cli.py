@@ -94,6 +94,16 @@ def test_missing_config_file_exit_code():
     assert main(["run", "--config", "/nonexistent/net.json"]) == 1
 
 
+def test_non_utf8_config_exit_code(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n_uavs": 1, "note": "\xff"}')
+    assert main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"autoserve-sim: {path}: ")
+    assert "0xff" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["run", "--bogus-flag"]) == 1
     assert "error" in capsys.readouterr().err

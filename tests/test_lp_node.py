@@ -306,6 +306,22 @@ def test_auto_reserve_defers_to_nearer_platform():
     assert lp.consider_auto_reserve(ap_heartbeat(10.0, pos=(9.0, 0.0)), 7, now=0.0) is None
 
 
+def test_roster_position_overrides_own_position():
+    # Listed at (50, 0), platform 1 is nearest to a vehicle at (45, 0);
+    # at its constructor position (0, 0), platform 2 would be.
+    lp = make_lp(lp_roster=[(1, (50, 0)), (2, (60.0, 0.0))])
+    assert lp.lp_roster == {1: (50.0, 0.0), 2: (60.0, 0.0)}
+    assert all(type(c) is float for position in lp.lp_roster.values() for c in position)
+    assert lp.position == (0.0, 0.0)
+    assert lp.consider_auto_reserve(ap_heartbeat(10.0, pos=(45.0, 0.0)), 7, now=0.0)
+
+
+def test_roster_without_own_id_adds_own_position():
+    lp = LpNode(3, (7, 8), lp_roster=[(1, (0.0, 0.0)), (2, (100.0, 0.0))])
+    assert lp.lp_roster == {1: (0.0, 0.0), 2: (100.0, 0.0), 3: (7.0, 8.0)}
+    assert lp.consider_auto_reserve(ap_heartbeat(10.0, pos=(7.0, 9.0)), 5, now=0.0)
+
+
 def test_auto_reserve_skips_vehicles_already_reserved_here():
     lp = make_lp()
     lp.handle_message(request(90), 7, now=0.0)  # now boarding
@@ -327,7 +343,10 @@ def test_critical_heartbeat_queues_at_max_priority_while_busy():
     assert lp.handle_message(ap_heartbeat(15.0), 9, now=21.0) == []  # at the threshold
     assert lp.queue.position_of(9) is None
     assert lp.handle_message(ap_heartbeat(14.9), 9, now=22.0) == []
-    assert lp.queue.get(9) == Reservation(ap_sys_id=9, priority=MAX_PRIORITY, requested_at=22.0)
+    assert lp.queue.reservations() == [
+        Reservation(ap_sys_id=9, priority=MAX_PRIORITY, requested_at=22.0),
+        Reservation(ap_sys_id=8, priority=60, requested_at=20.0),
+    ]
     assert lp.queue.position_of(9) == 0
     assert lp.state is NodeState.SERVICING and lp.current_ap == 7
 
