@@ -21,10 +21,9 @@ State sequence:
 
 with REQUEST_PENDING looping to itself on each retry. While waiting for
 its slot the vehicle loiters in place. A confirmation with position 0 is
-the boarding signal; one arriving from a platform this vehicle never
-cancelled (a platform may reserve itself for a critically low vehicle)
-is honored after cancelling any reservation held elsewhere. Messages
-inconsistent with the current state are logged and dropped.
+the boarding signal; only the platform the vehicle asked or holds a
+reservation at can give it. Messages inconsistent with the current state,
+such as a confirmation from any other platform, are logged and dropped.
 """
 
 from __future__ import annotations
@@ -120,7 +119,6 @@ class ApNode:
 
         self._pending_target: int | None = None
         self._tried: set[int] = set()
-        self._cancelled: set[int] = set()
         self._offers: dict[int, float] = {}
         self._settling = False
         self._departing_from: int | None = None
@@ -203,13 +201,10 @@ class ApNode:
         logger.debug("AP %d: ignoring %s", self.sys_id, type(msg).__name__)
         return []
 
-    def _accept(
-        self, lp_sys_id: int, queue_position: int
-    ) -> list[Outbound]:
+    def _accept(self, lp_sys_id: int, queue_position: int) -> list[Outbound]:
         self.current_reservation = (lp_sys_id, queue_position)
         self._pending_target = None
-        if self.state is REQUEST_PENDING:
-            self._transition(RESERVED_WAITING)
+        self._transition(RESERVED_WAITING)
         if queue_position == 0:
             self._transition(BOARDING)
             return []
@@ -221,7 +216,6 @@ class ApNode:
         ]
 
     def _cancel_msg(self, lp_sys_id: int) -> Outbound:
-        self._cancelled.add(lp_sys_id)
         return Outbound(
             lp_sys_id,
             ApReservationDecision(target_lp_sys_id=lp_sys_id, decision=CANCEL),
@@ -259,7 +253,6 @@ class ApNode:
                 # Exhausted-alternatives fallback: one final hop back to the
                 # best offer, accepted whatever position it confirms.
                 self._settling = True
-                self._cancelled.discard(next_lp)
             # Cancel strictly before the replacement request.
             return [self._cancel_msg(from_sys_id), self._request_msg(next_lp)]
 
@@ -272,21 +265,6 @@ class ApNode:
             if conf.queue_position == 0:
                 self._transition(BOARDING)
             return []
-
-        if (
-            conf.queue_position == 0
-            and from_sys_id not in self._cancelled
-            and self.state in (REQUEST_PENDING, RESERVED_WAITING)
-        ):
-            # Boarding signal from a platform that reserved itself for us.
-            out: list[Outbound] = []
-            if self.state is REQUEST_PENDING and self._pending_target is not None:
-                out.append(self._cancel_msg(self._pending_target))
-                self._pending_target = None
-            elif self.current_reservation is not None:
-                out.append(self._cancel_msg(self.current_reservation[0]))
-            out.extend(self._accept(from_sys_id, 0))
-            return out
 
         logger.debug(
             "AP %d: confirmation from LP %d while %s, ignoring",
@@ -365,7 +343,6 @@ class ApNode:
             ranked = self._nearest_first()
             if ranked:
                 self._tried.clear()
-                self._cancelled.clear()
                 self._offers.clear()
                 self._settling = False
                 self._transition(REQUEST_PENDING)

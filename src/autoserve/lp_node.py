@@ -14,19 +14,18 @@ ever reported to a vehicle that is actually cleared to board.
 AWAITING_BOARDING reverts to IDLE when the boarding vehicle cancels or
 never lands within the boarding timeout.
 
-Messages that are inconsistent with the current phase (for example
-LANDED while IDLE) are logged and dropped; an unreliable link must not
-be able to fault the platform.
+The queue fills only from vehicle requests, and every return to IDLE
+promotes its head, so a platform is never IDLE with a non-empty queue.
+Heartbeats are dropped unread. Messages that are inconsistent with the
+current phase (for example LANDED while IDLE) are logged and dropped; an
+unreliable link must not be able to fault the platform.
 """
 
 from __future__ import annotations
 
 import logging
-import math
-from typing import Sequence
 
-from .reservation import MAX_PRIORITY, Reservation, ServiceQueue
-from .routing import reachable_lps
+from .reservation import Reservation, ServiceQueue
 from .transport import Outbound
 from .wire import (
     ApReservationDecision,
@@ -55,7 +54,6 @@ SERVICE_COMPLETE = NodeState.SERVICE_COMPLETE
 SERVICING = NodeState.SERVICING
 UNKNOWN_STACK = FlightStack.UNKNOWN
 KEEP = ReservationAction.KEEP
-AERIAL_PLATFORM = VehicleType.AERIAL_PLATFORM
 LANDING_PLATFORM = VehicleType.LANDING_PLATFORM
 
 # AWAITING_BOARDING -> IDLE is the cancel/no-show revert.
@@ -83,8 +81,6 @@ class LpNode:
         service_duration_s: float = 120.0,
         alignment_duration_s: float = 10.0,
         boarding_timeout_s: float = 180.0,
-        critical_threshold_pct: float = 15.0,
-        lp_roster: Sequence[tuple[int, tuple[float, float]]] | None = None,
         heartbeat_interval_s: float = 1.0,
     ):
         self.sys_id = sys_id
@@ -95,14 +91,6 @@ class LpNode:
         self.service_duration_s = service_duration_s
         self.alignment_duration_s = alignment_duration_s
         self.boarding_timeout_s = boarding_timeout_s
-        self.critical_threshold_pct = critical_threshold_pct
-        # Static network roster used for the "am I the nearest platform"
-        # check; always contains this platform itself, at the position the
-        # roster gives it if it lists it.
-        self.lp_roster = {
-            int(lp_id): (float(pos[0]), float(pos[1]))
-            for lp_id, pos in [(sys_id, self.position), *(lp_roster or ())]
-        }
         self.heartbeat_interval_s = heartbeat_interval_s
 
         self.services_completed = 0
@@ -159,8 +147,10 @@ class LpNode:
     def handle_message(self, msg: Message, from_sys_id: int, now: float) -> list[Outbound]:
         """Process one decoded, verified message; returns replies to send."""
         kind = type(msg)
+        # Heartbeats, from vehicles and other platforms alike and most of
+        # all deliveries, carry nothing a platform acts on.
         if kind is ExtendedHeartbeat:
-            return self._handle_heartbeat(msg, from_sys_id, now)
+            return []
         if kind is ServiceReservationRequest:
             return self._handle_request(msg, from_sys_id, now)
         if kind is ApReservationDecision:
@@ -264,48 +254,6 @@ class LpNode:
             self.state.name,
         )
         return []
-
-    def _handle_heartbeat(
-        self, msg: ExtendedHeartbeat, from_sys_id: int, now: float
-    ) -> list[Outbound]:
-        # Both calls return early otherwise; testing here saves the call.
-        if msg.vehicle_type == AERIAL_PLATFORM:
-            if msg.battery_pct < self.critical_threshold_pct:
-                self.consider_auto_reserve(msg, from_sys_id, now)
-            if self.state is IDLE and len(self.queue):
-                return self._promote(now)
-        return []
-
-    def consider_auto_reserve(
-        self, heartbeat: ExtendedHeartbeat, from_sys_id: int, now: float
-    ) -> Reservation | None:
-        """Reserve a slot unilaterally for a critically low vehicle.
-
-        Fires only when the battery is below the critical threshold, this
-        platform is the nearest one to the reported position, and the
-        vehicle holds no live reservation here. The reservation enters the
-        queue at maximum priority.
-        """
-        if heartbeat.battery_pct >= self.critical_threshold_pct:
-            return None
-        nearest_first = reachable_lps(
-            self.lp_roster, (heartbeat.pos_x, heartbeat.pos_y), math.inf
-        )
-        if nearest_first[:1] != [self.sys_id]:
-            return None
-        if from_sys_id == self.current_ap or self.queue.position_of(from_sys_id) is not None:
-            return None
-        reservation = Reservation(
-            ap_sys_id=from_sys_id, priority=MAX_PRIORITY, requested_at=now
-        )
-        self.queue.enqueue(reservation)
-        logger.debug(
-            "LP %d: auto-reserved for critical AP %d (battery %.1f%%)",
-            self.sys_id,
-            from_sys_id,
-            heartbeat.battery_pct,
-        )
-        return reservation
 
     # -- periodic work --------------------------------------------------------
 

@@ -1,9 +1,8 @@
 """Nearest-first ranking of landing platforms.
 
 A platform roster maps each platform's sys_id to its (x, y) position.
-Vehicles ask platforms in this order, and a platform reserves itself for
-a critically low vehicle only when it comes first in it, so both node
-types share this one rule.
+Vehicles rank with it: they ask platforms in this order, first for a
+slot and again for the next platform to try after declining an offer.
 """
 
 from __future__ import annotations

@@ -128,7 +128,6 @@ class SimConfig:
     initial_battery_pct: tuple[float, float] = (60.0, 100.0)
     alignment_duration_s: float = 10.0
     boarding_timeout_s: float = 180.0
-    critical_threshold_pct: float | None = None
     departure_clear_s: float = 1.0
 
     _TUPLE_FIELDS = ("area_m", "consumption_pct_per_s", "initial_battery_pct")
@@ -175,12 +174,6 @@ class SimConfig:
             data["lp_positions"] = [list(p) for p in self.lp_positions]
         return data
 
-    @property
-    def critical_pct(self) -> float:
-        if self.critical_threshold_pct is None:
-            return self.fail_threshold_pct
-        return self.critical_threshold_pct
-
     def validate(self) -> None:
         for name in self.__dataclass_fields__:
             value = getattr(self, name)
@@ -195,7 +188,7 @@ class SimConfig:
                     isinstance(value, (tuple, list)) and all(_is_pair(p) for p in value)
                 ):
                     raise InvalidConfig(f"{name} must be a list of [x, y] number pairs")
-            elif not (_is_number(value) or (name == "critical_threshold_pct" and value is None)):
+            elif not _is_number(value):
                 raise InvalidConfig(f"{name} must be a number")
             # JSON config files may spell NaN and Infinity; no field takes them.
             if _non_finite(value):
@@ -225,8 +218,6 @@ class SimConfig:
             raise InvalidConfig("phase durations must be non-negative")
         if self.boarding_timeout_s <= 0:
             raise InvalidConfig("boarding_timeout_s must be positive")
-        if self.critical_threshold_pct is not None and not 0 <= self.critical_threshold_pct <= 100:
-            raise InvalidConfig("critical_threshold_pct must lie in [0, 100]")
         if self.departure_clear_s < 0:
             raise InvalidConfig("departure_clear_s must be non-negative")
         if not 0 <= self.seed < 2**64:
@@ -415,8 +406,6 @@ class Simulation:
                     service_duration_s=cfg.service_duration_s,
                     alignment_duration_s=cfg.alignment_duration_s,
                     boarding_timeout_s=cfg.boarding_timeout_s,
-                    critical_threshold_pct=cfg.critical_pct,
-                    lp_roster=roster,
                 )
             )
             self._register(lp_id, "LP")

@@ -212,7 +212,6 @@ class ChaosNetwork:
                 alignment_duration_s=5.0,
                 service_duration_s=20.0,
                 boarding_timeout_s=60.0,
-                lp_roster=roster,
                 heartbeat_interval_s=9.0,
             )
             for sys_id, position in roster
@@ -305,10 +304,13 @@ class ChaosNetwork:
 
 
 def test_criterion_6_fsm_safety_under_random_interleavings():
-    """10,000 chaotic steps: no illegal transition, no double reservation."""
+    """10,000 chaotic steps: no illegal transition, no double reservation,
+    and no platform left IDLE with a non-empty queue."""
     net = ChaosNetwork(seed=6)
     for _ in range(10_000):
         net.step()  # illegal transitions raise ProtocolStateError
+        for lp in net.lps.values():
+            assert lp.state is not NodeState.IDLE or len(lp.queue) == 0
     chaotic_transitions = net.transitions
     net.settle()
     for ap_sys_id in net.aps:

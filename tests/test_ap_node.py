@@ -275,15 +275,18 @@ def test_stale_clearance_from_cancelled_platform_ignored():
     assert ap.state is NodeState.REQUEST_PENDING
 
 
-def test_unsolicited_clearance_from_fresh_platform_is_honored():
+def test_unsolicited_clearance_from_fresh_platform_is_ignored():
     ap = make_ap()
-    tick(ap, 0.0, battery=49.0, pos=(0.0, 0.0))
-    ap.handle_message(conf(1), 1, 1.0)  # reserved at LP 1
+    tick(ap, 0.0, battery=49.0, pos=(0.0, 0.0))  # requested at LP 1
+    assert ap.state is NodeState.REQUEST_PENDING
+    assert ap.handle_message(conf(0), 2, 1.0) == []  # LP 2 was never asked
+    assert ap.state is NodeState.REQUEST_PENDING
+    assert ap.current_reservation is None
+    ap.handle_message(conf(1), 1, 2.0)  # reserved at LP 1
     assert ap.state is NodeState.RESERVED_WAITING
-    out = ap.handle_message(conf(0), 2, 2.0)  # LP 2 reserved itself for us
-    assert cancels_in(out) and cancels_in(out)[0].dest_sys_id == 1
-    assert ap.state is NodeState.BOARDING
-    assert ap.current_reservation == (2, 0)
+    assert ap.handle_message(conf(0), 2, 3.0) == []
+    assert ap.state is NodeState.RESERVED_WAITING
+    assert ap.current_reservation == (1, 1)
 
 
 def test_clearance_while_operating_is_ignored():

@@ -57,24 +57,26 @@ FRAMES = [
 ]
 
 # (config, report SHA-256, trace SHA-256) at seed 0. Re-pinned when the
-# liveness_window_s and liveness_min_count fields left SimConfig: only the
-# config echo in the trace header and the report changed.
+# liveness_window_s and liveness_min_count fields left SimConfig, and again
+# when critical_threshold_pct left it with the platform auto-reservation it
+# configured: each time only the config echo in the trace header and the
+# report changed.
 RUNS = [
     (
         SimConfig(duration_s=1800),
-        "d46e5278978b1d829ce6063696c544c975474cf294806883fccb2646552f0577",
-        "1eb5c9c33e7c2558d45663c3d45caa0e1ca1a93bd7d27d9f2391687b3284585f",
+        "3a97df83672281d5b32eaf8559d348adaceeed8ab62a57eafd8ddca3da6cf322",
+        "dda4c9951827808e85abcee8e7b6e20cabe2c8263fcab6a60831f968c2edaa38",
     ),
     (
         SimConfig(n_uavs=20, n_lps=5, duration_s=300),
-        "20fd65775cc042532314e2e4f9580a59bf9f8628a1b40184ff50dd20a09492e5",
-        "0f08d161325eca939e33e53012328926a52941ec9fefe6ee9cec341c7d927015",
+        "5ce9ceb8b870ec405ea9f0116c58123f67022cb775f5d70a43b89259c322f16e",
+        "9496a15f740a472a27a2b4232814cdf98fcd7d74e9e9b4317f4c3cf509ccb50d",
     ),
     # Fails: 4 FAILURE records and 1,371 TICKs with "failed":true.
     (
         SimConfig(duration_s=900, consumption_pct_per_s=(0.35, 0.45)),
-        "ed4ffc1787344e7e3458a10d70bda17e8a885d7ebadb1770518fe6f5297334c8",
-        "1210321bf286283262242975ba8bea44bd873bc3e1d5083c972feecabb4b3b98",
+        "491df44f95fed063236f8482a913c51dc6f08a0c532a70d70be3b0e4cfcec417",
+        "4f7d552b3fad0dde63b7f933b08f67e467f471140b2dd838f34842f71777a99b",
     ),
 ]
 

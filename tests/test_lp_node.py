@@ -1,7 +1,6 @@
 import pytest
 
 from autoserve.lp_node import LP_TRANSITIONS, LpNode, ProtocolStateError
-from autoserve.reservation import MAX_PRIORITY, Reservation
 from autoserve.wire import (
     ApReservationDecision,
     ExtendedHeartbeat,
@@ -19,7 +18,6 @@ def make_lp(**kwargs):
         service_duration_s=120.0,
         alignment_duration_s=10.0,
         boarding_timeout_s=180.0,
-        critical_threshold_pct=15.0,
     )
     defaults.update(kwargs)
     return LpNode(1, (0.0, 0.0), **defaults)
@@ -284,77 +282,22 @@ def test_transition_table_is_complete():
         assert targets  # no dead ends
 
 
-# --- auto-reservation -----------------------------------------------------------------
+# --- heartbeats ---------------------------------------------------------------------
 
 
-def test_auto_reserve_for_critical_battery():
+@pytest.mark.parametrize("state", [NodeState.IDLE, NodeState.SERVICING], ids=lambda s: s.name)
+@pytest.mark.parametrize("battery", [80.0, 5.0])
+def test_vehicle_heartbeat_leaves_the_platform_alone(battery, state):
+    """A vehicle heartbeat, however low its battery, is dropped unread."""
     lp = make_lp()
-    reservation = lp.consider_auto_reserve(ap_heartbeat(10.0, pos=(5.0, 5.0)), 7, now=4.0)
-    assert reservation == Reservation(ap_sys_id=7, priority=100, requested_at=4.0)
-    assert lp.queue.position_of(7) == 0
-
-
-def test_auto_reserve_not_triggered_above_threshold():
-    lp = make_lp()
-    assert lp.consider_auto_reserve(ap_heartbeat(60.0), 7, now=0.0) is None
-    assert len(lp.queue) == 0
-
-
-def test_auto_reserve_defers_to_nearer_platform():
-    roster = [(1, (0.0, 0.0)), (2, (10.0, 0.0))]
-    lp = make_lp(lp_roster=roster)
-    assert lp.consider_auto_reserve(ap_heartbeat(10.0, pos=(9.0, 0.0)), 7, now=0.0) is None
-
-
-def test_roster_position_overrides_own_position():
-    # Listed at (50, 0), platform 1 is nearest to a vehicle at (45, 0);
-    # at its constructor position (0, 0), platform 2 would be.
-    lp = make_lp(lp_roster=[(1, (50, 0)), (2, (60.0, 0.0))])
-    assert lp.lp_roster == {1: (50.0, 0.0), 2: (60.0, 0.0)}
-    assert all(type(c) is float for position in lp.lp_roster.values() for c in position)
-    assert lp.position == (0.0, 0.0)
-    assert lp.consider_auto_reserve(ap_heartbeat(10.0, pos=(45.0, 0.0)), 7, now=0.0)
-
-
-def test_roster_without_own_id_adds_own_position():
-    lp = LpNode(3, (7, 8), lp_roster=[(1, (0.0, 0.0)), (2, (100.0, 0.0))])
-    assert lp.lp_roster == {1: (0.0, 0.0), 2: (100.0, 0.0), 3: (7.0, 8.0)}
-    assert lp.consider_auto_reserve(ap_heartbeat(10.0, pos=(7.0, 9.0)), 5, now=0.0)
-
-
-def test_auto_reserve_skips_vehicles_already_reserved_here():
-    lp = make_lp()
-    lp.handle_message(request(90), 7, now=0.0)  # now boarding
-    assert lp.consider_auto_reserve(ap_heartbeat(5.0), 7, now=1.0) is None
-
-
-def test_critical_heartbeat_confirms_immediately_when_idle():
-    lp = make_lp()
-    out = lp.handle_message(ap_heartbeat(9.0, pos=(1.0, 1.0)), 7, now=0.0)
-    confs = confirmations(out)
-    assert confs and confs[0].msg.queue_position == 0
-    assert lp.current_ap == 7
-
-
-def test_critical_heartbeat_queues_at_max_priority_while_busy():
-    lp = make_lp()
-    drive_to_servicing(lp, ap=7)
-    lp.handle_message(request(60), 8, now=20.0)
-    assert lp.handle_message(ap_heartbeat(15.0), 9, now=21.0) == []  # at the threshold
-    assert lp.queue.position_of(9) is None
-    assert lp.handle_message(ap_heartbeat(14.9), 9, now=22.0) == []
-    assert lp.queue.reservations() == [
-        Reservation(ap_sys_id=9, priority=MAX_PRIORITY, requested_at=22.0),
-        Reservation(ap_sys_id=8, priority=60, requested_at=20.0),
-    ]
-    assert lp.queue.position_of(9) == 0
-    assert lp.state is NodeState.SERVICING and lp.current_ap == 7
-
-
-def test_healthy_heartbeat_leaves_an_idle_platform_alone():
-    lp = make_lp()
-    assert lp.handle_message(ap_heartbeat(80.0), 7, now=0.0) == []
-    assert lp.state is NodeState.IDLE and lp.transitions == []
+    if state is NodeState.SERVICING:
+        drive_to_servicing(lp, ap=7)
+        lp.handle_message(request(60), 8, now=20.0)
+        lp.drain_transitions()
+    before = lp.queue.reservations()
+    assert lp.handle_message(ap_heartbeat(battery, pos=(1.0, 1.0)), 9, now=21.0) == []
+    assert lp.state is state and lp.transitions == []
+    assert lp.queue.reservations() == before
 
 
 @pytest.mark.parametrize(

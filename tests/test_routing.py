@@ -2,15 +2,8 @@ import math
 import random
 
 from autoserve.ap_node import ApNode
-from autoserve.lp_node import LpNode
 from autoserve.routing import reachable_lps
-from autoserve.wire import (
-    ExtendedHeartbeat,
-    LpReservationConfirmation,
-    NodeState,
-    ServiceReservationRequest,
-    VehicleType,
-)
+from autoserve.wire import LpReservationConfirmation, ServiceReservationRequest
 
 
 def random_layout(rng, n, span=100.0):
@@ -47,10 +40,9 @@ def test_reachable_sorted_by_distance():
     assert reachable_lps(roster, (0.0, 0.0), 100.0) == [1, 3, 2]
 
 
-def test_vehicle_and_platforms_share_the_nearest_first_order():
-    """A vehicle requests platforms in reachable_lps order, and only the
-    first platform in that order reserves itself for a critical vehicle.
-    Positions on a 5x5 integer grid make exact distance ties common."""
+def test_vehicle_requests_platforms_in_nearest_first_order():
+    """A vehicle requests platforms in reachable_lps order. Positions on a
+    5x5 integer grid make exact distance ties common."""
     rng = random.Random(10)
     ap_id = 50
     # Position 50 is far beyond what 40% battery affords, so every offer
@@ -73,22 +65,4 @@ def test_vehicle_and_platforms_share_the_nearest_first_order():
             requested.append(req.dest_sys_id)
             out = ap.handle_message(deep_offer, req.dest_sys_id, 1.0)
         assert requested == order
-
-        heartbeat = ExtendedHeartbeat(
-            vehicle_type=VehicleType.AERIAL_PLATFORM,
-            flight_stack=0,
-            system_state=NodeState.OPERATING,
-            battery_pct=5.0,
-            pos_x=position[0],
-            pos_y=position[1],
-        )
-        reserving = [
-            sys_id
-            for sys_id, lp_position in roster
-            if LpNode(sys_id, lp_position, lp_roster=roster).consider_auto_reserve(
-                heartbeat, ap_id, 0.0
-            )
-            is not None
-        ]
-        assert reserving == [order[0]]
     assert tied_rosters > 50

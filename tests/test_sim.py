@@ -140,14 +140,29 @@ def test_added_vehicle_does_not_disturb_existing_spawns():
 # --- config ---------------------------------------------------------------------
 
 
-# liveness_window_s: a key that older config files still carry fails by name too.
+# liveness_window_s and critical_threshold_pct: keys that older config files
+# still carry fail by name too, whatever their value.
 @pytest.mark.parametrize(
-    "data", [{"n_uav": 3}, {"liveness_window_s": 5.0}], ids=["n_uav", "liveness_window_s"]
+    "data",
+    [
+        {"n_uav": 3},
+        {"liveness_window_s": 5.0},
+        {"critical_threshold_pct": 25.0},
+        {"critical_threshold_pct": None},
+    ],
+    ids=["n_uav", "liveness_window_s", "critical_threshold_pct", "critical_threshold_pct_null"],
 )
 def test_config_rejects_unknown_keys(data):
     (key,) = data
     with pytest.raises(InvalidConfig, match=key):
         SimConfig.from_dict(data)
+
+
+def test_readme_config_block_lists_the_defaults_in_field_order():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+    assert SimConfig.from_dict(block) == SimConfig()
+    assert list(block) == list(SimConfig.__dataclass_fields__)
 
 
 def test_config_auto_positions_accepted():
@@ -200,9 +215,9 @@ def test_config_tuple_coercion_and_roundtrip(tmp_path):
         {"area_m": (math.inf, 1000.0)},
         {"consumption_pct_per_s": (0.15, math.inf)},
         {"lp_positions": [(math.nan, 500.0)], "n_lps": 1},
-        {"critical_threshold_pct": math.nan},
-        {"critical_threshold_pct": 250.0},
-        {"critical_threshold_pct": -1.0},
+        {"fail_threshold_pct": -1.0},
+        {"spawn_radius_m": -1.0},
+        {"service_duration_s": -1.0},
         {"departure_clear_s": -5.0},
         {"departure_clear_s": math.inf},
         {"n_uavs": 2.5},
@@ -212,7 +227,7 @@ def test_config_tuple_coercion_and_roundtrip(tmp_path):
         {"duration_s": 10.7},
         {"n_uavs": True},
         {"spawn_radius_m": False},
-        {"critical_threshold_pct": True},
+        {"seed": 2**64},
         {"area_m": (1000.0,)},
         {"consumption_pct_per_s": (0.15, "0.2")},
         {"initial_battery_pct": 80.0},
@@ -230,8 +245,8 @@ def test_config_validation_rejects(overrides):
 @pytest.mark.parametrize(
     "overrides",
     [
-        {"critical_threshold_pct": 0.0},
-        {"critical_threshold_pct": 100.0},
+        {"fail_threshold_pct": 0.0, "request_threshold_pct": 100.0},
+        {"seed": 2**64 - 1},
         {"departure_clear_s": 0.0},
         {"service_duration_s": 0.0, "alignment_duration_s": 0.0},
     ],
@@ -255,11 +270,6 @@ def test_auto_grid_positions_stay_inside_area():
     assert len(positions) == 5
     width, height = cfg.area_m
     assert all(0 <= x <= width and 0 <= y <= height for x, y in positions)
-
-
-def test_critical_threshold_defaults_to_fail_threshold():
-    assert small_cfg().critical_pct == 15.0
-    assert small_cfg(critical_threshold_pct=20.0).critical_pct == 20.0
 
 
 # --- determinism -----------------------------------------------------------------
@@ -494,8 +504,6 @@ def test_replaying_messages_reproduces_state_changes(traced_run):
             service_duration_s=cfg.service_duration_s,
             alignment_duration_s=cfg.alignment_duration_s,
             boarding_timeout_s=cfg.boarding_timeout_s,
-            critical_threshold_pct=cfg.critical_pct,
-            lp_roster=roster,
         )
         for lp_id, position in roster
     }
