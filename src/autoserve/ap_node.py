@@ -67,6 +67,7 @@ SERVICING = NodeState.SERVICING
 CANCEL = ReservationAction.CANCEL
 KEEP = ReservationAction.KEEP
 AERIAL_PLATFORM = VehicleType.AERIAL_PLATFORM
+PX4 = FlightStack.PX4
 
 AP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
     NodeState.OPERATING: frozenset({NodeState.REQUEST_PENDING}),
@@ -96,7 +97,6 @@ class ApNode:
         service_duration_estimate_s: float = 120.0,
         heartbeat_interval_s: float = 1.0,
         departure_clear_s: float = 1.0,
-        flight_stack: int = FlightStack.PX4,
     ):
         self.sys_id = sys_id
         self.known_lps = {
@@ -109,7 +109,6 @@ class ApNode:
         self.service_duration_estimate_s = service_duration_estimate_s
         self.heartbeat_interval_s = heartbeat_interval_s
         self.departure_clear_s = departure_clear_s
-        self.flight_stack = flight_stack
 
         self.state = OPERATING
         self.battery_pct = 100.0
@@ -351,7 +350,7 @@ class ApNode:
 
     def heartbeat(self) -> ExtendedHeartbeat:
         """The current heartbeat: the previous message object while the
-        fields it reports are unchanged, so that the codec's memos can skip
+        fields it reports are unchanged, so that the codec's stream slots skip
         packing and unpacking it again."""
         x, y = self.position
         beat = self._heartbeat
@@ -363,11 +362,10 @@ class ApNode:
             or beat.battery_pct is not self.battery_pct
             or beat.pos_x is not x
             or beat.pos_y is not y
-            or beat.flight_stack is not self.flight_stack
         ):
             # Positional arguments, in field order: a class called with
             # keywords packs them into a dict first.
             beat = self._heartbeat = ExtendedHeartbeat(
-                AERIAL_PLATFORM, self.flight_stack, self.state, self.battery_pct, x, y
+                AERIAL_PLATFORM, PX4, self.state, self.battery_pct, x, y
             )
         return beat

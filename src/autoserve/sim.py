@@ -395,7 +395,7 @@ class Simulation:
         lp_ids = list(range(1, cfg.n_lps + 1))
         ap_ids = list(range(cfg.n_lps + 1, cfg.n_lps + 1 + cfg.n_uavs))
         roster = list(zip(lp_ids, lp_positions))
-        self._bus = InMemoryBus(latency_s=1.0)
+        self._bus = InMemoryBus()
 
         self._lps: list[LpNode] = []
         for lp_id, position in roster:

@@ -32,6 +32,9 @@ from typing import NamedTuple
 
 from .wire import Keystore, Message, SigningContext, encode_frame, verify_frame
 
+# Every frame is delivered this long after it is sent: one simulation tick.
+LATENCY_S = 1.0
+
 
 class Outbound(NamedTuple):
     """A message addressed by system id; dest_sys_id None means broadcast."""
@@ -55,8 +58,7 @@ class _Endpoint:
 
 
 class InMemoryBus:
-    def __init__(self, latency_s: float = 1.0) -> None:
-        self.latency_s = latency_s
+    def __init__(self) -> None:
         self._endpoints: dict[int, _Endpoint] = {}
         self._keystores: dict[int, Keystore | None] = {}
         self._in_flight: list[Delivery] = []
@@ -91,7 +93,7 @@ class InMemoryBus:
         seq = endpoint.tx_seq
         endpoint.tx_seq = (seq + 1) & 0xFF
         frame = encode_frame(msg, seq, src_sys_id, 1, endpoint.signing)  # comp_id 1
-        deliver_at = now + self.latency_s
+        deliver_at = now + LATENCY_S
         if deliver_at > self._due_by:
             self._due_by = deliver_at
         if dest_sys_id is None:
@@ -113,9 +115,6 @@ class InMemoryBus:
         due = [d for d in self._in_flight if d.deliver_at <= now]
         self._in_flight = [d for d in self._in_flight if d.deliver_at > now]
         return due
-
-    def pending(self) -> int:
-        return len(self._in_flight)
 
     def decode_for(self, dest_sys_id: int, frame: bytes):
         """Decode a frame with the destination endpoint's keystore.

@@ -51,13 +51,6 @@ MAX_PAYLOAD_LEN = 255
 MAX_FRAME_LEN = HEADER_LEN + MAX_PAYLOAD_LEN + CHECKSUM_LEN + SIGNATURE_LEN
 INCOMPAT_SIGNED = 0x01
 
-# Entries held by each codec memo before it is emptied: the payloads the
-# compiled pack made from recently packed message objects, and the messages
-# verify_frame decoded from recently seen payloads. A node that reports the
-# same fields beats with the same message object, and its frames carry the
-# same payload bytes, so these repeats skip the field conversions.
-MEMO_ENTRIES = 256
-
 # 2015-01-01T00:00:00Z, the epoch for signature timestamps.
 SIGNATURE_EPOCH_UNIX_S = 1420070400
 TIMESTAMP_UNITS_PER_S = 100_000
@@ -284,7 +277,13 @@ class _MessageSpec:
 
     pack(msg), unpack(payload) and init, installed as the message class's
     __init__, are straight-line functions compiled once per message from
-    the rows, as dataclasses builds its methods. packed is pack's memo.
+    the rows, as dataclasses builds its methods.
+
+    last_sent and last_received hold one slot per sending sys_id: the last
+    message encode_frame packed and its sent payload, and the last payload
+    verify_frame unpacked and its message. A node whose reported fields are
+    unchanged sends its previous message object again, so a repeat is
+    caught by its own stream's slot, and the one-byte sys_id bounds them.
     """
 
     def __init__(self, msg_id: int, wire_name: str, cls: type, fields: Sequence[_Field]):
@@ -298,28 +297,24 @@ class _MessageSpec:
         self.crc_extra = _seed_crc_extra(
             wire_name, [(f.ctype, f.seed_name or f.attr) for f in fields]
         )
-        self.packed: dict[int, tuple[object, bytes]] = {}
+        self.last_sent: dict[int, tuple[Message, bytes]] = {}
+        self.last_received: dict[int, tuple[bytes, Message]] = {}
         self.pack, self.unpack, self.init = _compile_codec(self)
 
 
 def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable, Callable]:
     """Write and exec one message's pack(msg), unpack(payload) and __init__.
 
-    pack first looks the message object up in spec.packed, keyed by id()
-    and holding the object, so no other object can take its id while the
-    entry lasts. Otherwise it converts each field once and range-checks it
-    with one chained comparison; a scaled value is checked before round()
-    so that infinity, NaN and an int too large for a float fail like any
-    other value off the wire, and only a payload that passed every check
-    enters the memo. unpack checks only the ranges narrower than the C type.
+    pack converts each field once and range-checks it with one chained
+    comparison; a scaled value is checked before round() so that infinity,
+    NaN and an int too large for a float fail like any other value off the
+    wire. unpack checks only the ranges narrower than the C type.
     Both unpack and __init__ build the frozen instance by filling its
     __dict__ in field order, the class's dataclass fields when it has
     them; __init__ takes the dataclass's parameters and defaults.
     """
     env = {"_pack": spec.struct.pack, "_unpack_from": spec.struct.unpack_from,
-           "_new": object.__new__, "_cls": spec.cls, "MalformedPayload": MalformedPayload,
-           "_id": id, "_packed": spec.packed, "_packed_get": spec.packed.get,
-           "MEMO_ENTRIES": MEMO_ENTRIES}
+           "_new": object.__new__, "_cls": spec.cls, "MalformedPayload": MalformedPayload}
     raw = [f"v{i}" for i in range(len(spec.fields))]
     pack, unpack, values = "", "", {}
     for v, f in zip(raw, spec.fields):
@@ -351,16 +346,8 @@ def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable, Callable]:
     params = [f"{name}=_defaults[{name!r}]" if name in defaults else name for name in order]
     stores = "".join(f"\n    attrs[{name!r}] = {name}" for name in order)
     exec(f"""
-def pack(msg):
-    key = _id(msg)
-    packed = _packed_get(key)
-    if packed is not None:
-        return packed[1]{pack}
-    payload = _pack({", ".join(raw)})
-    if len(_packed) >= MEMO_ENTRIES:
-        _packed.clear()
-    _packed[key] = msg, payload
-    return payload
+def pack(msg):{pack}
+    return _pack({", ".join(raw)})
 def unpack(payload):
     if len(payload) < {spec.size}:
         payload += bytes({spec.size} - len(payload))
@@ -420,10 +407,6 @@ del _spec
 _SPEC_BY_NAME: dict[str, _MessageSpec] = {
     spec.cls.__name__: spec for spec in _MESSAGE_SPECS.values()
 }
-
-
-def msg_id_of(msg: Message) -> int:
-    return _SPEC_BY_TYPE[type(msg)].msg_id
 
 
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {
@@ -600,8 +583,6 @@ _CHECKSUM = struct.Struct("<H")
 _SIGNATURE_BLOCK = struct.Struct("<BIH6s")
 # The checksum, then the signature block up to sig: the end of the signed bytes.
 _SIGNED_TAIL = struct.Struct("<HBIH")
-# The three msg_id bytes come last in the header, just before the payload.
-_MSG_ID_OFFSET = HEADER_LEN - 3
 # Signed bytes end after link_id and timestamp, 7 bytes past the checksum.
 _SIGNED_TRAILER_LEN = SIGNATURE_LEN - 6
 
@@ -616,7 +597,8 @@ def encode_frame(
     """Encode one message into a frame, optionally signed.
 
     seq wraps modulo 256. sys_id and comp_id must be 1-255; id 0 is the
-    reserved broadcast placeholder and is never emitted.
+    reserved broadcast placeholder and is never emitted. Sending the
+    message object that sys_id last sent reuses that send's payload.
     """
     spec = _SPEC_BY_TYPE.get(type(msg))
     if spec is None:
@@ -626,11 +608,17 @@ def encode_frame(
     if not 1 <= comp_id <= 255:
         raise ValueError(f"comp_id must be 1-255, got {comp_id}")
 
-    payload = spec.pack(msg)
-    if len(payload) > MAX_PAYLOAD_LEN:
-        raise PayloadTooLarge(f"{len(payload)} byte payload exceeds {MAX_PAYLOAD_LEN}")
-    # Trailing zero bytes are implied; at least one payload byte is sent.
-    payload = payload.rstrip(b"\x00") or payload[:1]
+    last = spec.last_sent.get(sys_id)
+    if last is not None and last[0] is msg:
+        payload = last[1]
+    else:
+        payload = spec.pack(msg)
+        if len(payload) > MAX_PAYLOAD_LEN:
+            raise PayloadTooLarge(f"{len(payload)} byte payload exceeds {MAX_PAYLOAD_LEN}")
+        # Trailing zero bytes are implied; at least one payload byte is sent.
+        payload = payload.rstrip(b"\x00") or payload[:1]
+        # The slot keeps msg alive, so no new object can take its address.
+        spec.last_sent[sys_id] = msg, payload
 
     incompat = INCOMPAT_SIGNED if signing is not None else 0
     body = _HEADER.pack(
@@ -677,11 +665,6 @@ def _parse_frame(data: bytes) -> tuple[FrameHeader, bytes, int, Signature | None
     return header, payload, stored_crc, signature, end
 
 
-# msg_id and payload bytes of recently verified frames -> the message
-# unpacked from them; equal bytes of the same msg_id unpack to equal messages.
-_decoded: dict[bytes, Message] = {}
-
-
 def verify_frame(
     data: bytes, keystore: Keystore | Mapping[int, bytes] | None = None
 ) -> tuple[FrameHeader, Message, Signature | None]:
@@ -696,8 +679,10 @@ def verify_frame(
 
     Reads the frame in one pass; a frame too short for its header, payload
     or signature, or with a bad magic byte, is handed to _parse_frame to
-    raise its error. A frame whose msg_id and payload bytes equal those of
-    a recently verified one reuses that frame's message object.
+    raise its error. A frame whose payload bytes equal those of the last
+    frame of its msg_id that passed every check from the same sys_id
+    reuses that frame's message object: equal bytes unpack to equal
+    messages.
     """
     if not isinstance(data, bytes):
         data = bytes(data)
@@ -734,13 +719,13 @@ def verify_frame(
         # tuple.__new__ builds the named tuples without their Python-level __new__.
         signature = tuple.__new__(Signature, (link_id, ts_lo | ts_hi << 32, sig))
 
-    key = data[_MSG_ID_OFFSET : end - CHECKSUM_LEN]  # msg_id, then payload
-    msg = _decoded.get(key)
-    if msg is None:
-        msg = spec.unpack(data[HEADER_LEN : end - CHECKSUM_LEN])
-        if len(_decoded) >= MEMO_ENTRIES:
-            _decoded.clear()
-        _decoded[key] = msg
+    payload = data[HEADER_LEN : end - CHECKSUM_LEN]
+    last = spec.last_received.get(sys_id)
+    if last is not None and last[0] == payload:
+        msg = last[1]
+    else:
+        msg = spec.unpack(payload)
+        spec.last_received[sys_id] = payload, msg
     fields = (length, incompat, compat, seq, sys_id, comp_id, msg_id, MAGIC_V2)
     return tuple.__new__(FrameHeader, fields), msg, signature
 

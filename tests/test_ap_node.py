@@ -105,7 +105,7 @@ def test_reused_heartbeat_frames_get_fresh_seq_and_timestamp():
     new frame that verifies and passes every receiver's replay check."""
     secret = bytes(range(32))
     ap = make_ap()
-    bus = InMemoryBus(latency_s=1.0)
+    bus = InMemoryBus()
     # A stalled clock: the sender still stamps each frame later than the last.
     bus.register(ap.sys_id, "AP", SigningContext(secret, 0, lambda: 5_000), Keystore({0: secret}))
     for lp_id, _ in ROSTER:

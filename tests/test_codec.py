@@ -173,37 +173,53 @@ def test_constructor_rejects_what_the_reference_rejects(spec):
             spec.cls(*args, **keywords)
 
 
-# --- the pack and decode memos ---------------------------------------------------
+# --- the stream slots -----------------------------------------------------------
 #
-# pack remembers the payload of each message object it packed recently, and
-# verify_frame the message it decoded from each recent msg_id and payload.
-# Every case below must still agree with the oracles.
+# encode_frame reuses the payload of the message object that a sys_id sent
+# last, and verify_frame the message it decoded from that sys_id's last
+# payload. Every case below must still agree with the oracles.
 
 HEARTBEAT_SPEC = wire._MESSAGE_SPECS[42000]
 SECRET = bytes(range(32))
 
 
-def frame_of(msg, ts=1):
+def frame_of(msg, sys_id=1, ts=1):
     signing = wire.SigningContext(SECRET, 0, lambda: ts)
-    return wire.encode_frame(msg, 0, 1, 1, signing)
+    return wire.encode_frame(msg, 0, sys_id, 1, signing)
 
 
-def check_round_trip(spec, msg):
-    """pack matches reference_pack, and the message verify_frame decodes from
-    the frame matches reference_unpack of that payload."""
-    payload = spec.pack(msg)
-    assert payload == reference_pack(spec.fields, msg)
-    _, decoded, _ = wire.verify_frame(frame_of(msg), {0: SECRET})
+def check_round_trip(spec, msg, sys_id=1):
+    """The frame encode_frame makes carries reference_pack's payload, and the
+    message verify_frame decodes from it matches reference_unpack's."""
+    payload = reference_pack(spec.fields, msg)
+    frame = frame_of(msg, sys_id)
+    sent = frame[wire.HEADER_LEN : wire.HEADER_LEN + frame[1]]
+    assert sent == (payload.rstrip(b"\x00") or payload[:1])
+    _, decoded, _ = wire.verify_frame(frame, {0: SECRET})
     assert_same_message(decoded, reference_unpack(spec.fields, spec.cls, payload))
     return decoded
 
 
-def test_same_object_packed_twice_matches_reference():
+def count_calls(monkeypatch, spec, name):
+    """Record each call of spec's compiled pack or unpack."""
+    calls, compiled = [], getattr(spec, name)
+
+    def counted(arg):
+        calls.append(arg)
+        return compiled(arg)
+
+    monkeypatch.setattr(spec, name, counted)
+    return calls
+
+
+def test_same_object_packed_twice_matches_reference(monkeypatch):
+    packs = count_calls(monkeypatch, HEARTBEAT_SPEC, "pack")
     msg = ExtendedHeartbeat(VehicleType.AERIAL_PLATFORM, 1, NodeState.BOARDING, 42.5, 3.25, -7.5)
     first = check_round_trip(HEARTBEAT_SPEC, msg)
-    assert id(msg) in HEARTBEAT_SPEC.packed
+    assert HEARTBEAT_SPEC.last_sent[1][0] is msg
     second = check_round_trip(HEARTBEAT_SPEC, msg)
     assert second is first
+    assert len(packs) == 1
 
 
 @pytest.mark.parametrize(
@@ -217,8 +233,8 @@ def test_same_object_packed_twice_matches_reference():
     ids=["intenum-int", "bool-int", "minus-zero-zero", "zero-minus-zero"],
 )
 def test_equal_values_of_other_types_match_reference(first, second):
-    """Equal-valued messages are distinct objects to pack; their equal payloads
-    decode to one message, the oracles' own."""
+    """Equal-valued messages are distinct objects to encode_frame; their equal
+    payloads decode to one message, the oracles' own."""
     for field in ("vehicle_type", "pos_x"):
         for value in (first, second):
             kwargs = dict(vehicle_type=2, flight_stack=0, system_state=NodeState.IDLE,
@@ -228,15 +244,36 @@ def test_equal_values_of_other_types_match_reference(first, second):
 
 
 def test_more_messages_than_the_memo_holds_match_reference():
-    messages = [
-        ExtendedHeartbeat(1, 1, NodeState.OPERATING, n / 100, 1.0, 2.0)
-        for n in range(2 * wire.MEMO_ENTRIES + 1)
-    ]
-    for _ in range(2):  # the second pass finds the first messages evicted
-        for msg in messages:
-            check_round_trip(HEARTBEAT_SPEC, msg)
-            assert len(HEARTBEAT_SPEC.packed) <= wire.MEMO_ENTRIES
-            assert len(wire._decoded) <= wire.MEMO_ENTRIES
+    # One stream sends 600 messages, each made after the last was dropped.
+    for n in range(600):
+        msg = ExtendedHeartbeat(1, 1, NodeState.OPERATING, n / 100, 1.0, 2.0)
+        check_round_trip(HEARTBEAT_SPEC, msg, 7)
+    # Every sys_id alternates two messages, twice over.
+    messages = [ExtendedHeartbeat(1, 1, NodeState.OPERATING, n, 1.0, 2.0) for n in (1.0, 2.0)]
+    for _ in range(2):
+        for sys_id in range(1, 256):
+            for msg in messages:
+                check_round_trip(HEARTBEAT_SPEC, msg, sys_id)
+    # One slot per one-byte sys_id at most.
+    assert len(HEARTBEAT_SPEC.last_sent) <= 256 and len(HEARTBEAT_SPEC.last_received) <= 256
+
+
+def test_250_streams_unpack_only_new_payloads(monkeypatch):
+    """200 streams send a new heartbeat each round and 50 repeat theirs: each
+    repeat after the first round reuses its stream's decoded message, however
+    many other streams are live."""
+    unpacks = count_calls(monkeypatch, HEARTBEAT_SPEC, "unpack")
+    repeated = {
+        sys_id: ExtendedHeartbeat(1, 1, NodeState.OPERATING, 50.0, float(sys_id), -4321.0)
+        for sys_id in range(201, 251)
+    }
+    for n in range(5):
+        for sys_id in range(1, 251):
+            msg = repeated.get(sys_id) or ExtendedHeartbeat(
+                1, 1, NodeState.OPERATING, 60.0 + n, float(sys_id), -4321.0
+            )
+            check_round_trip(HEARTBEAT_SPEC, msg, sys_id)
+    assert len(unpacks) == 200 * 5 + 50
 
 
 def test_equal_payload_bytes_under_other_msg_ids_match_reference():
@@ -253,17 +290,32 @@ def test_equal_payload_bytes_under_other_msg_ids_match_reference():
 
 
 def test_failures_are_not_memoised():
+    sys_id = 9
+    beat = ExtendedHeartbeat(1, 1, NodeState.IDLE, 99.0, 0.0, 0.0)
+    check_round_trip(HEARTBEAT_SPEC, beat, sys_id)
+    sent, received = HEARTBEAT_SPEC.last_sent[sys_id], HEARTBEAT_SPEC.last_received[sys_id]
+    # A message that fails to pack leaves its sender's slot as it was.
     off_wire = ExtendedHeartbeat(1, 1, NodeState.IDLE, 100.01, 0.0, 0.0)
     for _ in range(2):
-        assert outcome(HEARTBEAT_SPEC.pack, off_wire) == outcome(
+        assert outcome(frame_of, off_wire, sys_id) == outcome(
             reference_pack, HEARTBEAT_SPEC.fields, off_wire
         )
-    assert id(off_wire) not in HEARTBEAT_SPEC.packed
+    assert HEARTBEAT_SPEC.last_sent[sys_id] is sent
+    # So does a new payload in a frame whose signature fails.
+    frame = bytearray(frame_of(ExtendedHeartbeat(1, 1, NodeState.IDLE, 98.0, 0.0, 0.0), sys_id))
+    frame[-1] ^= 0xFF
+    for _ in range(2):
+        with pytest.raises(wire.SignatureInvalid):
+            wire.verify_frame(bytes(frame), {0: SECRET})
+    assert HEARTBEAT_SPEC.last_received[sys_id] is received
+    # And a payload that fails to unpack.
     request_spec = wire._SPEC_BY_TYPE[ServiceReservationRequest]
+    before = request_spec.last_received.get(sys_id)
     payload = bytes([101, 1])  # priority 101 is off the wire
-    header = bytes([0xFD, len(payload), 0, 0, 0, 1, 1]) + (42001).to_bytes(3, "little")
+    header = bytes([0xFD, len(payload), 0, 0, 0, sys_id, 1]) + (42001).to_bytes(3, "little")
     crc = wire.compute_checksum(header[1:] + payload, request_spec.crc_extra)
     frame = header + payload + crc.to_bytes(2, "little")
     for _ in range(2):
         with pytest.raises(wire.MalformedPayload):
             wire.verify_frame(frame)
+    assert request_spec.last_received.get(sys_id) is before

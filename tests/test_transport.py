@@ -29,7 +29,7 @@ def signing(ts=1_000_000):
 
 def make_bus(n_aps=3, ap_secret=SECRET):
     """One signing LP (sys 1) and n_aps APs (sys 2..) holding ap_secret."""
-    bus = InMemoryBus(latency_s=1.0)
+    bus = InMemoryBus()
     bus.register(1, "LP", signing=signing(), keystore=Keystore({0: SECRET}))
     for ap_id in range(2, 2 + n_aps):
         bus.register(ap_id, "AP", signing=signing(), keystore=Keystore({0: ap_secret}))
@@ -132,7 +132,7 @@ def test_unsigned_frame_shared_by_receivers_without_keystores(monkeypatch):
 
 
 def unsigned_bus(n_aps=2):
-    bus = InMemoryBus(latency_s=1.0)
+    bus = InMemoryBus()
     bus.register(1, "LP")
     for ap_id in range(2, 2 + n_aps):
         bus.register(ap_id, "AP")
@@ -145,10 +145,9 @@ def test_pop_due_with_mixed_deadlines_keeps_later_sends_in_flight():
     first += bus.send(3, Outbound(1, HEARTBEAT), now=0.0)
     later = bus.send(1, Outbound(None, HEARTBEAT), now=3.0)
     assert bus.pop_due(1.0) == first
-    assert bus.pending() == len(later) == 2
     assert bus.pop_due(3.0) == []
-    assert bus.pop_due(4.0) == later
-    assert bus.pending() == 0 and bus.pop_due(5.0) == []
+    assert bus.pop_due(4.0) == later and len(later) == 2
+    assert bus.pop_due(5.0) == []
 
 
 def test_send_with_earlier_now_pops_at_its_own_deadline():

@@ -243,7 +243,7 @@ def test_field_bounds_enforced_on_both_sides(msg, payload):
     with pytest.raises(ValueError):
         encode_frame(msg, 0, 1, 1)
     with pytest.raises(MalformedPayload):
-        decode_frame(_frame_with_payload(wire.msg_id_of(msg), payload))
+        decode_frame(_frame_with_payload(wire._SPEC_BY_TYPE[type(msg)].msg_id, payload))
 
 
 # --- round trip ---------------------------------------------------------------
