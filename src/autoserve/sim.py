@@ -39,13 +39,7 @@ import numpy as np
 from .ap_node import ApNode
 from .lp_node import LpNode
 from .transport import InMemoryBus
-from .wire import (
-    Keystore,
-    NodeState,
-    SigningContext,
-    TIMESTAMP_UNITS_PER_S,
-    message_json,
-)
+from .wire import NodeState, TIMESTAMP_UNITS_PER_S, message_json
 
 # Shared by every node on the simulated network; links are trusted here,
 # signing exists to exercise the full wire path.
@@ -395,7 +389,7 @@ class Simulation:
         lp_ids = list(range(1, cfg.n_lps + 1))
         ap_ids = list(range(cfg.n_lps + 1, cfg.n_lps + 1 + cfg.n_uavs))
         roster = list(zip(lp_ids, lp_positions))
-        self._bus = InMemoryBus()
+        self._bus = InMemoryBus(NETWORK_SECRET, self._timestamp_units)
 
         self._lps: list[LpNode] = []
         for lp_id, position in roster:
@@ -408,7 +402,7 @@ class Simulation:
                     boarding_timeout_s=cfg.boarding_timeout_s,
                 )
             )
-            self._register(lp_id, "LP")
+            self._bus.register(lp_id, "LP")
 
         self._uavs: list[_UavBody] = []
         for index, ap_id in enumerate(ap_ids):
@@ -445,7 +439,7 @@ class Simulation:
                     min_battery=battery,
                 )
             )
-            self._register(ap_id, "AP")
+            self._bus.register(ap_id, "AP")
 
         self._nodes = {lp.sys_id: lp for lp in self._lps}
         self._nodes.update({body.sys_id: body.node for body in self._uavs})
@@ -457,14 +451,6 @@ class Simulation:
         self._tracer = TraceWriter(trace) if trace is not None else None
         if self._tracer is not None:
             self._tracer.header(cfg.to_dict())
-
-    def _register(self, sys_id: int, role: str) -> None:
-        self._bus.register(
-            sys_id,
-            role,
-            signing=SigningContext(NETWORK_SECRET, 0, self._timestamp_units),
-            keystore=Keystore({0: NETWORK_SECRET}),
-        )
 
     def _timestamp_units(self) -> int:
         return int(self.now * TIMESTAMP_UNITS_PER_S)

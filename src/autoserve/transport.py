@@ -2,21 +2,26 @@
 
 Node state machines emit `Outbound` named tuples and never touch sockets or
 frame bytes themselves; the transport owns per-endpoint frame sequence
-numbers, signing contexts and keystores. `InMemoryBus` is the simulation
-transport: lossless, fixed one-tick latency, deterministic delivery
-order. A datagram transport can replace it without touching the nodes.
+numbers, the link's signing and each endpoint's keystore. `InMemoryBus` is
+the simulation transport: lossless, fixed one-tick latency, deterministic
+delivery order. A datagram transport can replace it without touching the
+nodes.
+
+The bus is one signed link, as in MAVLink v2 signing: one secret, one
+link_id (LINK_ID) and one timestamp clock. Every sender signs with the
+link's one `SigningContext`, which keeps timestamps per (link_id, sys_id,
+comp_id) stream, and every endpoint holds a `Keystore` of that secret with
+its own replay state. A receiver refuses an unsigned frame.
 
 Broadcast (dest_sys_id None) delivers to every registered node of the
 other kind, in sys_id order: heartbeats flow between aerial and landing
 platforms, which are the only cross-kind consumers of them.
 
-All deliveries of one send share one frame object. `decode_for` verifies
-checksum and signature once per (frame, secret) and runs only the replay
-check per receiver: in MAVLink v2 signing the replay state is the only
-part of decoding that depends on the receiver. Its memo keeps the last
-frame verified with the secret it was verified under and the arguments
-of its replay check, so a further receiver of that frame pays one
-identity test and one secret lookup before its replay check.
+All deliveries of one send share one frame object. `decode_for` decodes
+a new frame with `decode_frame` at its first receiver and remembers the
+frame and its result; a further receiver of that frame object runs only
+its own replay check, the one part of decoding that depends on the
+receiver.
 
 `pop_due` returns the whole in-flight list at once when the latest
 deadline queued is due, which is every tick under a fixed latency; with
@@ -28,12 +33,14 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .wire import Keystore, Message, SigningContext, encode_frame, verify_frame
+from .wire import Keystore, Message, SigningContext, decode_frame, encode_frame
 
 # Every frame is delivered this long after it is sent: one simulation tick.
 LATENCY_S = 1.0
+# The link_id every frame on the bus is signed under.
+LINK_ID = 0
 
 
 class Outbound(NamedTuple):
@@ -53,38 +60,31 @@ class Delivery(NamedTuple):
 @dataclass
 class _Endpoint:
     peers: list[int]  # sorted sys_ids of the other kind: broadcast targets
-    signing: SigningContext | None
     tx_seq: int = 0
 
 
 class InMemoryBus:
-    def __init__(self) -> None:
+    def __init__(self, secret: bytes, timestamp_source: Callable[[], int]) -> None:
+        self._secret = secret
+        self._signing = SigningContext(secret, LINK_ID, timestamp_source)
         self._endpoints: dict[int, _Endpoint] = {}
-        self._keystores: dict[int, Keystore | None] = {}
+        self._keystores: dict[int, Keystore] = {}
         self._in_flight: list[Delivery] = []
         self._by_kind: dict[str, list[int]] = {"AP": [], "LP": []}
         # The latest deliver_at in _in_flight; -inf when it is empty.
         self._due_by = -math.inf
-        # (frame, secret, verify_frame result, Keystore.accept arguments) of
-        # the last frame verified; secret and arguments are None for an
-        # unsigned frame.
-        self._verified: tuple = (None, None, None, None)
+        # The last frame decode_frame accepted, and its result.
+        self._decoded: tuple = (None, None)
 
-    def register(
-        self,
-        sys_id: int,
-        kind: str,
-        signing: SigningContext | None = None,
-        keystore: Keystore | None = None,
-    ) -> None:
+    def register(self, sys_id: int, kind: str) -> None:
         if kind not in self._by_kind:
             raise ValueError(f"kind must be 'AP' or 'LP', got {kind!r}")
         if sys_id in self._endpoints:
             raise ValueError(f"sys_id {sys_id} already registered")
         insort(self._by_kind[kind], sys_id)
         peers = self._by_kind["LP" if kind == "AP" else "AP"]
-        self._endpoints[sys_id] = _Endpoint(peers=peers, signing=signing)
-        self._keystores[sys_id] = keystore
+        self._endpoints[sys_id] = _Endpoint(peers=peers)
+        self._keystores[sys_id] = Keystore({LINK_ID: self._secret})
 
     def send(self, src_sys_id: int, outbound: Outbound, now: float) -> list[Delivery]:
         """Frame, sign and queue a message; returns the queued deliveries."""
@@ -92,7 +92,7 @@ class InMemoryBus:
         endpoint = self._endpoints[src_sys_id]
         seq = endpoint.tx_seq
         endpoint.tx_seq = (seq + 1) & 0xFF
-        frame = encode_frame(msg, seq, src_sys_id, 1, endpoint.signing)  # comp_id 1
+        frame = encode_frame(msg, seq, src_sys_id, 1, self._signing)  # comp_id 1
         deliver_at = now + LATENCY_S
         if deliver_at > self._due_by:
             self._due_by = deliver_at
@@ -117,29 +117,18 @@ class InMemoryBus:
         return due
 
     def decode_for(self, dest_sys_id: int, frame: bytes):
-        """Decode a frame with the destination endpoint's keystore.
+        """Decode a signed frame with the destination endpoint's keystore.
 
-        Reuses the last verification when it was of this frame object and,
-        for a signed frame, the receiver holds the same secret for its
-        link_id. Failures are never reused, so every receiver of a bad
-        frame raises; every receiver of a signed frame runs its replay
-        check.
+        A further receiver of the last frame object decoded runs only its
+        replay check. Failures are never remembered, so every receiver of
+        a bad or unsigned frame raises.
         """
         keystore = self._keystores[dest_sys_id]
-        verified_frame, secret, result, accept_args = self._verified
-        if verified_frame is not frame or (
-            accept_args is not None
-            and (keystore is None or keystore.secrets.get(accept_args[0]) != secret)
-        ):
-            result = verify_frame(frame, keystore)
-            header, _, signature = result
-            if signature is None:
-                secret = accept_args = None
-            else:
-                link_id = signature.link_id
-                secret = keystore.secrets[link_id]
-                accept_args = (link_id, header.sys_id, header.comp_id, signature.timestamp)
-            self._verified = (frame, secret, result, accept_args)
-        if accept_args is not None:
-            keystore.accept(*accept_args)
+        decoded_frame, result = self._decoded
+        if decoded_frame is not frame:
+            result = decode_frame(frame, keystore, require_signed=True)
+            self._decoded = frame, result
+            return result
+        header, _, signature = result
+        keystore.accept(signature.link_id, header.sys_id, header.comp_id, signature.timestamp)
         return result

@@ -24,8 +24,10 @@ tooling derives the same constant.
 
 sig is the first six bytes of SHA-256 over
 secret_key | frame bytes from magic through checksum | link_id | timestamp.
-Timestamps count 10 us units since a configurable epoch and are strictly
-monotonic per (link_id, sys_id, comp_id) stream on the sender side.
+Sender and receiver both copy a SHA-256 state that has already absorbed
+the secret. Timestamps count 10 us units on a clock the sender supplies
+and are strictly monotonic per (link_id, sys_id, comp_id) stream on the
+sender side; a receiver's Keystore keeps the replay state per stream.
 
 AutoServe message ids live in the custom range 42000-42004.
 """
@@ -37,7 +39,6 @@ import hmac
 import json
 import operator
 import struct
-import time
 from dataclasses import MISSING, dataclass, fields as dataclass_fields
 from enum import Enum, IntEnum
 from hashlib import sha256
@@ -51,9 +52,9 @@ MAX_PAYLOAD_LEN = 255
 MAX_FRAME_LEN = HEADER_LEN + MAX_PAYLOAD_LEN + CHECKSUM_LEN + SIGNATURE_LEN
 INCOMPAT_SIGNED = 0x01
 
-# 2015-01-01T00:00:00Z, the epoch for signature timestamps.
-SIGNATURE_EPOCH_UNIX_S = 1420070400
 TIMESTAMP_UNITS_PER_S = 100_000
+# A frame from a new stream may lag its link's newest accepted timestamp by this much.
+REPLAY_WINDOW_S = 6.0
 
 
 class WireError(Exception):
@@ -294,6 +295,8 @@ class _MessageSpec:
         self.fields = tuple(fields)
         self.struct = struct.Struct("<" + "".join(_CTYPES[f.ctype][0] for f in fields))
         self.size = self.struct.size
+        if self.size > MAX_PAYLOAD_LEN:
+            raise PayloadTooLarge(f"{self.size} byte payload exceeds {MAX_PAYLOAD_LEN}")
         self.crc_extra = _seed_crc_extra(
             wire_name, [(f.ctype, f.seed_name or f.attr) for f in fields]
         )
@@ -480,11 +483,6 @@ class Signature(NamedTuple):
     sig: bytes
 
 
-def timestamp_now(epoch_unix_s: float = SIGNATURE_EPOCH_UNIX_S) -> int:
-    """Current wall-clock signature timestamp (10 us units since epoch)."""
-    return max(0, int((time.time() - epoch_unix_s) * TIMESTAMP_UNITS_PER_S))
-
-
 class SigningContext:
     """Sender-side signing state: secret, link id and monotonic timestamps.
 
@@ -492,12 +490,7 @@ class SigningContext:
     timestamps even when the clock source stalls.
     """
 
-    def __init__(
-        self,
-        secret_key: bytes,
-        link_id: int = 0,
-        timestamp_source: Callable[[], int] | None = None,
-    ):
+    def __init__(self, secret_key: bytes, link_id: int, timestamp_source: Callable[[], int]):
         if len(secret_key) != 32:
             raise ValueError("secret_key must be exactly 32 bytes")
         if not 0 <= link_id <= 255:
@@ -505,7 +498,7 @@ class SigningContext:
         # SHA-256 with the secret already absorbed; each signature copies it.
         self.keyed_sha256 = sha256(secret_key)
         self.link_id = link_id
-        self._timestamp_source = timestamp_source or timestamp_now
+        self._timestamp_source = timestamp_source
         # Each stream's last timestamp in a one-element list, updated in place.
         self._last: dict[tuple[int, int, int], list[int]] = {}
 
@@ -526,27 +519,23 @@ class Keystore:
 
     Timestamps must strictly increase per (link_id, sys_id, comp_id)
     stream; frames from a new stream are rejected when they lag the
-    link's newest accepted timestamp by more than replay_window_s.
+    link's newest accepted timestamp by more than REPLAY_WINDOW_S.
     """
 
-    def __init__(
-        self,
-        keys: Mapping[int, bytes] | None = None,
-        replay_window_s: float = 6.0,
-    ):
-        # link_id -> secret; add_key checks each secret before it enters.
-        self.secrets: dict[int, bytes] = {}
+    def __init__(self, keys: Mapping[int, bytes] | None = None):
+        # link_id -> SHA-256 with that link's secret already absorbed;
+        # add_key checks each secret before it enters.
+        self.keyed_sha256 = {}
         # Each stream's last timestamp in a one-element list, updated in place.
         self._last: dict[tuple[int, int, int], list[int]] = {}
         self._link_max: dict[int, int] = {}
-        self.replay_window = int(replay_window_s * TIMESTAMP_UNITS_PER_S)
         for link_id, secret in (keys or {}).items():
             self.add_key(link_id, secret)
 
     def add_key(self, link_id: int, secret_key: bytes) -> None:
         if len(secret_key) != 32:
             raise ValueError("secret_key must be exactly 32 bytes")
-        self.secrets[int(link_id)] = bytes(secret_key)
+        self.keyed_sha256[int(link_id)] = sha256(secret_key)
 
     def accept(self, link_id: int, sys_id: int, comp_id: int, ts: int) -> None:
         """Replay check of one verified frame; records ts only if it passes."""
@@ -554,7 +543,7 @@ class Keystore:
         last = self._last.get(stream)
         link_max = self._link_max.get(link_id)
         if last is None:
-            if link_max is not None and ts < link_max - self.replay_window:
+            if link_max is not None and ts < link_max - REPLAY_WINDOW_S * TIMESTAMP_UNITS_PER_S:
                 raise StaleTimestamp(
                     f"timestamp {ts} lags link maximum {link_max} beyond the replay window"
                 )
@@ -565,11 +554,6 @@ class Keystore:
             last[0] = ts
         if link_max is None or ts > link_max:
             self._link_max[link_id] = ts
-
-
-def _sign(secret: bytes, signed_bytes: bytes) -> bytes:
-    """Signature over the frame from magic through link_id and timestamp."""
-    return sha256(secret + signed_bytes).digest()[:6]
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +597,6 @@ def encode_frame(
         payload = last[1]
     else:
         payload = spec.pack(msg)
-        if len(payload) > MAX_PAYLOAD_LEN:
-            raise PayloadTooLarge(f"{len(payload)} byte payload exceeds {MAX_PAYLOAD_LEN}")
         # Trailing zero bytes are implied; at least one payload byte is sent.
         payload = payload.rstrip(b"\x00") or payload[:1]
         # The slot keeps msg alive, so no new object can take its address.
@@ -672,10 +654,9 @@ def verify_frame(
 
     Checks the msg_id, the checksum and, for a signed frame, the signature
     against the keystore's secret for its link_id, then unpacks the
-    payload. The result depends only on the bytes and that secret, so it
-    can be shared by every receiver holding the same secret; each receiver
-    then runs its own Keystore.accept. Bytes after the end of the frame
-    are ignored.
+    payload. The result depends only on the bytes and that secret;
+    decode_frame adds the signing policy and the keystore's replay check.
+    Bytes after the end of the frame are ignored.
 
     Reads the frame in one pass; a frame too short for its header, payload
     or signature, or with a bad magic byte, is handed to _parse_frame to
@@ -710,11 +691,12 @@ def verify_frame(
         if keystore is None:
             raise SignatureInvalid("signed frame but no keystore supplied")
         store = keystore if isinstance(keystore, Keystore) else Keystore(keystore)
-        secret = store.secrets.get(link_id)
-        if secret is None:
+        keyed = store.keyed_sha256.get(link_id)
+        if keyed is None:
             raise SignatureInvalid(f"no key for link_id {link_id}")
-        expected = _sign(secret, data[: end + _SIGNED_TRAILER_LEN])
-        if not hmac.compare_digest(expected, sig):
+        hasher = keyed.copy()
+        hasher.update(data[: end + _SIGNED_TRAILER_LEN])
+        if not hmac.compare_digest(hasher.digest()[:6], sig):
             raise SignatureInvalid("signature does not match frame contents")
         # tuple.__new__ builds the named tuples without their Python-level __new__.
         signature = tuple.__new__(Signature, (link_id, ts_lo | ts_hi << 32, sig))

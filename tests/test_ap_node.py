@@ -7,12 +7,10 @@ from autoserve.transport import InMemoryBus
 from autoserve.wire import (
     ApReservationDecision,
     ExtendedHeartbeat,
-    Keystore,
     LpReservationConfirmation,
     NodeState,
     ReservationAction,
     ServiceReservationRequest,
-    SigningContext,
     SystemStateUpdate,
 )
 
@@ -105,11 +103,11 @@ def test_reused_heartbeat_frames_get_fresh_seq_and_timestamp():
     new frame that verifies and passes every receiver's replay check."""
     secret = bytes(range(32))
     ap = make_ap()
-    bus = InMemoryBus()
     # A stalled clock: the sender still stamps each frame later than the last.
-    bus.register(ap.sys_id, "AP", SigningContext(secret, 0, lambda: 5_000), Keystore({0: secret}))
+    bus = InMemoryBus(secret, lambda: 5_000)
+    bus.register(ap.sys_id, "AP")
     for lp_id, _ in ROSTER:
-        bus.register(lp_id, "LP", keystore=Keystore({0: secret}))
+        bus.register(lp_id, "LP")
     beats, received = [], {lp_id: [] for lp_id, _ in ROSTER}
     for now in (0.0, 1.0, 2.0):
         for outbound in tick(ap, now, battery=90.0, pos=(3.0, 4.0)):

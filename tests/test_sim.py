@@ -606,6 +606,7 @@ def test_codec_calls_are_visible_at_their_module_bindings(monkeypatch):
     checksums = wrap_every_binding(monkeypatch, "autoserve.wire", "compute_checksum")
     encodes = wrap_every_binding(monkeypatch, "autoserve.wire", "encode_frame")
     verifies = wrap_every_binding(monkeypatch, "autoserve.wire", "verify_frame")
+    decodes = wrap_every_binding(monkeypatch, "autoserve.wire", "decode_frame")
     delivered_frames = {}  # id -> frame, kept alive so that ids stay unique
     pop_due = transport.InMemoryBus.pop_due
 
@@ -620,9 +621,11 @@ def test_codec_calls_are_visible_at_their_module_bindings(monkeypatch):
     n_encodes = sum(encodes.values())
     n_verifies = sum(verifies.values())
     assert set(encodes) == {"autoserve.transport.encode_frame"}
-    assert set(verifies) == {"autoserve.transport.verify_frame"}
+    # One decode, and so one verification, per delivered send, however
+    # many receivers it has.
+    assert decodes == {"autoserve.transport.decode_frame": len(delivered_frames)}
+    assert set(verifies) == {"autoserve.wire.verify_frame"}
     assert 0 < n_verifies <= n_encodes
-    # One verification per delivered send, however many receivers it has.
     assert n_verifies == len(delivered_frames)
     # One checksum per encode plus one per verified send, looked up in wire.
     assert checksums == {"autoserve.wire.compute_checksum": n_encodes + n_verifies}

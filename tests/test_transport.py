@@ -9,42 +9,37 @@ from autoserve.wire import (
     FlightStack,
     Keystore,
     NodeState,
-    SignatureInvalid,
-    SigningContext,
+    SignatureMissing,
     StaleTimestamp,
     SystemStateUpdate,
     VehicleType,
+    encode_frame,
 )
 
 SECRET = bytes(range(32))
-OTHER_SECRET = bytes(range(1, 33))
 HEARTBEAT = ExtendedHeartbeat(
     VehicleType.LANDING_PLATFORM, FlightStack.UNKNOWN, NodeState.IDLE, 100.0, 0.0, 0.0
 )
 
 
-def signing(ts=1_000_000):
-    return SigningContext(SECRET, 0, lambda: ts)
-
-
-def make_bus(n_aps=3, ap_secret=SECRET):
-    """One signing LP (sys 1) and n_aps APs (sys 2..) holding ap_secret."""
-    bus = InMemoryBus()
-    bus.register(1, "LP", signing=signing(), keystore=Keystore({0: SECRET}))
+def make_bus(n_aps=3, clock=lambda: 1_000_000):
+    """One LP (sys 1) and n_aps APs (sys 2..) on one link signed with SECRET."""
+    bus = InMemoryBus(SECRET, clock)
+    bus.register(1, "LP")
     for ap_id in range(2, 2 + n_aps):
-        bus.register(ap_id, "AP", signing=signing(), keystore=Keystore({0: ap_secret}))
+        bus.register(ap_id, "AP")
     return bus
 
 
-def count_verify_calls(monkeypatch):
+def count_decode_calls(monkeypatch):
     calls = []
-    original = transport.verify_frame
+    original = transport.decode_frame
 
-    def counting(frame, keystore):
+    def counting(frame, keystore, require_signed):
         calls.append(frame)
-        return original(frame, keystore)
+        return original(frame, keystore, require_signed)
 
-    monkeypatch.setattr(transport, "verify_frame", counting)
+    monkeypatch.setattr(transport, "decode_frame", counting)
     return calls
 
 
@@ -61,7 +56,7 @@ def count_accept_calls(monkeypatch):
 
 
 def test_broadcast_goes_to_other_kind_in_sys_id_order():
-    bus = InMemoryBus()
+    bus = InMemoryBus(SECRET, lambda: 0)
     for sys_id, kind in ((5, "AP"), (2, "LP"), (9, "AP"), (3, "AP"), (7, "LP")):
         bus.register(sys_id, kind)
     sent = bus.send(7, Outbound(None, HEARTBEAT), now=0.0)
@@ -72,13 +67,13 @@ def test_broadcast_goes_to_other_kind_in_sys_id_order():
 
 def test_broadcast_verifies_once_and_replay_checks_each_receiver(monkeypatch):
     bus = make_bus(n_aps=4)
-    verify_calls = count_verify_calls(monkeypatch)
+    decode_calls = count_decode_calls(monkeypatch)
     accept_calls = count_accept_calls(monkeypatch)
     bus.send(1, Outbound(None, HEARTBEAT), now=0.0)
     due = bus.pop_due(1.0)
     assert len(due) == 4 and len({id(d.frame) for d in due}) == 1
     results = [bus.decode_for(d.dest_sys_id, d.frame) for d in due]
-    assert len(verify_calls) == 1
+    assert len(decode_calls) == 1
     assert len(accept_calls) == 4
     assert all(msg == HEARTBEAT and header.sys_id == 1 for header, msg, _ in results)
 
@@ -91,16 +86,20 @@ def test_same_frame_twice_to_one_receiver_is_stale():
         bus.decode_for(2, delivery.frame)
 
 
-def test_receiver_with_other_secret_rejects_after_another_accepted():
-    bus = make_bus(n_aps=1)
-    bus.register(3, "AP", keystore=Keystore({0: OTHER_SECRET}))
-    bus.register(4, "AP")  # no keystore at all
-    first, second, third = bus.send(1, Outbound(None, HEARTBEAT), now=0.0)
-    bus.decode_for(first.dest_sys_id, first.frame)
-    with pytest.raises(SignatureInvalid):
-        bus.decode_for(second.dest_sys_id, second.frame)
-    with pytest.raises(SignatureInvalid):
-        bus.decode_for(third.dest_sys_id, third.frame)
+def test_shared_signer_keeps_each_senders_stream_apart():
+    """On a stalled clock the link's one signer still stamps each sender's
+    stream 5000, 5001, 5002, and every frame passes every receiver's
+    replay check."""
+    bus = make_bus(n_aps=2, clock=lambda: 5_000)
+    stamps = {1: [], 2: []}
+    for _ in range(3):
+        for src in (1, 2):
+            for delivery in bus.send(src, Outbound(None, HEARTBEAT), now=0.0):
+                header, _, signature = bus.decode_for(delivery.dest_sys_id, delivery.frame)
+                stamps[header.sys_id].append((delivery.dest_sys_id, signature.timestamp))
+    # The LP broadcasts to both APs; AP 2 broadcasts to the LP.
+    assert stamps[1] == [(ap, ts) for ts in (5_000, 5_001, 5_002) for ap in (2, 3)]
+    assert stamps[2] == [(1, ts) for ts in (5_000, 5_001, 5_002)]
 
 
 def test_corrupted_frame_raises_for_every_receiver_and_commits_nothing(monkeypatch):
@@ -118,29 +117,20 @@ def test_corrupted_frame_raises_for_every_receiver_and_commits_nothing(monkeypat
         bus.decode_for(delivery.dest_sys_id, delivery.frame)
 
 
-def test_unsigned_frame_shared_by_receivers_without_keystores(monkeypatch):
-    bus = InMemoryBus()
-    bus.register(1, "LP")
-    bus.register(2, "AP")
-    bus.register(3, "AP", keystore=Keystore({0: SECRET}))
-    verify_calls = count_verify_calls(monkeypatch)
-    update = SystemStateUpdate(state=NodeState.IDLE)
-    for delivery in bus.send(1, Outbound(None, update), now=0.0):
-        _, msg, sig = bus.decode_for(delivery.dest_sys_id, delivery.frame)
-        assert msg == update and sig is None
-    assert len(verify_calls) == 1
-
-
-def unsigned_bus(n_aps=2):
-    bus = InMemoryBus()
-    bus.register(1, "LP")
-    for ap_id in range(2, 2 + n_aps):
-        bus.register(ap_id, "AP")
-    return bus
+def test_unsigned_frame_is_refused_by_every_receiver(monkeypatch):
+    """A frame without a signature, here a forged DEPARTED claiming AP 2,
+    fails at each receiver, again on a repeat, and touches no replay state."""
+    bus = make_bus(n_aps=2)
+    accept_calls = count_accept_calls(monkeypatch)
+    forged = encode_frame(SystemStateUpdate(state=NodeState.DEPARTED), 0, 2, 1)
+    for dest in (1, 2, 3, 1):
+        with pytest.raises(SignatureMissing):
+            bus.decode_for(dest, forged)
+    assert accept_calls == []
 
 
 def test_pop_due_with_mixed_deadlines_keeps_later_sends_in_flight():
-    bus = unsigned_bus()
+    bus = make_bus(n_aps=2)
     first = bus.send(1, Outbound(None, HEARTBEAT), now=0.0)
     first += bus.send(3, Outbound(1, HEARTBEAT), now=0.0)
     later = bus.send(1, Outbound(None, HEARTBEAT), now=3.0)
@@ -151,7 +141,7 @@ def test_pop_due_with_mixed_deadlines_keeps_later_sends_in_flight():
 
 
 def test_send_with_earlier_now_pops_at_its_own_deadline():
-    bus = unsigned_bus()
+    bus = make_bus(n_aps=2)
     late = bus.send(1, Outbound(None, HEARTBEAT), now=5.0)
     early = bus.send(1, Outbound(None, HEARTBEAT), now=2.0)
     assert bus.pop_due(3.0) == early

@@ -152,21 +152,18 @@ def test_seq_wraps_and_sys_id_zero_rejected():
         encode_frame(msg, 0, 1, 300)
 
 
-def test_payload_too_large(monkeypatch):
+def test_payload_too_large():
     class Oversized:
-        def __getattr__(self, name):
-            return 0
+        pass
 
-    # 75 four-byte fields: a 300-byte payload.
-    spec = wire._MessageSpec(
-        42999,
-        "OVERSIZED",
-        Oversized,
-        [wire._Field(f"f{i}", "int32_t") for i in range(75)],
-    )
-    monkeypatch.setitem(wire._SPEC_BY_TYPE, Oversized, spec)
+    # 75 four-byte fields: a 300-byte payload, refused when the row is built.
     with pytest.raises(PayloadTooLarge):
-        encode_frame(Oversized(), 0, 1, 1)
+        wire._MessageSpec(
+            42999,
+            "OVERSIZED",
+            Oversized,
+            [wire._Field(f"f{i}", "int32_t") for i in range(75)],
+        )
 
 
 # A scaled value whose wire form is not a finite number: the product
@@ -440,7 +437,7 @@ def test_replay_identical_timestamp_is_stale():
 
 
 def test_new_stream_behind_replay_window_is_stale():
-    store = Keystore({0: SECRET}, replay_window_s=6.0)
+    store = Keystore({0: SECRET})
     late = signing(ts=10_000_000)
     frame_late = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1, signing=late)
     decode_frame(frame_late, keystore=store)
@@ -509,7 +506,7 @@ def _replayed_store(frame: bytes) -> Keystore:
 
 
 def _ahead_store() -> Keystore:
-    store = Keystore({0: SECRET}, replay_window_s=6.0)
+    store = Keystore({0: SECRET})
     decode_frame(_signed_frame_with_payload(42004, b"\x00", ts=10_000_000), keystore=store)
     return store
 
