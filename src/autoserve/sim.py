@@ -320,12 +320,16 @@ class SimReport:
 class TraceWriter:
     """JSON-lines trace emitter; one record per line, header first.
 
-    Each record is one write. Key order is fixed by construction, so
-    records are byte-stable without re-sorting.
+    The header is one write. record appends each finished line to a
+    buffer, and run_sim writes the buffer out in one write at the end of
+    each tick, and once more if the run raises. Key order is fixed by
+    construction, so records are byte-stable without re-sorting.
     """
 
     def __init__(self, stream: IO[str]):
         self._write = stream.write
+        self._lines: list[str] = []
+        self._append = self._lines.append
         self._t: object = object()  # the t whose JSON is cached; none yet
         self._t_json = ""
         self._names: dict[str, str] = {}  # actor and kind -> JSON string
@@ -335,16 +339,26 @@ class TraceWriter:
         self._write(_dumps({"header": header}) + "\n")
 
     def record(self, t: float, actor: str, kind: str, detail: str) -> None:
-        """Write one record; detail is the JSON text of its detail object."""
+        """Buffer one record; detail is the JSON text of its detail object."""
         if t is not self._t:
             self._t = t
             self._t_json = _dumps(t)
         names = self._names
         actor_json = names.get(actor) or names.setdefault(actor, _dumps(actor))
         kind_json = names.get(kind) or names.setdefault(kind, _dumps(kind))
-        self._write(
+        self._append(
             f'{{"t":{self._t_json},"actor":{actor_json},"kind":{kind_json},"detail":{detail}}}\n'
         )
+
+    def _flush(self) -> None:
+        """Write the buffered records in one write. Private, so the
+        benchmark's span recorder leaves it unwrapped."""
+        lines = self._lines
+        if lines:
+            text = "".join(lines)
+            # Emptied before the write, so a failed write is not retried.
+            lines.clear()
+            self._write(text)
 
 
 @dataclass
@@ -377,7 +391,8 @@ class Simulation:
 
     run_sim advances it one tick at a time through the phases _deliver,
     _physics, _tick_aps, _tick_lps and _trace_ticks, then builds the
-    report with _report. The methods stay private: the benchmark's span
+    report with _report. _trace_ticks ends by writing out the tick's
+    buffered trace records. The methods stay private: the benchmark's span
     recorder wraps public methods, and it finds the tick phases among the
     spans directly under run_sim.
     """
@@ -451,6 +466,12 @@ class Simulation:
         self._tracer = TraceWriter(trace) if trace is not None else None
         if self._tracer is not None:
             self._tracer.header(cfg.to_dict())
+        # Trace text memos, one (msg, text) slot per one-byte sys_id: each
+        # sender's last MSG_SENT head and each source's last MSG_RECV
+        # detail. They compare messages by identity, since 0.0 == -0.0 but
+        # the two render differently; a slot keeps its message alive.
+        self._sent_heads: list[tuple] = [(None, "")] * 256
+        self._recv_details: list[tuple] = [(None, "")] * 256
 
     def _timestamp_units(self) -> int:
         return int(self.now * TIMESTAMP_UNITS_PER_S)
@@ -481,22 +502,29 @@ class Simulation:
         for outbound in outbound_list:
             deliveries = self._bus.send(sys_id, outbound, t)
             if tracer is not None and deliveries:
-                head = _message_head(outbound.msg, "dst")
+                msg = outbound.msg
+                sent_msg, head = self._sent_heads[sys_id]
+                if sent_msg is not msg:
+                    head = _message_head(msg, "dst")
+                    self._sent_heads[sys_id] = msg, head
                 for delivery in deliveries:
                     tracer.record(t, actor, "MSG_SENT", f"{head}{delivery.dest_sys_id}}}")
 
     def _deliver(self, t: float) -> None:
         """Messages sent last tick arrive now."""
         decode_for, nodes, tracer = self._bus.decode_for, self._nodes, self._tracer
-        # The receivers of one broadcast share its decoded message object,
-        # so its MSG_RECV detail head is built once.
-        recv_msg = recv_head = None
+        recv_details = self._recv_details
         for src, dest, _deliver_at, frame in self._bus.pop_due(t):
             header, msg, _sig = decode_for(dest, frame)
             if tracer is not None:
-                if msg is not recv_msg:
-                    recv_msg, recv_head = msg, _message_head(msg, "src")
-                tracer.record(t, self._actor_names[dest], "MSG_RECV", f"{recv_head}{src}}}")
+                # The receivers of one broadcast share its decoded message,
+                # and the codec's stream slot hands back the same object
+                # when its source's payload repeats.
+                recv_msg, detail = recv_details[src]
+                if recv_msg is not msg:
+                    detail = f"{_message_head(msg, 'src')}{src}}}"
+                    recv_details[src] = msg, detail
+                tracer.record(t, self._actor_names[dest], "MSG_RECV", detail)
             node = nodes[dest]
             outbound = node.handle_message(msg, header.sys_id, t)
             # Most deliveries are heartbeats that neither reply nor change state.
@@ -575,6 +603,7 @@ class Simulation:
                 "TICK",
                 _AP_TICK % (names[body.node.state], body.battery, x, y, failed),
             )
+        tracer._flush()
 
     def _report(self) -> SimReport:
         waits = [wait for lp in self._lps for wait in lp.wait_samples]
@@ -594,13 +623,18 @@ def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
     """Run one simulation; optionally stream the trace to a text file."""
     cfg.validate()
     sim = Simulation(cfg, trace)
-    for step in range(cfg.duration_s):
-        t = sim.now = float(step)
-        sim._deliver(t)
-        sim._physics(t)
-        sim._tick_aps(t)
-        sim._tick_lps(t)
-        sim._trace_ticks(t)
+    try:
+        for step in range(cfg.duration_s):
+            t = sim.now = float(step)
+            sim._deliver(t)
+            sim._physics(t)
+            sim._tick_aps(t)
+            sim._tick_lps(t)
+            sim._trace_ticks(t)
+    finally:
+        # A run that raises still leaves every record made before the raise.
+        if sim._tracer is not None:
+            sim._tracer._flush()
     return sim._report()
 
 

@@ -648,7 +648,7 @@ def _parse_frame(data: bytes) -> tuple[FrameHeader, bytes, int, Signature | None
 
 
 def verify_frame(
-    data: bytes, keystore: Keystore | Mapping[int, bytes] | None = None
+    data: bytes, keystore: Keystore | None = None
 ) -> tuple[FrameHeader, Message, Signature | None]:
     """Parse and verify one frame without touching any replay state.
 
@@ -690,8 +690,7 @@ def verify_frame(
         link_id, ts_lo, ts_hi, sig = _SIGNATURE_BLOCK.unpack_from(data, end)
         if keystore is None:
             raise SignatureInvalid("signed frame but no keystore supplied")
-        store = keystore if isinstance(keystore, Keystore) else Keystore(keystore)
-        keyed = store.keyed_sha256.get(link_id)
+        keyed = keystore.keyed_sha256.get(link_id)
         if keyed is None:
             raise SignatureInvalid(f"no key for link_id {link_id}")
         hasher = keyed.copy()
@@ -714,20 +713,26 @@ def verify_frame(
 
 def decode_frame(
     data: bytes,
-    keystore: Keystore | Mapping[int, bytes] | None = None,
+    keystore: Keystore | None = None,
     require_signed: bool = False,
 ) -> tuple[FrameHeader, Message, Signature | None]:
-    """Decode one frame: verify_frame, the signing policy, the replay check.
+    """Decode one frame: the signing policy, verify_frame, the replay check.
 
-    Passing a plain mapping gives signature verification without
-    cross-call replay tracking; pass a Keystore instance to keep
-    per-stream timestamp state. A frame that fails any check leaves the
+    With require_signed, a frame whose header says it is unsigned is
+    refused before verify_frame runs, so it never reaches a codec slot.
+    A signed frame is checked against the keystore's secret and then its
+    per-stream replay state. A frame that fails any check leaves the
     keystore unchanged.
     """
-    header, msg, signature = verify_frame(data, keystore)
-    if require_signed and signature is None:
+    if (
+        require_signed
+        and len(data) >= HEADER_LEN
+        and data[0] == MAGIC_V2
+        and not data[2] & INCOMPAT_SIGNED
+    ):
         raise SignatureMissing("receiver policy requires signed frames")
-    if signature is not None and isinstance(keystore, Keystore):
+    header, msg, signature = verify_frame(data, keystore)
+    if signature is not None:
         keystore.accept(signature.link_id, header.sys_id, header.comp_id, signature.timestamp)
     return header, msg, signature
 

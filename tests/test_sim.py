@@ -14,6 +14,7 @@ from autoserve.sim import (
     BLOCK,
     InvalidConfig,
     SimConfig,
+    Simulation,
     TraceWriter,
     _BlockDraws,
     run_sim,
@@ -22,7 +23,14 @@ from autoserve.sim import (
     sweep,
     uav_rng,
 )
-from autoserve.wire import NodeState, message_from_fields
+from autoserve.transport import Outbound
+from autoserve.wire import (
+    ExtendedHeartbeat,
+    FlightStack,
+    NodeState,
+    VehicleType,
+    message_from_fields,
+)
 
 
 def small_cfg(**kwargs):
@@ -365,7 +373,7 @@ def test_sweep_runs_consecutive_seeds():
 # --- trace invariants -----------------------------------------------------------------
 
 
-def test_each_record_is_one_record_call_one_write_and_one_line(monkeypatch):
+def test_each_record_is_one_record_call_and_one_line_and_each_tick_one_write(monkeypatch):
     calls = []
     record = TraceWriter.record
 
@@ -384,14 +392,71 @@ def test_each_record_is_one_record_call_one_write_and_one_line(monkeypatch):
     sink = Sink()
     # Fails twice, so every record kind occurs.
     run_sim(SimConfig(duration_s=600, consumption_pct_per_s=(0.35, 0.45)), trace=sink)
-    assert all(text.endswith("\n") and text.count("\n") == 1 for text in sink.writes)
+    assert all(text.endswith("\n") for text in sink.writes)
     lines = "".join(sink.writes).splitlines()
-    assert len(calls) == len(lines) - 1 == len(sink.writes) - 1
+    assert len(calls) == len(lines) - 1
     assert set(calls) == {"TICK", "MSG_SENT", "MSG_RECV", "STATE_CHANGE", "BATTERY", "FAILURE"}
     for line, kind in zip(lines[1:], calls):
         record_obj = json.loads(line)
         assert list(record_obj) == ["t", "actor", "kind", "detail"]
         assert record_obj["kind"] == kind
+    # The header is one write, then each tick's records are one write.
+    assert "header" in json.loads(sink.writes[0]) and sink.writes[0].count("\n") == 1
+    tick_times = [{json.loads(line)["t"] for line in text.splitlines()} for text in sink.writes[1:]]
+    assert tick_times == [{float(step)} for step in range(600)]
+
+
+def test_a_run_that_raises_keeps_every_record_made_before_the_raise(monkeypatch):
+    cfg = SimConfig(duration_s=300)
+    full = io.StringIO()
+    run_sim(cfg, trace=full)
+
+    class Halt(Exception):
+        pass
+
+    made = []
+    record, lp_tick = TraceWriter.record, LpNode.tick
+
+    def counting_record(self, t, actor, kind, detail):
+        made.append(kind)
+        return record(self, t, actor, kind, detail)
+
+    def halting_tick(self, now):
+        if now == 150.0:
+            raise Halt
+        return lp_tick(self, now)
+
+    monkeypatch.setattr(TraceWriter, "record", counting_record)
+    monkeypatch.setattr(LpNode, "tick", halting_tick)
+    partial = io.StringIO()
+    with pytest.raises(Halt):
+        run_sim(cfg, trace=partial)
+    # A run that writes each record as it is made holds the header and
+    # exactly these records when the raise comes.
+    expected = full.getvalue().splitlines(keepends=True)[: 1 + len(made)]
+    assert partial.getvalue() == "".join(expected)
+    # Including records of the tick that raised, which were still buffered.
+    assert json.loads(expected[-1])["t"] == 150.0
+
+
+def test_distinct_messages_that_compare_equal_get_their_own_sent_text():
+    sink = io.StringIO()
+    sim = Simulation(SimConfig(n_uavs=1, duration_s=1), sink)
+    ap_id = sim._uavs[0].sys_id
+    beat = ExtendedHeartbeat(
+        VehicleType.AERIAL_PLATFORM, FlightStack.PX4, NodeState.OPERATING, 80.0, 0.0, 5.0
+    )
+    negative_zero = ExtendedHeartbeat(
+        VehicleType.AERIAL_PLATFORM, FlightStack.PX4, NodeState.OPERATING, 80.0, -0.0, 5.0
+    )
+    assert beat == negative_zero
+    for msg in (beat, beat, negative_zero, beat):
+        sim._send(ap_id, [Outbound(None, msg)], 0.0)
+    sim._tracer._flush()
+    records = sink.getvalue().splitlines()[1:]
+    assert [json.loads(line)["kind"] for line in records] == ["MSG_SENT"] * 4
+    assert ['"pos_x":-0.0,' in line for line in records] == [False, False, True, False]
+    assert ['"pos_x":0.0,' in line for line in records] == [True, True, False, True]
 
 
 def test_trace_header_records_config_and_generator(traced_run):

@@ -262,7 +262,7 @@ def test_roundtrip_unsigned(msg, seq, sys_id, comp_id):
 def test_roundtrip_signed(msg):
     ctx = signing(link_id=4)
     frame = encode_frame(msg, 0, 9, 1, signing=ctx)
-    header, decoded, sig = decode_frame(frame, keystore={4: SECRET})
+    header, decoded, sig = decode_frame(frame, keystore=Keystore({4: SECRET}))
     assert decoded == msg
     assert isinstance(sig, Signature) and sig.link_id == 4
 
@@ -327,7 +327,7 @@ def check_message_json(msg):
         frame = encode_frame(msg, 0, 9, 1, signing=signing())
     except ValueError:
         return
-    _, received, _ = verify_frame(frame, {0: SECRET})
+    _, received, _ = verify_frame(frame, Keystore({0: SECRET}))
     assert wire.message_json(received) == compact(wire.message_to_fields(received))
 
 
@@ -396,13 +396,28 @@ def test_flipped_payload_bit_is_checksum_mismatch():
     frame = bytearray(encode_frame(ServiceReservationRequest(50, 3), 1, 8, 1, signing=ctx))
     frame[wire.HEADER_LEN] ^= 0x04
     with pytest.raises(ChecksumMismatch):
-        decode_frame(bytes(frame), keystore={0: SECRET})
+        decode_frame(bytes(frame), keystore=Keystore({0: SECRET}))
 
 
 def test_signature_missing_when_required():
     frame = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1)
     with pytest.raises(SignatureMissing):
-        decode_frame(frame, keystore={0: SECRET}, require_signed=True)
+        decode_frame(frame, keystore=Keystore({0: SECRET}), require_signed=True)
+
+
+def test_refused_unsigned_frame_leaves_the_codec_slots_alone():
+    spec = wire._MESSAGE_SPECS[42004]
+    # sys_id 2's slot holds a message that passed every check.
+    decode_frame(
+        encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 2, 1, signing=signing()),
+        keystore=Keystore({0: SECRET}),
+    )
+    before = dict(spec.last_received)
+    forged = encode_frame(SystemStateUpdate(state=NodeState.DEPARTED), 1, 2, 1)
+    with pytest.raises(SignatureMissing):
+        decode_frame(forged, keystore=Keystore({0: SECRET}), require_signed=True)
+    assert spec.last_received == before
+    assert spec.last_received[2] is before[2]
 
 
 def test_signed_frame_without_keystore_rejected():
@@ -414,7 +429,7 @@ def test_signed_frame_without_keystore_rejected():
 def test_unknown_link_id_rejected():
     frame = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1, signing=signing(link_id=9))
     with pytest.raises(SignatureInvalid):
-        decode_frame(frame, keystore={0: SECRET})
+        decode_frame(frame, keystore=Keystore({0: SECRET}))
 
 
 @settings(max_examples=60, deadline=None)
@@ -422,10 +437,10 @@ def test_unknown_link_id_rejected():
 def test_wrong_secret_always_rejected(wrong):
     frame = encode_frame(ServiceReservationRequest(10, 1), 0, 2, 1, signing=signing())
     if wrong == SECRET:
-        decode_frame(frame, keystore={0: wrong})
+        decode_frame(frame, keystore=Keystore({0: wrong}))
         return
     with pytest.raises(SignatureInvalid):
-        decode_frame(frame, keystore={0: wrong})
+        decode_frame(frame, keystore=Keystore({0: wrong}))
 
 
 def test_replay_identical_timestamp_is_stale():
@@ -583,7 +598,7 @@ def test_every_bitflip_rejected_signed_frame():
         comp_id=1,
         signing=signing(),
     )
-    _expect_every_bitflip_rejected(frame, {0: SECRET})
+    _expect_every_bitflip_rejected(frame, Keystore({0: SECRET}))
 
 
 def test_every_bitflip_rejected_unsigned_frame():
