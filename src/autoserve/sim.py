@@ -11,13 +11,13 @@ leg: operating, approaching, or departing). A vehicle is restored to
 100% when its service completes, and the run fails if any vehicle ever
 drops below the failure threshold.
 
-Every run is a pure function of its SimConfig: per-vehicle random
-streams come from numpy's PCG64 seeded with
-SeedSequence(seed, spawn_key=(1, vehicle_index)), so adding vehicle k+1
-never alters the draws of vehicles 1..k. After its three spawn draws a
-vehicle takes its per-tick draws from blocks of the same stream, with
-values bit-identical to drawing them one at a time. Two runs of the same
-config produce byte-identical traces.
+Every run is a pure function of its SimConfig: each vehicle draws from
+its own PCG64 stream seeded with SeedSequence(seed, spawn_key=(1,
+vehicle_index)), so adding vehicle k+1 never alters the draws of
+vehicles 1..k. The stream is a pure-Python copy of numpy's PCG64 and
+SeedSequence, and every draw equals numpy's Generator.uniform bit for
+bit; numpy itself is needed only by the tests and the benchmark. Two
+runs of the same config produce byte-identical traces.
 
 Trace files are UTF-8 JSON lines. The first line is
 {"header": {config, rng, trace_format}}; every following line is a
@@ -32,9 +32,8 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from hashlib import sha256
+from operator import is_
 from typing import IO, Mapping
-
-import numpy as np
 
 from .ap_node import ApNode
 from .lp_node import LpNode
@@ -239,59 +238,106 @@ class SimConfig:
         ]
 
 
-def uav_rng(seed: int, index: int) -> np.random.Generator:
-    """The dedicated random stream of vehicle `index` (0-based)."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1, index)))
-    )
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M53, _M64, _M128 = (1 << 32) - 1, (1 << 53) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
-# Doubles each vehicle draws from its generator at a time.
-BLOCK = 256
+def _uint32_words(value: int) -> list[int]:
+    """value's 32-bit words, least significant first; [0] for 0."""
+    if value < 0:
+        raise ValueError("expected a non-negative integer")
+    words = [value & _M32]
+    while value := value >> 32:
+        words.append(value & _M32)
+    return words
 
 
-class _BlockDraws:
-    """A vehicle's random stream, drawn from its generator BLOCK doubles at
-    a time.
+def _hasher(hash_const: int, mult: int):
+    """SeedSequence's hashmix over a running hash constant."""
 
-    uniform(low, high) is Generator.uniform's own formula,
-    low + (high - low) * u, over the same doubles in the same order, so
-    every value is bit-identical to drawing one at a time.
-    """
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * mult & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
 
-    __slots__ = ("_random", "_next")
+    return hashmix
 
-    def __init__(self, rng: np.random.Generator) -> None:
-        self._random = rng.random
-        self._next = iter(()).__next__
+
+def _mix(x: int, y: int) -> int:
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return result ^ result >> 16
+
+
+def _seed_words(seed: int, index: int) -> list[int]:
+    """SeedSequence(entropy=seed, spawn_key=(1, index)).generate_state(4, uint64)."""
+    entropy = _uint32_words(seed)
+    # The seed's words are padded to the pool size when a spawn key follows;
+    # then come the words of the spawn key (1, index).
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    entropy += [1, *_uint32_words(index)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    words = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _Pcg64:
+    """numpy's PCG64 (128-bit LCG state, XSL-RR output) and Generator.uniform:
+    uniform(low, high) is low + (high - low) * u, with u the top 53 bits of
+    the next 64-bit output times 2**-53. One draw per call."""
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seed: int, index: int) -> None:
+        # numpy's pcg64_set_seed: state 0, step, add initstate, step.
+        state_hi, state_lo, seq_hi, seq_lo = _seed_words(seed, index)
+        self._inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
+        state = (self._inc + (state_hi << 64 | state_lo)) & _M128
+        self._state = (state * _PCG_MULT + self._inc) & _M128
 
     def uniform(self, low: float, high: float) -> float:
-        try:
-            u = self._next()
-        except StopIteration:
-            self._next = iter(self._random(BLOCK).tolist()).__next__
-            u = self._next()
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
+        word = ((state >> 64) ^ state) & _M64
+        # word * (2**64 + 1) is word beside itself, so shifting it right by
+        # the rotation plus 11 leaves rotr64(word, rotation) >> 11 in the
+        # low 53 bits.
+        u = ((word * ((1 << 64) + 1)) >> ((state >> 122) + 11) & _M53) * 2.0**-53
         return low + (high - low) * u
 
 
-def sample_consumption(
-    rng: np.random.Generator | _BlockDraws, min_pct: float, max_pct: float
-) -> float:
+def uav_rng(seed: int, index: int) -> _Pcg64:
+    """The dedicated random stream of vehicle `index` (0-based)."""
+    return _Pcg64(seed, index)
+
+
+def sample_consumption(rng: _Pcg64, min_pct: float, max_pct: float) -> float:
     """One battery-consumption draw, uniform in [min_pct, max_pct]."""
     if min_pct > max_pct:
         raise ValueError("min_pct must not exceed max_pct")
-    return float(rng.uniform(min_pct, max_pct))
+    return rng.uniform(min_pct, max_pct)
 
 
-def sample_displacement(
-    rng: np.random.Generator | _BlockDraws, max_step: float
-) -> tuple[float, float]:
+def sample_displacement(rng: _Pcg64, max_step: float) -> tuple[float, float]:
     """One 2D displacement draw, each component uniform in [-max_step, max_step]."""
     if max_step < 0:
         raise ValueError("max_step must be non-negative")
-    dx = float(rng.uniform(-max_step, max_step))
-    dy = float(rng.uniform(-max_step, max_step))
-    return dx, dy
+    return rng.uniform(-max_step, max_step), rng.uniform(-max_step, max_step)
 
 
 @dataclass
@@ -368,7 +414,7 @@ class _UavBody:
     sys_id: int
     actor: str
     node: ApNode
-    rng: _BlockDraws
+    rng: _Pcg64
     battery: float
     position: tuple[float, float]
     min_battery: float
@@ -423,14 +469,14 @@ class Simulation:
         for index, ap_id in enumerate(ap_ids):
             rng = uav_rng(cfg.seed, index)
             home = lp_positions[index % cfg.n_lps]
-            radius = cfg.spawn_radius_m * math.sqrt(float(rng.uniform(0.0, 1.0)))
-            angle = 2.0 * math.pi * float(rng.uniform(0.0, 1.0))
+            radius = cfg.spawn_radius_m * math.sqrt(rng.uniform(0.0, 1.0))
+            angle = 2.0 * math.pi * rng.uniform(0.0, 1.0)
             position = _clamp_to_area(
                 home[0] + radius * math.cos(angle),
                 home[1] + radius * math.sin(angle),
                 cfg.area_m,
             )
-            battery = float(rng.uniform(*cfg.initial_battery_pct))
+            battery = rng.uniform(*cfg.initial_battery_pct)
             node = ApNode(
                 ap_id,
                 roster,
@@ -448,7 +494,7 @@ class Simulation:
                     sys_id=ap_id,
                     actor=f"AP{ap_id}",
                     node=node,
-                    rng=_BlockDraws(rng),
+                    rng=rng,
                     battery=battery,
                     position=position,
                     min_battery=battery,
@@ -472,6 +518,13 @@ class Simulation:
         # the two render differently; a slot keeps its message alive.
         self._sent_heads: list[tuple] = [(None, "")] * 256
         self._recv_details: list[tuple] = [(None, "")] * 256
+        # TICK detail memos, one (key, text) slot per LP and per AP in
+        # roster order. An LP's key, (state, queue length, current_ap), is
+        # compared by value. An AP's, (state, battery, position, failed), is
+        # compared item by item by identity, as above: battery and position
+        # stay the same objects while a vehicle neither drains nor moves.
+        self._lp_ticks: list[tuple] = [((), "")] * len(self._lps)
+        self._ap_ticks: list[tuple] = [((None,) * 4, "")] * len(self._uavs)
 
     def _timestamp_units(self) -> int:
         return int(self.now * TIMESTAMP_UNITS_PER_S)
@@ -585,24 +638,24 @@ class Simulation:
         tracer = self._tracer
         if tracer is None:
             return
-        names = _STATE_NAMES
-        for lp in self._lps:
-            current_ap = "null" if lp.current_ap is None else lp.current_ap
-            tracer.record(
-                t,
-                self._actor_names[lp.sys_id],
-                "TICK",
-                _LP_TICK % (names[lp.state], len(lp.queue), current_ap),
-            )
-        for body in self._uavs:
-            x, y = body.position
-            failed = "true" if body.failed else "false"
-            tracer.record(
-                t,
-                body.actor,
-                "TICK",
-                _AP_TICK % (names[body.node.state], body.battery, x, y, failed),
-            )
+        names, lp_ticks, ap_ticks = _STATE_NAMES, self._lp_ticks, self._ap_ticks
+        for i, lp in enumerate(self._lps):
+            key = (lp.state, len(lp.queue), lp.current_ap)
+            memo_key, detail = lp_ticks[i]
+            if key != memo_key:
+                state, queue_len, current_ap = key
+                current_ap = "null" if current_ap is None else current_ap
+                detail = _LP_TICK % (names[state], queue_len, current_ap)
+                lp_ticks[i] = key, detail
+            tracer.record(t, self._actor_names[lp.sys_id], "TICK", detail)
+        for i, body in enumerate(self._uavs):
+            key = (body.node.state, body.battery, body.position, body.failed)
+            memo_key, detail = ap_ticks[i]
+            if not all(map(is_, key, memo_key)):
+                state, battery, (x, y), failed = key
+                detail = _AP_TICK % (names[state], battery, x, y, "true" if failed else "false")
+                ap_ticks[i] = key, detail
+            tracer.record(t, body.actor, "TICK", detail)
         tracer._flush()
 
     def _report(self) -> SimReport:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import autoserve
 from autoserve.cli import main
+from autoserve.sim import SimConfig, run_sim
 from autoserve.wire import NodeState, SystemStateUpdate, encode_frame
 
 BASE_CONFIG = {
@@ -177,3 +183,34 @@ def test_dump_bad_hex(capsys):
 def test_dump_truncated_frame(capsys):
     assert main(["dump", "fd01"]) == 1
     assert "autoserve-sim:" in capsys.readouterr().err
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run code in a fresh interpreter that imports this autoserve."""
+    env = dict(os.environ)
+    src = str(Path(autoserve.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_run_needs_no_numpy(tmp_path):
+    # None in sys.modules makes every import of numpy raise ImportError.
+    report_path = tmp_path / "report.json"
+    done = run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from autoserve.cli import main\n"
+        "sys.exit(main(['run', '--uavs', '5', '--lps', '1', '--duration', '600',"
+        f" '--report', {str(report_path)!r}]))\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert "outcome=PASS" in done.stdout.splitlines()
+    expected = run_sim(SimConfig(n_uavs=5, n_lps=1, duration_s=600)).to_json() + "\n"
+    assert report_path.read_text(encoding="utf-8") == expected
+
+
+def test_importing_the_cli_loads_no_numpy():
+    done = run_python("import sys, autoserve.cli; sys.exit('numpy' in sys.modules)")
+    assert done.returncode == 0, done.stderr

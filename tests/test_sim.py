@@ -6,17 +6,16 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from autoserve.ap_node import ApNode
 from autoserve.lp_node import LpNode
 from autoserve.sim import (
-    BLOCK,
     InvalidConfig,
     SimConfig,
     Simulation,
     TraceWriter,
-    _BlockDraws,
     run_sim,
     sample_consumption,
     sample_displacement,
@@ -107,28 +106,38 @@ DRAW_RANGES = [
 SPAWN_RANGES = [(0.0, 1.0), (0.0, 1.0), (60.0, 100.0)]
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5])
-@pytest.mark.parametrize("index", [0, 3])
-def test_block_draws_equal_generator_uniform(seed, index):
-    reference, stream = uav_rng(seed, index), uav_rng(seed, index)
-    # The three spawn draws stay on the generator itself.
-    for low, high in SPAWN_RANGES:
-        assert stream.uniform(low, high) == reference.uniform(low, high)
-    draws = _BlockDraws(stream)
-    # Four refills: the first block and three block boundaries.
-    for i in range(3 * BLOCK + 5):
-        low, high = DRAW_RANGES[i % len(DRAW_RANGES)]
+def numpy_rng(seed, index):
+    """The oracle: numpy's own generator for vehicle index's stream."""
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1, index)))
+    )
+
+
+# Seeds and indices of one and two 32-bit words, at the word edges.
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("index", [0, 3, 2**33])
+def test_uav_rng_draws_equal_numpy_pcg64(seed, index):
+    reference, stream = numpy_rng(seed, index), uav_rng(seed, index)
+    # The three spawn draws, then 1,200 draws as a run's ticks interleave them.
+    for i, (low, high) in enumerate(SPAWN_RANGES + DRAW_RANGES * 200):
         expected = reference.uniform(low, high)
-        got = draws.uniform(low, high)
+        got = stream.uniform(low, high)
         assert type(got) is float
         assert got == expected, (i, low, high)
 
 
-def test_samples_from_block_draws_equal_samples_from_the_generator():
-    reference, draws = uav_rng(5, 1), _BlockDraws(uav_rng(5, 1))
-    for _ in range(2 * BLOCK):
-        assert sample_consumption(draws, 0.15, 0.2) == sample_consumption(reference, 0.15, 0.2)
-        assert sample_displacement(draws, 0.3) == sample_displacement(reference, 0.3)
+def test_samplers_draw_as_from_numpy_pcg64():
+    reference, stream = numpy_rng(5, 1), uav_rng(5, 1)
+    for _ in range(1000):
+        assert sample_consumption(stream, 0.15, 0.2) == sample_consumption(reference, 0.15, 0.2)
+        assert sample_displacement(stream, 0.3) == sample_displacement(reference, 0.3)
+
+
+# Splitting a negative int into 32-bit words by shifting never reaches 0.
+@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-(2**64), 3)])
+def test_negative_seed_or_index_rejected(seed, index):
+    with pytest.raises(ValueError):
+        uav_rng(seed, index)
 
 
 def test_vehicle_streams_are_independent_of_fleet_size():
@@ -457,6 +466,41 @@ def test_distinct_messages_that_compare_equal_get_their_own_sent_text():
     assert [json.loads(line)["kind"] for line in records] == ["MSG_SENT"] * 4
     assert ['"pos_x":-0.0,' in line for line in records] == [False, False, True, False]
     assert ['"pos_x":0.0,' in line for line in records] == [True, True, False, True]
+
+
+def test_tick_records_show_each_actor_at_the_end_of_its_tick():
+    # A five-second departure drains the battery while the position stays
+    # the same object; a platform's queue changes while its state does not.
+    cfg = small_cfg(duration_s=600, departure_clear_s=5.0)
+    sink = io.StringIO()
+    sim = Simulation(cfg, sink)
+    departing_ticks = 0
+    for step in range(cfg.duration_s):
+        t = sim.now = float(step)
+        sink.seek(0)
+        sink.truncate()
+        sim._deliver(t)
+        sim._physics(t)
+        sim._tick_aps(t)
+        sim._tick_lps(t)
+        sim._trace_ticks(t)
+        records = [json.loads(line) for line in sink.getvalue().splitlines()]
+        ticks = {r["actor"]: r["detail"] for r in records if r["kind"] == "TICK"}
+        for lp in sim._lps:
+            assert ticks[f"LP{lp.sys_id}"] == {
+                "state": lp.state.name, "queue_len": len(lp.queue), "current_ap": lp.current_ap
+            }
+        for body in sim._uavs:
+            x, y = body.position
+            assert ticks[body.actor] == {
+                "state": body.node.state.name,
+                "battery_pct": body.battery,
+                "x": x,
+                "y": y,
+                "failed": body.failed,
+            }
+            departing_ticks += body.node.state is NodeState.DEPARTING
+    assert departing_ticks >= 10
 
 
 def test_trace_header_records_config_and_generator(traced_run):
