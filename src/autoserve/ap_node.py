@@ -23,13 +23,14 @@ with REQUEST_PENDING looping to itself on each retry. While waiting for
 its slot the vehicle loiters in place. A confirmation with position 0 is
 the boarding signal; only the platform the vehicle asked or holds a
 reservation at can give it. Messages inconsistent with the current state,
-such as a confirmation from any other platform, are logged and dropped.
+such as a confirmation from any other platform, are dropped and counted
+in drops, one counter per reason.
 """
 
 from __future__ import annotations
 
-import logging
 import math
+from collections import Counter
 from typing import Sequence
 
 from .lp_node import ProtocolStateError
@@ -48,8 +49,6 @@ from .wire import (
     SystemStateUpdate,
     VehicleType,
 )
-
-logger = logging.getLogger(__name__)
 
 # Enum members bound once at import. Inside a function, NodeState.X is a
 # class attribute load that CPython 3.11 cannot specialise, because EnumType
@@ -127,6 +126,8 @@ class ApNode:
         # (from, to) pairs not yet drained; the simulator reads it after
         # each message to skip nodes with nothing to report.
         self.transitions: list[tuple[NodeState, NodeState]] = []
+        # Dropped messages, by reason.
+        self.drops: Counter[str] = Counter()
 
     # -- state machine plumbing -------------------------------------------
 
@@ -139,6 +140,10 @@ class ApNode:
     def drain_transitions(self) -> list[tuple[NodeState, NodeState]]:
         out, self.transitions = self.transitions, []
         return out
+
+    def _drop(self, reason: str) -> list[Outbound]:
+        self.drops[reason] += 1
+        return []
 
     def _nearest_first(self) -> list[int]:
         return reachable_lps(self.known_lps, self.position, math.inf)
@@ -197,8 +202,7 @@ class ApNode:
             return self._handle_confirmation(msg, from_sys_id)
         if kind is SystemStateUpdate:
             return self.handle_state_update(msg, from_sys_id, now)
-        logger.debug("AP %d: ignoring %s", self.sys_id, type(msg).__name__)
-        return []
+        return self._drop("ap_unexpected_message")
 
     def _accept(self, lp_sys_id: int, queue_position: int) -> list[Outbound]:
         self.current_reservation = (lp_sys_id, queue_position)
@@ -235,12 +239,7 @@ class ApNode:
         self, conf: LpReservationConfirmation, from_sys_id: int
     ) -> list[Outbound]:
         if conf.target_ap_sys_id != self.sys_id:
-            logger.debug(
-                "AP %d: confirmation for AP %d, dropping",
-                self.sys_id,
-                conf.target_ap_sys_id,
-            )
-            return []
+            return self._drop("ap_confirmation_for_other_ap")
 
         if self.state is REQUEST_PENDING and from_sys_id == self._pending_target:
             if self._settling:
@@ -264,14 +263,7 @@ class ApNode:
             if conf.queue_position == 0:
                 self._transition(BOARDING)
             return []
-
-        logger.debug(
-            "AP %d: confirmation from LP %d while %s, ignoring",
-            self.sys_id,
-            from_sys_id,
-            self.state.name,
-        )
-        return []
+        return self._drop("ap_confirmation_unexpected")
 
     def handle_state_update(
         self, upd: SystemStateUpdate, from_sys_id: int, now: float
@@ -279,12 +271,7 @@ class ApNode:
         """React to the landing platform's phase announcements."""
         reserved_lp = self.current_reservation[0] if self.current_reservation else None
         if from_sys_id != reserved_lp:
-            logger.debug(
-                "AP %d: state update from LP %d while not boarded there, ignoring",
-                self.sys_id,
-                from_sys_id,
-            )
-            return []
+            return self._drop("ap_state_update_from_other_lp")
         if upd.state is SERVICING and self.state is LANDED:
             self._transition(BEING_SERVICED)
             return []
@@ -294,13 +281,7 @@ class ApNode:
             self._departing_since = now
             self.current_reservation = None
             return []
-        logger.debug(
-            "AP %d: state update %s while %s, ignoring",
-            self.sys_id,
-            upd.state.name,
-            self.state.name,
-        )
-        return []
+        return self._drop("ap_state_update_unexpected")
 
     def notify_arrival(self, now: float) -> list[Outbound]:
         """The vehicle has touched down on its reserved platform."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
 from dataclasses import replace
 
@@ -102,10 +101,14 @@ def _cmd_run(args) -> int:
             f"failure uav={failure['uav']} t={failure['t']:.0f}"
             f" battery={failure['battery_pct']:.2f}"
         )
+    for reason, count in report.drops.items():
+        print(f"drop reason={reason} count={count}")
     return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _cmd_sweep(args) -> int:
+    import statistics  # for the quartiles alone; run need not load it
+
     cfg = _load_config(args)
     result = sweep(cfg, args.seeds)
     values = sorted(result.min_battery_values())

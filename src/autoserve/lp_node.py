@@ -17,13 +17,14 @@ never lands within the boarding timeout.
 The queue fills only from vehicle requests, and every return to IDLE
 promotes its head, so a platform is never IDLE with a non-empty queue.
 Heartbeats are dropped unread. Messages that are inconsistent with the
-current phase (for example LANDED while IDLE) are logged and dropped; an
-unreliable link must not be able to fault the platform.
+current phase (for example LANDED while IDLE) are dropped and counted in
+drops, one counter per reason; an unreliable link must not be able to
+fault the platform.
 """
 
 from __future__ import annotations
 
-import logging
+from collections import Counter
 
 from .reservation import Reservation, ServiceQueue
 from .transport import Outbound
@@ -39,8 +40,6 @@ from .wire import (
     SystemStateUpdate,
     VehicleType,
 )
-
-logger = logging.getLogger(__name__)
 
 # Enum members bound once at import, as in ap_node: a function-level
 # NodeState.X load is unspecialised and slow on CPython 3.11.
@@ -102,6 +101,8 @@ class LpNode:
         # (from, to) pairs not yet drained; the simulator reads it after
         # each message to skip nodes with nothing to report.
         self.transitions: list[tuple[NodeState, NodeState]] = []
+        # Dropped messages and reservations, by reason.
+        self.drops: Counter[str] = Counter()
 
     # -- state machine plumbing -------------------------------------------
 
@@ -114,6 +115,10 @@ class LpNode:
     def drain_transitions(self) -> list[tuple[NodeState, NodeState]]:
         out, self.transitions = self.transitions, []
         return out
+
+    def _drop(self, reason: str) -> list[Outbound]:
+        self.drops[reason] += 1
+        return []
 
     def effective_position(self, raw_position: int) -> int:
         """Queue position as reported to peers, counting the vehicle on deck."""
@@ -157,19 +162,13 @@ class LpNode:
             return self._handle_decision(msg, from_sys_id, now)
         if kind is SystemStateUpdate:
             return self._handle_state_update(msg, from_sys_id, now)
-        logger.debug("LP %d: ignoring %s", self.sys_id, type(msg).__name__)
-        return []
+        return self._drop("lp_unexpected_message")
 
     def _handle_request(
         self, msg: ServiceReservationRequest, from_sys_id: int, now: float
     ) -> list[Outbound]:
         if msg.target_lp_sys_id != self.sys_id:
-            logger.debug(
-                "LP %d: request addressed to LP %d, dropping",
-                self.sys_id,
-                msg.target_lp_sys_id,
-            )
-            return []
+            return self._drop("lp_request_for_other_lp")
         if from_sys_id == self.current_ap:
             # Already cleared to board; repeat the boarding signal.
             return [
@@ -182,7 +181,7 @@ class LpNode:
             ]
         existing = self.queue.position_of(from_sys_id)
         if existing is not None:
-            logger.debug("LP %d: duplicate request from AP %d", self.sys_id, from_sys_id)
+            self._drop("lp_duplicate_request")  # counted, and still answered
             position = existing
         else:
             position = self.queue.enqueue(
@@ -213,47 +212,30 @@ class LpNode:
     def _handle_decision(
         self, msg: ApReservationDecision, from_sys_id: int, now: float
     ) -> list[Outbound]:
-        if msg.target_lp_sys_id != self.sys_id or msg.decision is KEEP:
+        if msg.target_lp_sys_id != self.sys_id:
+            return self._drop("lp_decision_for_other_lp")
+        if msg.decision is KEEP:
             return []
         if from_sys_id == self.current_ap:
             if self.state is AWAITING_BOARDING:
                 return self._release_current(now)
-            logger.debug(
-                "LP %d: AP %d cancelled while %s, ignoring",
-                self.sys_id,
-                from_sys_id,
-                self.state.name,
-            )
-            return []
-        removed = self.queue.cancel(from_sys_id)
-        if not removed:
-            logger.debug("LP %d: cancel for unknown AP %d", self.sys_id, from_sys_id)
+            return self._drop("lp_cancel_on_deck")
+        if not self.queue.cancel(from_sys_id):
+            return self._drop("lp_cancel_unknown")
         return []
 
     def _handle_state_update(
         self, msg: SystemStateUpdate, from_sys_id: int, now: float
     ) -> list[Outbound]:
         if from_sys_id != self.current_ap:
-            logger.debug(
-                "LP %d: state update %s from non-boarded AP %d, ignoring",
-                self.sys_id,
-                msg.state.name,
-                from_sys_id,
-            )
-            return []
+            return self._drop("lp_state_update_from_other_ap")
         if msg.state is LANDED and self.state is AWAITING_BOARDING:
             self._transition(ALIGNING)
             self._phase_started_at = now
             return []
         if msg.state is DEPARTED and self.state is RELEASING:
             return self._release_current(now)
-        logger.debug(
-            "LP %d: state update %s while %s, ignoring",
-            self.sys_id,
-            msg.state.name,
-            self.state.name,
-        )
-        return []
+        return self._drop("lp_state_update_unexpected")
 
     # -- periodic work --------------------------------------------------------
 
@@ -269,9 +251,8 @@ class LpNode:
         )
 
         if self.state is AWAITING_BOARDING and elapsed >= self.boarding_timeout_s:
-            logger.debug(
-                "LP %d: AP %s never boarded, dropping reservation", self.sys_id, self.current_ap
-            )
+            # The vehicle cleared to board never landed: drop its reservation.
+            self._drop("lp_boarding_timeout")
             out.extend(self._release_current(now))
         if self.state is ALIGNING and elapsed >= self.alignment_duration_s:
             self._transition(SERVICING)

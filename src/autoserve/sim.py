@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from hashlib import sha256
 from operator import is_
@@ -349,6 +350,9 @@ class SimReport:
     queue_wait_mean_s: float
     queue_wait_max_s: float
     queue_wait_count: int
+    # Messages and reservations the nodes dropped, by reason, summed over
+    # the fleet; only reasons that occurred, keys sorted.
+    drops: dict[str, int]
     config: dict
     rng: str = RNG_DESCRIPTION
 
@@ -660,6 +664,9 @@ class Simulation:
 
     def _report(self) -> SimReport:
         waits = [wait for lp in self._lps for wait in lp.wait_samples]
+        drops = Counter()
+        for node in [*self._lps, *(body.node for body in self._uavs)]:
+            drops.update(node.drops)
         return SimReport(
             outcome="FAIL" if self._failures else "PASS",
             min_battery_pct={body.actor: body.min_battery for body in self._uavs},
@@ -668,6 +675,7 @@ class Simulation:
             queue_wait_mean_s=sum(waits) / len(waits) if waits else 0.0,
             queue_wait_max_s=max(waits) if waits else 0.0,
             queue_wait_count=len(waits),
+            drops=dict(sorted(drops.items())),
             config=self.cfg.to_dict(),
         )
 

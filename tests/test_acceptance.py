@@ -367,6 +367,7 @@ def test_criterion_9_determinism_and_speed(tmp_path):
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     assert report_obj.outcome in ("PASS", "FAIL")
+    assert report_obj.drops == {}  # a lossless one-platform run drops nothing
     report(
         9,
         "determinism and speed",

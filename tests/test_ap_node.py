@@ -203,6 +203,7 @@ def test_confirmation_for_wrong_vehicle_dropped_by_handler():
     tick(ap, 0.0, battery=49.0)
     assert ap.handle_message(conf(0, ap=9), 1, 1.0) == []
     assert ap.state is NodeState.REQUEST_PENDING
+    assert ap.drops == {"ap_confirmation_for_other_ap": 1}
 
 
 def test_keep_is_monotone_in_queue_position():
@@ -291,27 +292,46 @@ def test_clearance_while_operating_is_ignored():
     ap = make_ap()
     assert ap.handle_message(conf(0), 1, 0.0) == []
     assert ap.state is NodeState.OPERATING
+    assert ap.drops == {"ap_confirmation_unexpected": 1}
 
 
 @pytest.mark.parametrize(
-    "msg",
+    "msg, sender, reason",
     [
-        ServiceReservationRequest(priority=90, target_lp_sys_id=1),
-        ApReservationDecision(target_lp_sys_id=1, decision=ReservationAction.CANCEL),
-        LpNode(1, (0.0, 0.0)).heartbeat(),
+        (ServiceReservationRequest(priority=90, target_lp_sys_id=1), 1, "ap_unexpected_message"),
+        (
+            ApReservationDecision(target_lp_sys_id=1, decision=ReservationAction.CANCEL),
+            1,
+            "ap_unexpected_message",
+        ),
+        (LpNode(1, (0.0, 0.0)).heartbeat(), 1, None),
+        (conf(0, ap=9), 1, "ap_confirmation_for_other_ap"),
+        (conf(0), 2, "ap_confirmation_unexpected"),
+        (update(NodeState.SERVICING), 2, "ap_state_update_from_other_lp"),
+        (update(NodeState.SERVICE_COMPLETE), 1, "ap_state_update_unexpected"),
     ],
-    ids=["request", "decision", "platform-heartbeat"],
+    ids=[
+        "request",
+        "decision",
+        "platform-heartbeat",
+        "confirmation-for-other-ap",
+        "clearance-from-other-lp",
+        "update-from-other-lp",
+        "service-complete-while-waiting",
+    ],
 )
-def test_message_the_vehicle_does_not_act_on_changes_nothing(msg):
+def test_message_the_vehicle_does_not_act_on_changes_nothing(msg, sender, reason):
     ap = make_ap()
     tick(ap, 0.0, battery=49.0)
     ap.handle_message(conf(1), 1, 1.0)
     assert ap.state is NodeState.RESERVED_WAITING
     ap.drain_transitions()
     before = (ap.state, ap.current_reservation)
-    assert ap.handle_message(msg, 1, 2.0) == []
+    assert ap.handle_message(msg, sender, 2.0) == []
     assert (ap.state, ap.current_reservation) == before
     assert ap.transitions == []
+    # Each drop raises its own counter by one; heartbeats are not counted.
+    assert ap.drops == ({reason: 1} if reason else {})
 
 
 # --- state updates ---------------------------------------------------------------------
@@ -339,6 +359,7 @@ def test_service_complete_while_operating_ignored():
     ap = make_ap()
     assert ap.handle_message(update(NodeState.SERVICE_COMPLETE), 1, 0.0) == []
     assert ap.state is NodeState.OPERATING
+    assert ap.drops == {"ap_state_update_from_other_lp": 1}
 
 
 def test_departure_notifies_platform_after_clearing():

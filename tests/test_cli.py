@@ -69,6 +69,17 @@ def test_run_fail_exit_code(tmp_path, capsys):
     assert "outcome=FAIL" in capsys.readouterr().out
 
 
+def test_run_prints_one_line_per_drop_reason_after_the_failures(tmp_path, capsys):
+    path = tmp_path / "hungry.json"
+    path.write_text(json.dumps({"duration_s": 900, "consumption_pct_per_s": [0.35, 0.45]}))
+    assert main(["run", "--config", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    failures = [i for i, line in enumerate(lines) if line.startswith("failure ")]
+    assert len(failures) == 4
+    # Three vehicles cleared to board fail before they land.
+    assert lines[failures[-1] + 1 :] == ["drop reason=lp_boarding_timeout count=3"]
+
+
 def test_run_invalid_config_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"n_uavs": 0}))
@@ -211,6 +222,7 @@ def test_run_needs_no_numpy(tmp_path):
     assert report_path.read_text(encoding="utf-8") == expected
 
 
-def test_importing_the_cli_loads_no_numpy():
-    done = run_python("import sys, autoserve.cli; sys.exit('numpy' in sys.modules)")
+@pytest.mark.parametrize("module", ["numpy", "logging", "statistics"])
+def test_importing_the_cli_does_not_load(module):
+    done = run_python(f"import sys, autoserve.cli; sys.exit({module!r} in sys.modules)")
     assert done.returncode == 0, done.stderr

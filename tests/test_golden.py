@@ -56,26 +56,33 @@ FRAMES = [
     ),
 ]
 
-# (config, report SHA-256, trace SHA-256) at seed 0. Re-pinned when the
-# liveness_window_s and liveness_min_count fields left SimConfig, and again
-# when critical_threshold_pct left it with the platform auto-reservation it
-# configured: each time only the config echo in the trace header and the
-# report changed.
+# (config, report drops, report SHA-256, trace SHA-256) at seed 0. Re-pinned
+# when the liveness_window_s and liveness_min_count fields left SimConfig,
+# and again when critical_threshold_pct left it with the platform
+# auto-reservation it configured: each time only the config echo in the
+# trace header and the report changed. The report digests were re-pinned
+# once more when the report gained its drops counts; the traces did not
+# change.
 RUNS = [
     (
         SimConfig(duration_s=1800),
-        "3a97df83672281d5b32eaf8559d348adaceeed8ab62a57eafd8ddca3da6cf322",
+        {},
+        "8eb22230d514ed9ead22277c4e7ef3c93684dc876f5eaf5cda3cd820052f1a86",
         "dda4c9951827808e85abcee8e7b6e20cabe2c8263fcab6a60831f968c2edaa38",
     ),
+    # One vehicle hears a clearance from a platform it is not waiting on.
     (
         SimConfig(n_uavs=20, n_lps=5, duration_s=300),
-        "5ce9ceb8b870ec405ea9f0116c58123f67022cb775f5d70a43b89259c322f16e",
+        {"ap_confirmation_unexpected": 1},
+        "7ed836f666a0904a0f4ce0f3abc872d9028ae0d0d3a302d7a399534523df063d",
         "9496a15f740a472a27a2b4232814cdf98fcd7d74e9e9b4317f4c3cf509ccb50d",
     ),
-    # Fails: 4 FAILURE records and 1,371 TICKs with "failed":true.
+    # Fails: 4 FAILURE records and 1,371 TICKs with "failed":true; three
+    # vehicles cleared to board fail before they land.
     (
         SimConfig(duration_s=900, consumption_pct_per_s=(0.35, 0.45)),
-        "491df44f95fed063236f8482a913c51dc6f08a0c532a70d70be3b0e4cfcec417",
+        {"lp_boarding_timeout": 3},
+        "c92d2c94748ea751917dd858837aff7211729037b8b7421822399da5166ecc3a",
         "4f7d552b3fad0dde63b7f933b08f67e467f471140b2dd838f34842f71777a99b",
     ),
 ]
@@ -100,12 +107,13 @@ def test_frame_bytes(msg, unsigned_hex, signed_hex):
 
 
 @pytest.mark.parametrize(
-    "cfg, report_sha, trace_sha",
+    "cfg, drops, report_sha, trace_sha",
     RUNS,
-    ids=[f"{cfg.n_uavs}x{cfg.n_lps}x{cfg.duration_s}" for cfg, _, _ in RUNS],
+    ids=[f"{cfg.n_uavs}x{cfg.n_lps}x{cfg.duration_s}" for cfg, *_ in RUNS],
 )
-def test_run_digests(cfg, report_sha, trace_sha):
+def test_run_digests(cfg, drops, report_sha, trace_sha):
     buf = io.StringIO()
     report = run_sim(cfg, trace=buf)
+    assert report.drops == drops
     assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == report_sha
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == trace_sha

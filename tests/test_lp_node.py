@@ -94,15 +94,19 @@ def test_request_addressed_elsewhere_ignored():
     lp = make_lp()
     assert lp.handle_message(request(60, lp=2), 7, now=0.0) == []
     assert lp.state is NodeState.IDLE
+    assert lp.drops == {"lp_request_for_other_lp": 1}
 
 
 def test_duplicate_request_gets_exactly_one_reply_and_no_second_entry():
     lp = make_lp()
     drive_to_servicing(lp, ap=7)
-    lp.handle_message(request(80), 9, now=20.0)
+    first = lp.handle_message(request(80), 9, now=20.0)
+    assert lp.drops == {}
     out = lp.handle_message(request(80), 9, now=21.0)
     assert len(confirmations(out)) == 1
+    assert out == first  # counted, and answered as before
     assert len(lp.queue) == 1
+    assert lp.drops == {"lp_duplicate_request": 1}
 
 
 def test_request_from_boarding_vehicle_repeats_clearance():
@@ -148,9 +152,10 @@ def test_cancel_of_waiting_reservation_shifts_queue():
 def test_cancel_mid_service_is_ignored():
     lp = make_lp()
     drive_to_servicing(lp, ap=7)
-    lp.handle_message(cancel(), 7, now=30.0)
+    assert lp.handle_message(cancel(), 7, now=30.0) == []
     assert lp.state is NodeState.SERVICING
     assert lp.current_ap == 7
+    assert lp.drops == {"lp_cancel_on_deck": 1}
 
 
 def test_keep_decision_is_a_noop():
@@ -160,6 +165,7 @@ def test_keep_decision_is_a_noop():
     keep = ApReservationDecision(target_lp_sys_id=1, decision=ReservationAction.KEEP)
     assert lp.handle_message(keep, 9, now=21.0) == []
     assert lp.queue.position_of(9) == 0
+    assert lp.drops == {}
 
 
 # --- phase timing ---------------------------------------------------------------------
@@ -226,10 +232,12 @@ def test_boarding_timeout_drops_reservation_and_clears_next():
     lp.handle_message(request(50), 9, now=1.0)
     lp.tick(179.0)
     assert lp.current_ap == 7
+    assert lp.drops == {}
     out = lp.tick(180.0)
     assert lp.current_ap == 9
     confs = confirmations(out)
     assert confs and confs[0].dest_sys_id == 9
+    assert lp.drops == {"lp_boarding_timeout": 1}
 
 
 def test_heartbeat_emitted_at_one_hertz():
@@ -262,13 +270,15 @@ def test_landed_while_idle_is_ignored():
     lp = make_lp()
     assert lp.handle_message(update(NodeState.LANDED), 7, now=0.0) == []
     assert lp.state is NodeState.IDLE
+    assert lp.drops == {"lp_state_update_from_other_ap": 1}
 
 
 def test_landed_from_wrong_vehicle_is_ignored():
     lp = make_lp()
     lp.handle_message(request(60), 7, now=0.0)
-    lp.handle_message(update(NodeState.LANDED), 9, now=1.0)
+    assert lp.handle_message(update(NodeState.LANDED), 9, now=1.0) == []
     assert lp.state is NodeState.AWAITING_BOARDING
+    assert lp.drops == {"lp_state_update_from_other_ap": 1}
 
 
 def test_illegal_transition_raises():
@@ -298,37 +308,59 @@ def test_vehicle_heartbeat_leaves_the_platform_alone(battery, state):
     assert lp.handle_message(ap_heartbeat(battery, pos=(1.0, 1.0)), 9, now=21.0) == []
     assert lp.state is state and lp.transitions == []
     assert lp.queue.reservations() == before
+    assert lp.drops == {}  # heartbeats are not counted
 
 
 @pytest.mark.parametrize(
-    "msg",
+    "msg, sender, reason",
     [
-        LpReservationConfirmation(target_ap_sys_id=9, queue_position=0),
-        ExtendedHeartbeat(
-            vehicle_type=VehicleType.LANDING_PLATFORM,
-            flight_stack=0,
-            system_state=NodeState.IDLE,
-            battery_pct=5.0,
-            pos_x=0.0,
-            pos_y=0.0,
+        (LpReservationConfirmation(target_ap_sys_id=9, queue_position=0), 9, "lp_unexpected_message"),
+        (
+            ExtendedHeartbeat(
+                vehicle_type=VehicleType.LANDING_PLATFORM,
+                flight_stack=0,
+                system_state=NodeState.IDLE,
+                battery_pct=5.0,
+                pos_x=0.0,
+                pos_y=0.0,
+            ),
+            9,
+            None,
         ),
+        (request(60, lp=2), 9, "lp_request_for_other_lp"),
+        (cancel(lp=2), 8, "lp_decision_for_other_lp"),
+        (cancel(lp=2), 7, "lp_decision_for_other_lp"),
+        (cancel(), 9, "lp_cancel_unknown"),
+        (update(NodeState.LANDED), 9, "lp_state_update_from_other_ap"),
+        (update(NodeState.DEPARTED), 7, "lp_state_update_unexpected"),
     ],
-    ids=["confirmation", "platform-heartbeat"],
+    ids=[
+        "confirmation",
+        "platform-heartbeat",
+        "request-for-other-lp",
+        "queued-cancel-for-other-lp",
+        "boarding-cancel-for-other-lp",
+        "cancel-unknown",
+        "landed-from-other-ap",
+        "departed-while-awaiting-boarding",
+    ],
 )
-def test_message_the_platform_does_not_act_on_changes_nothing(msg):
+def test_message_the_platform_does_not_act_on_changes_nothing(msg, sender, reason):
     lp = make_lp()
     lp.handle_message(request(60), 7, now=0.0)  # cleared to board
     lp.handle_message(request(50), 8, now=1.0)  # queued
     lp.drain_transitions()
     before = (lp.state, lp.current_ap, lp.queue.reservations())
-    assert lp.handle_message(msg, 9, now=2.0) == []
+    assert lp.handle_message(msg, sender, now=2.0) == []
     assert (lp.state, lp.current_ap, lp.queue.reservations()) == before
     assert lp.transitions == []
+    # Each drop raises its own counter by one; heartbeats are not counted.
+    assert lp.drops == ({reason: 1} if reason else {})
 
 
 def test_random_message_storm_never_faults_the_platform():
     # An unreliable link may deliver anything at any phase; the platform
-    # logs and drops what does not fit and keeps its occupancy invariant.
+    # counts and drops what does not fit and keeps its occupancy invariant.
     import random
 
     rng = random.Random(31)

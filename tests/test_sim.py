@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -785,3 +786,13 @@ def test_bench_span_recorder_splits_run_sim_into_its_tick_phases(monkeypatch):
     phases = stats.phases_s()
     assert set(phases) == {"deliver", "physics", "ap_tick", "lp_tick", "trace"}
     assert all(seconds > 0 for seconds in phases.values())
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("PASS {'LP1': 45}")
+    assert lines[1:] == ["{}", "3/3 seeds pass"]
