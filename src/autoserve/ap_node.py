@@ -193,11 +193,8 @@ class ApNode:
     # -- message handling ------------------------------------------------------
 
     def handle_message(self, msg: Message, from_sys_id: int, now: float) -> list[Outbound]:
-        # Platform heartbeats, half of all deliveries, carry nothing a
-        # vehicle acts on.
+        # Platforms send no heartbeat, so one that arrives is unexpected.
         kind = type(msg)
-        if kind is ExtendedHeartbeat:
-            return []
         if kind is LpReservationConfirmation:
             return self._handle_confirmation(msg, from_sys_id)
         if kind is SystemStateUpdate:

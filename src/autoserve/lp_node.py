@@ -16,10 +16,11 @@ never lands within the boarding timeout.
 
 The queue fills only from vehicle requests, and every return to IDLE
 promotes its head, so a platform is never IDLE with a non-empty queue.
-Heartbeats are dropped unread. Messages that are inconsistent with the
-current phase (for example LANDED while IDLE) are dropped and counted in
-drops, one counter per reason; an unreliable link must not be able to
-fault the platform.
+A platform sends no heartbeat, since vehicles act only on the messages
+addressed to them; vehicle heartbeats are dropped unread and uncounted.
+Messages that are inconsistent with the current phase (for example
+LANDED while IDLE) are dropped and counted in drops, one counter per
+reason; an unreliable link must not be able to fault the platform.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ from .transport import Outbound
 from .wire import (
     ApReservationDecision,
     ExtendedHeartbeat,
-    FlightStack,
     LpReservationConfirmation,
     Message,
     NodeState,
     ReservationAction,
     ServiceReservationRequest,
     SystemStateUpdate,
-    VehicleType,
 )
 
 # Enum members bound once at import, as in ap_node: a function-level
@@ -51,9 +50,7 @@ LANDED = NodeState.LANDED
 RELEASING = NodeState.RELEASING
 SERVICE_COMPLETE = NodeState.SERVICE_COMPLETE
 SERVICING = NodeState.SERVICING
-UNKNOWN_STACK = FlightStack.UNKNOWN
 KEEP = ReservationAction.KEEP
-LANDING_PLATFORM = VehicleType.LANDING_PLATFORM
 
 # AWAITING_BOARDING -> IDLE is the cancel/no-show revert.
 LP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
@@ -80,7 +77,6 @@ class LpNode:
         service_duration_s: float = 120.0,
         alignment_duration_s: float = 10.0,
         boarding_timeout_s: float = 180.0,
-        heartbeat_interval_s: float = 1.0,
     ):
         self.sys_id = sys_id
         self.position = (float(position[0]), float(position[1]))
@@ -90,14 +86,11 @@ class LpNode:
         self.service_duration_s = service_duration_s
         self.alignment_duration_s = alignment_duration_s
         self.boarding_timeout_s = boarding_timeout_s
-        self.heartbeat_interval_s = heartbeat_interval_s
 
         self.services_completed = 0
         self.wait_samples: list[float] = []
 
         self._phase_started_at: float | None = None
-        self._last_heartbeat_at: float | None = None
-        self._heartbeat: ExtendedHeartbeat | None = None
         # (from, to) pairs not yet drained; the simulator reads it after
         # each message to skip nodes with nothing to report.
         self.transitions: list[tuple[NodeState, NodeState]] = []
@@ -152,8 +145,8 @@ class LpNode:
     def handle_message(self, msg: Message, from_sys_id: int, now: float) -> list[Outbound]:
         """Process one decoded, verified message; returns replies to send."""
         kind = type(msg)
-        # Heartbeats, from vehicles and other platforms alike and most of
-        # all deliveries, carry nothing a platform acts on.
+        # Vehicle heartbeats, most of a platform's deliveries, carry nothing
+        # it acts on.
         if kind is ExtendedHeartbeat:
             return []
         if kind is ServiceReservationRequest:
@@ -240,7 +233,7 @@ class LpNode:
     # -- periodic work --------------------------------------------------------
 
     def tick(self, now: float) -> list[Outbound]:
-        """Advance timed phases; emit the heartbeat and any boarding signal.
+        """Advance timed phases; emit phase updates and any boarding signal.
 
         Must be called with non-decreasing now. Calling twice at the same
         time is a no-op the second time.
@@ -265,25 +258,4 @@ class LpNode:
             out.append(Outbound(self.current_ap, SystemStateUpdate(state=SERVICE_COMPLETE)))
 
         out.extend(self._promote(now))
-
-        if (
-            self._last_heartbeat_at is None
-            or now - self._last_heartbeat_at >= self.heartbeat_interval_s
-        ):
-            self._last_heartbeat_at = now
-            out.append(Outbound(None, self.heartbeat()))
         return out
-
-    def heartbeat(self) -> ExtendedHeartbeat:
-        """The current heartbeat, reused while state and position are the
-        same objects, as in ApNode.heartbeat."""
-        x, y = self.position
-        beat = self._heartbeat
-        if beat is None or beat.system_state is not self.state or (
-            beat.pos_x is not x or beat.pos_y is not y
-        ):
-            # Platforms are mains-powered ground stations; battery reads full.
-            beat = self._heartbeat = ExtendedHeartbeat(
-                LANDING_PLATFORM, UNKNOWN_STACK, self.state, 100.0, x, y
-            )
-        return beat

@@ -584,7 +584,7 @@ class Simulation:
                 tracer.record(t, self._actor_names[dest], "MSG_RECV", detail)
             node = nodes[dest]
             outbound = node.handle_message(msg, header.sys_id, t)
-            # Most deliveries are heartbeats that neither reply nor change state.
+            # Most deliveries are vehicle heartbeats: no reply, no state change.
             if outbound or node.transitions:
                 self._send(dest, outbound, t)
 

@@ -14,8 +14,8 @@ comp_id) stream, and every endpoint holds a `Keystore` of that secret with
 its own replay state. A receiver refuses an unsigned frame.
 
 Broadcast (dest_sys_id None) delivers to every registered node of the
-other kind, in sys_id order: heartbeats flow between aerial and landing
-platforms, which are the only cross-kind consumers of them.
+other kind, in sys_id order. Only vehicle heartbeats are broadcast, to
+every platform; platforms send none.
 
 All deliveries of one send share one frame object. `decode_for` decodes
 a new frame with `decode_frame` at its first receiver and remembers the

@@ -204,8 +204,6 @@ class ChaosNetwork:
         self.rng = random.Random(seed)
         self.now = 0.0
         roster = [(1, (0.0, 0.0)), (2, (80.0, 0.0))]
-        # Sparse heartbeats keep the backlog bounded so protocol messages
-        # actually flow through the random delivery order.
         self.lps = {
             sys_id: LpNode(
                 sys_id,
@@ -213,10 +211,11 @@ class ChaosNetwork:
                 alignment_duration_s=5.0,
                 service_duration_s=20.0,
                 boarding_timeout_s=60.0,
-                heartbeat_interval_s=9.0,
             )
             for sys_id, position in roster
         }
+        # Sparse vehicle heartbeats keep the backlog bounded so protocol
+        # messages actually flow through the random delivery order.
         self.aps = {
             sys_id: ApNode(sys_id, roster, departure_clear_s=1.0, heartbeat_interval_s=7.0)
             for sys_id in (3, 4, 5)

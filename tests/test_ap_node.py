@@ -12,6 +12,7 @@ from autoserve.wire import (
     ReservationAction,
     ServiceReservationRequest,
     SystemStateUpdate,
+    VehicleType,
 )
 
 ROSTER = [(1, (0.0, 0.0)), (2, (100.0, 0.0))]
@@ -304,7 +305,19 @@ def test_clearance_while_operating_is_ignored():
             1,
             "ap_unexpected_message",
         ),
-        (LpNode(1, (0.0, 0.0)).heartbeat(), 1, None),
+        # Platforms send no heartbeat, so one is unexpected at a vehicle.
+        (
+            ExtendedHeartbeat(
+                vehicle_type=VehicleType.LANDING_PLATFORM,
+                flight_stack=0,
+                system_state=NodeState.IDLE,
+                battery_pct=100.0,
+                pos_x=0.0,
+                pos_y=0.0,
+            ),
+            1,
+            "ap_unexpected_message",
+        ),
         (conf(0, ap=9), 1, "ap_confirmation_for_other_ap"),
         (conf(0), 2, "ap_confirmation_unexpected"),
         (update(NodeState.SERVICING), 2, "ap_state_update_from_other_lp"),
@@ -330,8 +343,8 @@ def test_message_the_vehicle_does_not_act_on_changes_nothing(msg, sender, reason
     assert ap.handle_message(msg, sender, 2.0) == []
     assert (ap.state, ap.current_reservation) == before
     assert ap.transitions == []
-    # Each drop raises its own counter by one; heartbeats are not counted.
-    assert ap.drops == ({reason: 1} if reason else {})
+    # Each drop raises its own counter by one.
+    assert ap.drops == {reason: 1}
 
 
 # --- state updates ---------------------------------------------------------------------

@@ -62,20 +62,23 @@ FRAMES = [
 # auto-reservation it configured: each time only the config echo in the
 # trace header and the report changed. The report digests were re-pinned
 # once more when the report gained its drops counts; the traces did not
-# change.
+# change. The trace digests were re-pinned when platforms stopped sending
+# heartbeats: each trace is its predecessor minus the platforms'
+# ExtendedHeartbeat MSG_SENT records and the vehicles' ExtendedHeartbeat
+# MSG_RECV records, and the reports did not change.
 RUNS = [
     (
         SimConfig(duration_s=1800),
         {},
         "8eb22230d514ed9ead22277c4e7ef3c93684dc876f5eaf5cda3cd820052f1a86",
-        "dda4c9951827808e85abcee8e7b6e20cabe2c8263fcab6a60831f968c2edaa38",
+        "ec74f9d9e102c2648ca1960c0227c30af8de372e72d165235ff492a173ca9891",
     ),
     # One vehicle hears a clearance from a platform it is not waiting on.
     (
         SimConfig(n_uavs=20, n_lps=5, duration_s=300),
         {"ap_confirmation_unexpected": 1},
         "7ed836f666a0904a0f4ce0f3abc872d9028ae0d0d3a302d7a399534523df063d",
-        "9496a15f740a472a27a2b4232814cdf98fcd7d74e9e9b4317f4c3cf509ccb50d",
+        "0ab58a0ba4f3041fd63ae73119f8be9bec31ea3384dd022929c050fb186e51a3",
     ),
     # Fails: 4 FAILURE records and 1,371 TICKs with "failed":true; three
     # vehicles cleared to board fail before they land.
@@ -83,7 +86,7 @@ RUNS = [
         SimConfig(duration_s=900, consumption_pct_per_s=(0.35, 0.45)),
         {"lp_boarding_timeout": 3},
         "c92d2c94748ea751917dd858837aff7211729037b8b7421822399da5166ecc3a",
-        "4f7d552b3fad0dde63b7f933b08f67e467f471140b2dd838f34842f71777a99b",
+        "f02dc104762fe5cc65fe872fa0a9521362e927fa5006cf0fee14c82ad72e7c55",
     ),
 ]
 

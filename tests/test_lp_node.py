@@ -207,9 +207,10 @@ def test_service_completes_after_service_duration():
 def test_tick_twice_at_same_time_emits_nothing_new():
     lp = make_lp()
     lp.handle_message(request(60), 7, now=0.0)
-    first = lp.tick(50.0)
-    assert first  # at least the heartbeat
-    assert lp.tick(50.0) == []
+    lp.handle_message(update(NodeState.LANDED), 7, now=1.0)
+    first = lp.tick(11.0)  # alignment done: the platform announces SERVICING
+    assert [o.msg for o in first] == [update(NodeState.SERVICING)]
+    assert lp.tick(11.0) == []
 
 
 def test_departed_releases_and_clears_next():
@@ -240,27 +241,31 @@ def test_boarding_timeout_drops_reservation_and_clears_next():
     assert lp.drops == {"lp_boarding_timeout": 1}
 
 
-def test_heartbeat_emitted_at_one_hertz():
-    lp = make_lp()
-    beats = 0
-    for now in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0):
-        out = lp.tick(now)
-        beats += sum(1 for o in out if isinstance(o.msg, ExtendedHeartbeat))
-    assert beats == 3  # t=0, t=1, t=2
-
-
-def test_heartbeat_is_reused_until_the_state_changes():
-    lp = make_lp()
-    first = lp.heartbeat()
-    assert lp.heartbeat() is first
-    lp.handle_message(request(50), 7, now=0.0)  # IDLE -> AWAITING_BOARDING
-    second = lp.heartbeat()
-    assert second is not first
-    assert second.system_state is NodeState.AWAITING_BOARDING
-    assert second == ExtendedHeartbeat(
-        VehicleType.LANDING_PLATFORM, 0, NodeState.AWAITING_BOARDING, 100.0, 0.0, 0.0
-    )
-    assert lp.heartbeat() is second
+def test_platform_sends_no_heartbeat_through_a_full_cycle():
+    lp = make_lp(alignment_duration_s=2.0, service_duration_s=5.0)
+    sent = lp.tick(0.0)
+    sent += lp.handle_message(request(60), 7, now=0.0)
+    sent += lp.tick(1.0)
+    sent += lp.handle_message(update(NodeState.LANDED), 7, now=1.0)
+    for now in range(2, 10):
+        sent += lp.tick(float(now))
+    assert lp.state is NodeState.RELEASING
+    sent += lp.handle_message(update(NodeState.DEPARTED), 7, now=10.0)
+    sent += lp.tick(11.0)
+    assert lp.state is NodeState.IDLE and lp.services_completed == 1
+    assert [to for _, to in lp.drain_transitions()] == [
+        NodeState.AWAITING_BOARDING,
+        NodeState.ALIGNING,
+        NodeState.SERVICING,
+        NodeState.RELEASING,
+        NodeState.IDLE,
+    ]
+    assert not any(isinstance(o.msg, ExtendedHeartbeat) for o in sent)
+    assert sent == [
+        (7, LpReservationConfirmation(target_ap_sys_id=7, queue_position=0)),
+        (7, update(NodeState.SERVICING)),
+        (7, update(NodeState.SERVICE_COMPLETE)),
+    ]
 
 
 # --- robustness --------------------------------------------------------------------

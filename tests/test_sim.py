@@ -562,6 +562,36 @@ def test_every_sent_message_is_received_exactly_once_one_tick_later(traced_run):
     assert sent == received
 
 
+def test_only_vehicles_send_heartbeats_one_per_live_tick_to_every_platform(monkeypatch):
+    import autoserve.transport as transport
+
+    beat_frames = Counter()
+    send = transport.InMemoryBus.send
+
+    def counting_send(bus, src_sys_id, outbound, now):
+        if isinstance(outbound.msg, ExtendedHeartbeat):
+            beat_frames[f"{'LP' if src_sys_id <= cfg.n_lps else 'AP'}{src_sys_id}"] += 1
+        return send(bus, src_sys_id, outbound, now)
+
+    monkeypatch.setattr(transport.InMemoryBus, "send", counting_send)
+    cfg = SimConfig(n_uavs=20, n_lps=5, duration_s=300)
+    _, _, records = run_traced(cfg)
+    beat_records = Counter(
+        r["actor"]
+        for r in records
+        if r["kind"] == "MSG_SENT" and r["detail"]["msg"] == "ExtendedHeartbeat"
+    )
+    live_ticks = Counter(
+        r["actor"]
+        for r in records
+        if r["kind"] == "TICK" and r["actor"].startswith("AP") and not r["detail"]["failed"]
+    )
+    assert not any(actor.startswith("LP") for actor in beat_records | beat_frames)
+    assert len(live_ticks) == cfg.n_uavs
+    assert beat_records == {actor: cfg.n_lps * n for actor, n in live_ticks.items()}
+    assert beat_frames == live_ticks
+
+
 def test_services_match_restores(traced_run):
     _, report, _, records = traced_run
     restores = [r for r in records if r["kind"] == "BATTERY"]
