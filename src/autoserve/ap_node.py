@@ -67,6 +67,7 @@ CANCEL = ReservationAction.CANCEL
 KEEP = ReservationAction.KEEP
 AERIAL_PLATFORM = VehicleType.AERIAL_PLATFORM
 PX4 = FlightStack.PX4
+HEARTBEAT_INTERVAL_S = 1.0  # a vehicle broadcasts its heartbeat at 1 Hz
 
 AP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
     NodeState.OPERATING: frozenset({NodeState.REQUEST_PENDING}),
@@ -94,7 +95,6 @@ class ApNode:
         cruise_speed_m_per_s: float = 0.3,
         max_consumption_pct_per_s: float = 0.2,
         service_duration_estimate_s: float = 120.0,
-        heartbeat_interval_s: float = 1.0,
         departure_clear_s: float = 1.0,
     ):
         self.sys_id = sys_id
@@ -106,7 +106,6 @@ class ApNode:
         self.cruise_speed_m_per_s = cruise_speed_m_per_s
         self.max_consumption_pct_per_s = max_consumption_pct_per_s
         self.service_duration_estimate_s = service_duration_estimate_s
-        self.heartbeat_interval_s = heartbeat_interval_s
         self.departure_clear_s = departure_clear_s
 
         self.state = OPERATING
@@ -304,7 +303,7 @@ class ApNode:
 
         if (
             self._last_heartbeat_at is None
-            or now - self._last_heartbeat_at >= self.heartbeat_interval_s
+            or now - self._last_heartbeat_at >= HEARTBEAT_INTERVAL_S
         ):
             self._last_heartbeat_at = now
             out.append(Outbound(None, self.heartbeat()))

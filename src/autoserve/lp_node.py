@@ -15,7 +15,8 @@ AWAITING_BOARDING reverts to IDLE when the boarding vehicle cancels or
 never lands within the boarding timeout.
 
 The queue fills only from vehicle requests, and every return to IDLE
-promotes its head, so a platform is never IDLE with a non-empty queue.
+promotes its head, so a platform is never IDLE with a non-empty queue
+and a request that finds it IDLE is promoted at once.
 A platform sends no heartbeat, since vehicles act only on the messages
 addressed to them; vehicle heartbeats are dropped unread and uncounted.
 Messages that are inconsistent with the current phase (for example
@@ -118,8 +119,8 @@ class LpNode:
         return raw_position + (1 if self.current_ap is not None else 0)
 
     def _promote(self, now: float) -> list[Outbound]:
-        """If free and the queue is non-empty, clear the head for boarding."""
-        if self.state is not IDLE or len(self.queue) == 0:
+        """On an IDLE platform, clear the queue's head, if any, for boarding."""
+        if len(self.queue) == 0:
             return []
         reservation = self.queue.pop_next()
         self.current_ap = reservation.ap_sys_id
@@ -182,16 +183,11 @@ class LpNode:
                     ap_sys_id=from_sys_id, priority=msg.priority, requested_at=now
                 )
             )
-        out: list[Outbound] = []
         if self.state is IDLE:
-            out = self._promote(now)
-            if self.current_ap == from_sys_id:
-                # The promotion confirmation with position 0 is the reply.
-                return out
-            # A higher-priority reservation was cleared instead; the
-            # requester still gets its direct answer.
-            position = self.queue.position_of(from_sys_id)
-        out.append(
+            # An IDLE platform's queue was empty, so the requester is its
+            # head: the promotion's confirmation with position 0 is the reply.
+            return self._promote(now)
+        return [
             Outbound(
                 from_sys_id,
                 LpReservationConfirmation(
@@ -199,8 +195,7 @@ class LpNode:
                     queue_position=self.effective_position(position),
                 ),
             )
-        )
-        return out
+        ]
 
     def _handle_decision(
         self, msg: ApReservationDecision, from_sys_id: int, now: float
@@ -256,6 +251,4 @@ class LpNode:
             self._phase_started_at = now
             self.services_completed += 1
             out.append(Outbound(self.current_ap, SystemStateUpdate(state=SERVICE_COMPLETE)))
-
-        out.extend(self._promote(now))
         return out

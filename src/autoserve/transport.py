@@ -11,11 +11,13 @@ The bus is one signed link, as in MAVLink v2 signing: one secret, one
 link_id (LINK_ID) and one timestamp clock. Every sender signs with the
 link's one `SigningContext`, which keeps timestamps per (link_id, sys_id,
 comp_id) stream, and every endpoint holds a `Keystore` of that secret with
-its own replay state. A receiver refuses an unsigned frame.
+its own replay state. Every receiver decodes with `decode_frame`, which
+refuses an unsigned frame.
 
 Broadcast (dest_sys_id None) delivers to every registered node of the
 other kind, in sys_id order. Only vehicle heartbeats are broadcast, to
-every platform; platforms send none.
+every platform; platforms send none. A unicast to an unregistered
+sys_id raises ValueError before it is framed.
 
 All deliveries of one send share one frame object. `decode_for` decodes
 a new frame with `decode_frame` at its first receiver and remembers the
@@ -90,16 +92,18 @@ class InMemoryBus:
         """Frame, sign and queue a message; returns the queued deliveries."""
         dest_sys_id, msg = outbound
         endpoint = self._endpoints[src_sys_id]
+        if dest_sys_id is None:
+            dests = endpoint.peers
+        elif dest_sys_id in self._endpoints:
+            dests = (dest_sys_id,)
+        else:
+            raise ValueError(f"sys_id {dest_sys_id} is not registered")
         seq = endpoint.tx_seq
         endpoint.tx_seq = (seq + 1) & 0xFF
         frame = encode_frame(msg, seq, src_sys_id, 1, self._signing)  # comp_id 1
         deliver_at = now + LATENCY_S
         if deliver_at > self._due_by:
             self._due_by = deliver_at
-        if dest_sys_id is None:
-            dests = endpoint.peers
-        else:
-            dests = (dest_sys_id,) if dest_sys_id in self._endpoints else ()
         # tuple.__new__ builds the named tuples without their Python-level __new__.
         new = tuple.__new__
         queued = [new(Delivery, (src_sys_id, dest, deliver_at, frame)) for dest in dests]
@@ -126,7 +130,7 @@ class InMemoryBus:
         keystore = self._keystores[dest_sys_id]
         decoded_frame, result = self._decoded
         if decoded_frame is not frame:
-            result = decode_frame(frame, keystore, require_signed=True)
+            result = decode_frame(frame, keystore)
             self._decoded = frame, result
             return result
         header, _, signature = result

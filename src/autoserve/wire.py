@@ -94,7 +94,7 @@ class SignatureInvalid(FrameDecodeError):
 
 
 class SignatureMissing(FrameDecodeError):
-    """Receiver policy requires signed frames but the frame is unsigned."""
+    """decode_frame refuses a frame whose header says it is unsigned."""
 
 
 class StaleTimestamp(FrameDecodeError):
@@ -569,6 +569,8 @@ _SIGNATURE_BLOCK = struct.Struct("<BIH6s")
 _SIGNED_TAIL = struct.Struct("<HBIH")
 # Signed bytes end after link_id and timestamp, 7 bytes past the checksum.
 _SIGNED_TRAILER_LEN = SIGNATURE_LEN - 6
+# Builds the named tuples without their Python-level __new__.
+_new_tuple = tuple.__new__
 
 
 def encode_frame(
@@ -620,30 +622,31 @@ def encode_frame(
 def _parse_frame(data: bytes) -> tuple[FrameHeader, bytes, int, Signature | None, int]:
     """Structural parse: header, payload bytes, stored checksum, signature.
 
+    The one parse of a frame's layout, for verify_frame and dump_frame.
     Returns the end offset of the checksummed region as the final element.
     Raises BadMagic or TruncatedFrame only; no integrity checks here.
     """
-    if len(data) == 0:
-        raise TruncatedFrame("empty byte sequence")
-    if data[0] != MAGIC_V2:
-        raise BadMagic(f"expected 0x{MAGIC_V2:02X}, got 0x{data[0]:02X}")
-    if len(data) < HEADER_LEN:
-        raise TruncatedFrame(f"{len(data)} bytes is shorter than the frame header")
+    size = len(data)
+    if size < HEADER_LEN or data[0] != MAGIC_V2:
+        if size == 0:
+            raise TruncatedFrame("empty byte sequence")
+        if data[0] != MAGIC_V2:
+            raise BadMagic(f"expected 0x{MAGIC_V2:02X}, got 0x{data[0]:02X}")
+        raise TruncatedFrame(f"{size} bytes is shorter than the frame header")
 
     _, length, incompat, compat, seq, sys_id, comp_id, id_lo, id_hi = _HEADER.unpack_from(data)
     end = HEADER_LEN + length + CHECKSUM_LEN
     total = end + SIGNATURE_LEN if incompat & INCOMPAT_SIGNED else end
-    if len(data) < total:
-        raise TruncatedFrame(f"need {total} bytes, got {len(data)}")
-    # tuple.__new__ builds the named tuples without their Python-level __new__.
+    if size < total:
+        raise TruncatedFrame(f"need {total} bytes, got {size}")
     fields = (length, incompat, compat, seq, sys_id, comp_id, id_lo | id_hi << 16, MAGIC_V2)
-    header = tuple.__new__(FrameHeader, fields)
+    header = _new_tuple(FrameHeader, fields)
     payload = data[HEADER_LEN : end - CHECKSUM_LEN]
     stored_crc = data[end - 2] | data[end - 1] << 8
     signature = None
     if total > end:
         link_id, ts_lo, ts_hi, sig = _SIGNATURE_BLOCK.unpack_from(data, end)
-        signature = tuple.__new__(Signature, (link_id, ts_lo | ts_hi << 32, sig))
+        signature = _new_tuple(Signature, (link_id, ts_lo | ts_hi << 32, sig))
     return header, payload, stored_crc, signature, end
 
 
@@ -652,88 +655,62 @@ def verify_frame(
 ) -> tuple[FrameHeader, Message, Signature | None]:
     """Parse and verify one frame without touching any replay state.
 
-    Checks the msg_id, the checksum and, for a signed frame, the signature
-    against the keystore's secret for its link_id, then unpacks the
-    payload. The result depends only on the bytes and that secret;
-    decode_frame adds the signing policy and the keystore's replay check.
-    Bytes after the end of the frame are ignored.
+    _parse_frame reads the header, payload, checksum and signature block,
+    and raises BadMagic or TruncatedFrame. Then the msg_id, the checksum
+    and, for a signed frame, the signature against the keystore's secret
+    for its link_id are checked, and the payload is unpacked. The result
+    depends only on the bytes and that secret; decode_frame adds the
+    refusal of unsigned frames and the keystore's replay check. Bytes
+    after the end of the frame are ignored.
 
-    Reads the frame in one pass; a frame too short for its header, payload
-    or signature, or with a bad magic byte, is handed to _parse_frame to
-    raise its error. A frame whose payload bytes equal those of the last
-    frame of its msg_id that passed every check from the same sys_id
-    reuses that frame's message object: equal bytes unpack to equal
-    messages.
+    A frame whose payload bytes equal those of the last frame of its
+    msg_id that passed every check from the same sys_id reuses that
+    frame's message object: equal bytes unpack to equal messages.
     """
     if not isinstance(data, bytes):
         data = bytes(data)
-    if len(data) < HEADER_LEN or data[0] != MAGIC_V2:
-        _parse_frame(data)  # raises BadMagic or TruncatedFrame
-    _, length, incompat, compat, seq, sys_id, comp_id, id_lo, id_hi = _HEADER.unpack_from(data)
-    end = HEADER_LEN + length + CHECKSUM_LEN
-    signed = incompat & INCOMPAT_SIGNED
-    if len(data) < (end + SIGNATURE_LEN if signed else end):
-        _parse_frame(data)  # raises TruncatedFrame
-
-    msg_id = id_lo | id_hi << 16
-    spec = _MESSAGE_SPECS.get(msg_id)
+    header, payload, stored_crc, signature, end = _parse_frame(data)
+    spec = _MESSAGE_SPECS.get(header.msg_id)
     if spec is None:
-        raise UnknownMsgId(f"msg_id {msg_id}")
+        raise UnknownMsgId(f"msg_id {header.msg_id}")
 
-    stored_crc = data[end - 2] | data[end - 1] << 8
     computed = compute_checksum(data[1 : end - CHECKSUM_LEN], spec.crc_extra)
     if computed != stored_crc:
         raise ChecksumMismatch(f"stored 0x{stored_crc:04X}, computed 0x{computed:04X}")
 
-    signature = None
-    if signed:
-        link_id, ts_lo, ts_hi, sig = _SIGNATURE_BLOCK.unpack_from(data, end)
+    if signature is not None:
         if keystore is None:
             raise SignatureInvalid("signed frame but no keystore supplied")
-        keyed = keystore.keyed_sha256.get(link_id)
+        keyed = keystore.keyed_sha256.get(signature.link_id)
         if keyed is None:
-            raise SignatureInvalid(f"no key for link_id {link_id}")
+            raise SignatureInvalid(f"no key for link_id {signature.link_id}")
         hasher = keyed.copy()
         hasher.update(data[: end + _SIGNED_TRAILER_LEN])
-        if not hmac.compare_digest(hasher.digest()[:6], sig):
+        if not hmac.compare_digest(hasher.digest()[:6], signature.sig):
             raise SignatureInvalid("signature does not match frame contents")
-        # tuple.__new__ builds the named tuples without their Python-level __new__.
-        signature = tuple.__new__(Signature, (link_id, ts_lo | ts_hi << 32, sig))
 
-    payload = data[HEADER_LEN : end - CHECKSUM_LEN]
-    last = spec.last_received.get(sys_id)
+    last = spec.last_received.get(header.sys_id)
     if last is not None and last[0] == payload:
         msg = last[1]
     else:
         msg = spec.unpack(payload)
-        spec.last_received[sys_id] = payload, msg
-    fields = (length, incompat, compat, seq, sys_id, comp_id, msg_id, MAGIC_V2)
-    return tuple.__new__(FrameHeader, fields), msg, signature
+        spec.last_received[header.sys_id] = payload, msg
+    return header, msg, signature
 
 
-def decode_frame(
-    data: bytes,
-    keystore: Keystore | None = None,
-    require_signed: bool = False,
-) -> tuple[FrameHeader, Message, Signature | None]:
-    """Decode one frame: the signing policy, verify_frame, the replay check.
+def decode_frame(data: bytes, keystore: Keystore) -> tuple[FrameHeader, Message, Signature]:
+    """Decode one frame as a receiver on a signed link.
 
-    With require_signed, a frame whose header says it is unsigned is
-    refused before verify_frame runs, so it never reaches a codec slot.
-    A signed frame is checked against the keystore's secret and then its
-    per-stream replay state. A frame that fails any check leaves the
-    keystore unchanged.
+    A frame whose header says it is unsigned is refused with
+    SignatureMissing before any other check runs, so it never reaches a
+    codec slot. Any other frame passes verify_frame against the keystore's
+    secret and then its per-stream replay check. A frame that fails any
+    check leaves the keystore unchanged.
     """
-    if (
-        require_signed
-        and len(data) >= HEADER_LEN
-        and data[0] == MAGIC_V2
-        and not data[2] & INCOMPAT_SIGNED
-    ):
+    if len(data) >= HEADER_LEN and data[0] == MAGIC_V2 and not data[2] & INCOMPAT_SIGNED:
         raise SignatureMissing("receiver policy requires signed frames")
     header, msg, signature = verify_frame(data, keystore)
-    if signature is not None:
-        keystore.accept(signature.link_id, header.sys_id, header.comp_id, signature.timestamp)
+    keystore.accept(signature.link_id, header.sys_id, header.comp_id, signature.timestamp)
     return header, msg, signature
 
 

@@ -52,6 +52,8 @@ def confirmations(outbound):
 
 def check_occupancy_invariant(lp):
     assert (lp.current_ap is not None) == (lp.state is not NodeState.IDLE)
+    # Every return to IDLE promotes the queue's head.
+    assert lp.state is not NodeState.IDLE or len(lp.queue) == 0
 
 
 def drive_to_servicing(lp, ap=7, t0=0.0):

@@ -1,12 +1,12 @@
 import pytest
 
 import autoserve.transport as transport
+import autoserve.wire as wire
 from autoserve.transport import InMemoryBus, Outbound
 from autoserve.wire import (
-    HEADER_LEN,
-    ChecksumMismatch,
     ExtendedHeartbeat,
     FlightStack,
+    FrameDecodeError,
     Keystore,
     NodeState,
     SignatureMissing,
@@ -15,6 +15,7 @@ from autoserve.wire import (
     VehicleType,
     encode_frame,
 )
+from test_wire import FRAME_FAULTS
 
 SECRET = bytes(range(32))
 HEARTBEAT = ExtendedHeartbeat(
@@ -35,9 +36,9 @@ def count_decode_calls(monkeypatch):
     calls = []
     original = transport.decode_frame
 
-    def counting(frame, keystore, require_signed):
+    def counting(frame, keystore):
         calls.append(frame)
-        return original(frame, keystore, require_signed)
+        return original(frame, keystore)
 
     monkeypatch.setattr(transport, "decode_frame", counting)
     return calls
@@ -102,16 +103,38 @@ def test_shared_signer_keeps_each_senders_stream_apart():
     assert stamps[2] == [(1, ts) for ts in (5_000, 5_001, 5_002)]
 
 
-def test_corrupted_frame_raises_for_every_receiver_and_commits_nothing(monkeypatch):
+def codec_slots():
+    """Every codec slot as (msg_id, sys_id, slot); a slot write stores a new tuple."""
+    return [
+        (spec.msg_id, sys_id, slot)
+        for spec in wire._MESSAGE_SPECS.values()
+        for slots in (spec.last_sent, spec.last_received)
+        for sys_id, slot in slots.items()
+    ]
+
+
+def same_slots(before, after):
+    return len(before) == len(after) and all(
+        b[:2] == a[:2] and b[2] is a[2] for b, a in zip(before, after)
+    )
+
+
+@pytest.mark.parametrize("frame, expected", FRAME_FAULTS.values(), ids=FRAME_FAULTS.keys())
+def test_corrupted_frame_raises_for_every_receiver_and_commits_nothing(
+    monkeypatch, frame, expected
+):
+    """Each fault a frame can carry raises at every receiver the class
+    decode_frame raises for it, and touches no replay state or codec slot."""
     bus = make_bus(n_aps=3)
+    bus.send(1, Outbound(None, HEARTBEAT), now=0.0)
     accept_calls = count_accept_calls(monkeypatch)
-    frame = bytearray(bus.send(1, Outbound(None, HEARTBEAT), now=0.0)[0].frame)
-    frame[HEADER_LEN] ^= 0x01
-    corrupted = bytes(frame)
+    slots = codec_slots()
     for ap_id in (2, 3, 4):
-        with pytest.raises(ChecksumMismatch):
-            bus.decode_for(ap_id, corrupted)
+        with pytest.raises(FrameDecodeError) as raised:
+            bus.decode_for(ap_id, frame)
+        assert type(raised.value) is expected
     assert accept_calls == []
+    assert same_slots(slots, codec_slots())
     # The intact frame still passes the replay check everywhere.
     for delivery in bus.pop_due(1.0):
         bus.decode_for(delivery.dest_sys_id, delivery.frame)
@@ -127,6 +150,19 @@ def test_unsigned_frame_is_refused_by_every_receiver(monkeypatch):
         with pytest.raises(SignatureMissing):
             bus.decode_for(dest, forged)
     assert accept_calls == []
+
+
+def test_unicast_to_unregistered_sys_id_raises_before_framing():
+    """The failed send spends no seq number, signing timestamp or codec slot."""
+    bus = make_bus(n_aps=1)
+    slots = codec_slots()
+    with pytest.raises(ValueError, match="sys_id 9 is not registered"):
+        bus.send(1, Outbound(9, SystemStateUpdate(state=NodeState.SERVICING)), now=0.0)
+    assert same_slots(slots, codec_slots())
+    assert bus.pop_due(1.0) == []
+    (delivery,) = bus.send(1, Outbound(2, HEARTBEAT), now=1.0)
+    header, _, signature = bus.decode_for(2, delivery.frame)
+    assert (header.seq, signature.timestamp) == (0, 1_000_000)
 
 
 def test_pop_due_with_mixed_deadlines_keeps_later_sends_in_flight():

@@ -240,7 +240,7 @@ def test_field_bounds_enforced_on_both_sides(msg, payload):
     with pytest.raises(ValueError):
         encode_frame(msg, 0, 1, 1)
     with pytest.raises(MalformedPayload):
-        decode_frame(_frame_with_payload(wire._SPEC_BY_TYPE[type(msg)].msg_id, payload))
+        verify_frame(_frame_with_payload(wire._SPEC_BY_TYPE[type(msg)].msg_id, payload))
 
 
 # --- round trip ---------------------------------------------------------------
@@ -251,7 +251,7 @@ def test_field_bounds_enforced_on_both_sides(msg, payload):
 def test_roundtrip_unsigned(msg, seq, sys_id, comp_id):
     frame = encode_frame(msg, seq, sys_id, comp_id)
     assert len(frame) <= wire.MAX_FRAME_LEN
-    header, decoded, sig = decode_frame(frame)
+    header, decoded, sig = verify_frame(frame)
     assert decoded == msg
     assert (header.seq, header.sys_id, header.comp_id) == (seq, sys_id, comp_id)
     assert sig is None
@@ -269,7 +269,7 @@ def test_roundtrip_signed(msg):
 
 def test_trailing_bytes_are_ignored():
     frame = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1)
-    _, msg, _ = decode_frame(frame + b"\xAA\xBB")
+    _, msg, _ = verify_frame(frame + b"\xAA\xBB")
     assert msg == SystemStateUpdate(state=NodeState.IDLE)
 
 
@@ -352,25 +352,26 @@ def test_message_json_spells_non_finite_floats_as_json_does(value):
 
 def test_empty_input_is_truncated():
     with pytest.raises(TruncatedFrame):
-        decode_frame(b"")
+        verify_frame(b"")
 
 
 def test_bad_magic():
     with pytest.raises(BadMagic):
-        decode_frame(b"\xfe" + bytes(12))
+        verify_frame(b"\xfe" + bytes(12))
 
 
 def test_truncated_header_and_body():
     frame = encode_frame(ExtendedHeartbeat(1, 1, NodeState.OPERATING, 50.0, 1.0, 2.0), 0, 1, 1)
     for cut in (1, 5, len(frame) - 1):
         with pytest.raises(TruncatedFrame):
-            decode_frame(frame[:cut])
+            verify_frame(frame[:cut])
 
 
 @pytest.mark.parametrize("signed", [False, True], ids=["unsigned", "signed"])
 def test_every_prefix_raises_as_the_structural_parse_does(signed):
-    """verify_frame reads a frame in one pass; every cut of a valid frame
-    must fail there exactly as wire._parse_frame fails on it."""
+    """Every cut of a valid frame fails in verify_frame exactly as
+    wire._parse_frame fails on it, and so in decode_frame when the frame is
+    signed: decode_frame refuses an unsigned frame once its header is whole."""
     msg = ExtendedHeartbeat(1, 1, NodeState.OPERATING, 50.0, 1.0, 2.0)
     frame = encode_frame(msg, 0, 1, 1, signing() if signed else None)
     for cut in range(len(frame)):
@@ -378,7 +379,7 @@ def test_every_prefix_raises_as_the_structural_parse_does(signed):
         with pytest.raises(FrameDecodeError) as parsed:
             wire._parse_frame(prefix)
         expected = (type(parsed.value), str(parsed.value))
-        for decode in (verify_frame, decode_frame):
+        for decode in (verify_frame, decode_frame) if signed else (verify_frame,):
             with pytest.raises(FrameDecodeError) as raised:
                 decode(prefix, Keystore({0: SECRET}))
             assert (type(raised.value), str(raised.value)) == expected
@@ -388,7 +389,7 @@ def test_unknown_msg_id():
     frame = bytearray(encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1))
     frame[7:10] = (41999).to_bytes(3, "little")
     with pytest.raises(UnknownMsgId):
-        decode_frame(bytes(frame))
+        verify_frame(bytes(frame))
 
 
 def test_flipped_payload_bit_is_checksum_mismatch():
@@ -402,7 +403,7 @@ def test_flipped_payload_bit_is_checksum_mismatch():
 def test_signature_missing_when_required():
     frame = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1)
     with pytest.raises(SignatureMissing):
-        decode_frame(frame, keystore=Keystore({0: SECRET}), require_signed=True)
+        decode_frame(frame, keystore=Keystore({0: SECRET}))
 
 
 def test_refused_unsigned_frame_leaves_the_codec_slots_alone():
@@ -415,7 +416,7 @@ def test_refused_unsigned_frame_leaves_the_codec_slots_alone():
     before = dict(spec.last_received)
     forged = encode_frame(SystemStateUpdate(state=NodeState.DEPARTED), 1, 2, 1)
     with pytest.raises(SignatureMissing):
-        decode_frame(forged, keystore=Keystore({0: SECRET}), require_signed=True)
+        decode_frame(forged, keystore=Keystore({0: SECRET}))
     assert spec.last_received == before
     assert spec.last_received[2] is before[2]
 
@@ -423,7 +424,7 @@ def test_refused_unsigned_frame_leaves_the_codec_slots_alone():
 def test_signed_frame_without_keystore_rejected():
     frame = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1, signing=signing())
     with pytest.raises(SignatureInvalid):
-        decode_frame(frame)
+        verify_frame(frame)
 
 
 def test_unknown_link_id_rejected():
@@ -537,57 +538,60 @@ def _keystore():
     return Keystore({0: SECRET})
 
 
-# Frames with exactly one fault each: (frame, keystore factory, require_signed,
-# the exception class decode_frame raised before verify and replay check
-# were split).
+# Frames with exactly one fault each: (frame, keystore factory, the
+# exception class decode_frame raises). Every fault the frame itself
+# carries is on a signed frame checked against the link's own keystore,
+# as on the bus, so decode_frame reaches that fault's own check.
 SINGLE_FAULTS = {
-    "empty": (b"", _no_keystore, False, TruncatedFrame),
-    "bad-magic": (b"\xfe" + _UNSIGNED[1:], _no_keystore, False, BadMagic),
-    "short-header": (_UNSIGNED[:6], _no_keystore, False, TruncatedFrame),
-    "short-body": (_UNSIGNED[:-1], _no_keystore, False, TruncatedFrame),
-    "short-signature": (_SIGNED[:-1], _keystore, False, TruncatedFrame),
-    "unknown-msg-id": (
-        _UNSIGNED[:7] + bytes(3) + _UNSIGNED[10:], _no_keystore, False, UnknownMsgId
-    ),
-    "payload-bit": (_flip(_UNSIGNED, wire.HEADER_LEN), _no_keystore, False, ChecksumMismatch),
-    "checksum-bit": (_flip(_SIGNED, 13), _keystore, False, ChecksumMismatch),
+    "empty": (b"", _keystore, TruncatedFrame),
+    "bad-magic": (b"\xfe" + _SIGNED[1:], _keystore, BadMagic),
+    "short-header": (_SIGNED[:6], _keystore, TruncatedFrame),
+    "short-body": (_SIGNED[: -wire.SIGNATURE_LEN - 1], _keystore, TruncatedFrame),
+    "short-signature": (_SIGNED[:-1], _keystore, TruncatedFrame),
+    "unknown-msg-id": (_SIGNED[:7] + bytes(3) + _SIGNED[10:], _keystore, UnknownMsgId),
+    "payload-bit": (_flip(_SIGNED, wire.HEADER_LEN), _keystore, ChecksumMismatch),
+    "checksum-bit": (_flip(_SIGNED, 13), _keystore, ChecksumMismatch),
     "malformed-payload": (
-        _frame_with_payload(42001, struct.pack("<BB", 101, 1)),
-        _no_keystore,
-        False,
+        _signed_frame_with_payload(42001, struct.pack("<BB", 101, 1), ts=9_000_000),
+        _keystore,
         MalformedPayload,
     ),
-    "unsigned-but-required": (_UNSIGNED, _keystore, True, SignatureMissing),
-    "signed-no-keystore": (_SIGNED, _no_keystore, False, SignatureInvalid),
-    "unknown-link-id": (_SIGNED, lambda: Keystore({1: SECRET}), False, SignatureInvalid),
-    "wrong-secret": (_SIGNED, lambda: Keystore({0: bytes(32)}), False, SignatureInvalid),
-    "timestamp-bit": (_flip(_SIGNED, -8), _keystore, False, SignatureInvalid),
-    "signature-bit": (_flip(_SIGNED, -1), _keystore, False, SignatureInvalid),
-    "replayed": (_SIGNED, lambda: _replayed_store(_SIGNED), False, StaleTimestamp),
-    "behind-replay-window": (_SIGNED, _ahead_store, False, StaleTimestamp),
+    "unsigned-but-required": (_UNSIGNED, _keystore, SignatureMissing),
+    "timestamp-bit": (_flip(_SIGNED, -8), _keystore, SignatureInvalid),
+    "signature-bit": (_flip(_SIGNED, -1), _keystore, SignatureInvalid),
+    "signed-no-keystore": (_SIGNED, _no_keystore, SignatureInvalid),
+    "unknown-link-id": (_SIGNED, lambda: Keystore({1: SECRET}), SignatureInvalid),
+    "wrong-secret": (_SIGNED, lambda: Keystore({0: bytes(32)}), SignatureInvalid),
+    "replayed": (_SIGNED, lambda: _replayed_store(_SIGNED), StaleTimestamp),
+    "behind-replay-window": (_SIGNED, _ahead_store, StaleTimestamp),
+}
+# The faults in the frame's own bytes, which fail against any receiver on
+# the link: (frame, exception class).
+FRAME_FAULTS = {
+    name: (frame, expected)
+    for name, (frame, make_keystore, expected) in SINGLE_FAULTS.items()
+    if make_keystore is _keystore
 }
 
 
 @pytest.mark.parametrize(
-    "frame, make_keystore, require_signed, expected",
-    SINGLE_FAULTS.values(),
-    ids=SINGLE_FAULTS.keys(),
+    "frame, make_keystore, expected", SINGLE_FAULTS.values(), ids=SINGLE_FAULTS.keys()
 )
-def test_single_fault_raises_its_own_class(frame, make_keystore, require_signed, expected):
+def test_single_fault_raises_its_own_class(frame, make_keystore, expected):
     with pytest.raises(FrameDecodeError) as raised:
-        decode_frame(frame, keystore=make_keystore(), require_signed=require_signed)
+        decode_frame(frame, keystore=make_keystore())
     assert type(raised.value) is expected
 
 
 # --- single-bit mutation safety -------------------------------------------------
 
 
-def _expect_every_bitflip_rejected(frame: bytes, keystore):
+def _expect_every_bitflip_rejected(frame: bytes, decode, keystore):
     for bit in range(len(frame) * 8):
         mutated = bytearray(frame)
         mutated[bit // 8] ^= 1 << (bit % 8)
         with pytest.raises(FrameDecodeError):
-            decode_frame(bytes(mutated), keystore=keystore)
+            decode(bytes(mutated), keystore)
 
 
 def test_every_bitflip_rejected_signed_frame():
@@ -598,14 +602,14 @@ def test_every_bitflip_rejected_signed_frame():
         comp_id=1,
         signing=signing(),
     )
-    _expect_every_bitflip_rejected(frame, Keystore({0: SECRET}))
+    _expect_every_bitflip_rejected(frame, decode_frame, Keystore({0: SECRET}))
 
 
 def test_every_bitflip_rejected_unsigned_frame():
     frame = encode_frame(
         LpReservationConfirmation(target_ap_sys_id=9, queue_position=513), 200, 3, 1
     )
-    _expect_every_bitflip_rejected(frame, None)
+    _expect_every_bitflip_rejected(frame, verify_frame, None)
 
 
 def test_random_frames_random_bitflips_rejected():
@@ -616,7 +620,7 @@ def test_random_frames_random_bitflips_rejected():
         bit = rng.randrange(len(frame) * 8)
         frame[bit // 8] ^= 1 << (bit % 8)
         with pytest.raises(FrameDecodeError):
-            decode_frame(bytes(frame))
+            verify_frame(bytes(frame))
 
 
 def test_frame_size_bound_constant():
