@@ -30,60 +30,54 @@ in drops, one counter per reason.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Sequence
 
-from .lp_node import ProtocolStateError
+from .lp_node import ProtocolStateError, StateMachine
 from .reservation import priority_from_battery
 from .routing import reachable_lps
 from .transport import Outbound
 from .wire import (
+    AERIAL_PLATFORM,
+    BEING_SERVICED,
+    BOARDING,
+    CANCEL,
+    DEPARTED,
+    DEPARTING,
+    KEEP,
+    LANDED,
+    OPERATING,
+    PX4,
+    REQUEST_PENDING,
+    RESERVED_WAITING,
+    SERVICE_COMPLETE,
+    SERVICING,
     ApReservationDecision,
     ExtendedHeartbeat,
-    FlightStack,
     LpReservationConfirmation,
     Message,
     NodeState,
-    ReservationAction,
     ServiceReservationRequest,
     SystemStateUpdate,
-    VehicleType,
 )
 
-# Enum members bound once at import. Inside a function, NodeState.X is a
-# class attribute load that CPython 3.11 cannot specialise, because EnumType
-# defines __getattr__: about 150 ns against about 20 ns for a module global.
-BEING_SERVICED = NodeState.BEING_SERVICED
-BOARDING = NodeState.BOARDING
-DEPARTED = NodeState.DEPARTED
-DEPARTING = NodeState.DEPARTING
-LANDED = NodeState.LANDED
-OPERATING = NodeState.OPERATING
-REQUEST_PENDING = NodeState.REQUEST_PENDING
-RESERVED_WAITING = NodeState.RESERVED_WAITING
-SERVICE_COMPLETE = NodeState.SERVICE_COMPLETE
-SERVICING = NodeState.SERVICING
-CANCEL = ReservationAction.CANCEL
-KEEP = ReservationAction.KEEP
-AERIAL_PLATFORM = VehicleType.AERIAL_PLATFORM
-PX4 = FlightStack.PX4
 HEARTBEAT_INTERVAL_S = 1.0  # a vehicle broadcasts its heartbeat at 1 Hz
 
 AP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
-    NodeState.OPERATING: frozenset({NodeState.REQUEST_PENDING}),
-    NodeState.REQUEST_PENDING: frozenset(
-        {NodeState.RESERVED_WAITING, NodeState.REQUEST_PENDING}
-    ),
-    NodeState.RESERVED_WAITING: frozenset({NodeState.BOARDING}),
-    NodeState.BOARDING: frozenset({NodeState.LANDED}),
-    NodeState.LANDED: frozenset({NodeState.BEING_SERVICED}),
-    NodeState.BEING_SERVICED: frozenset({NodeState.DEPARTING}),
-    NodeState.DEPARTING: frozenset({NodeState.OPERATING}),
+    OPERATING: frozenset({REQUEST_PENDING}),
+    REQUEST_PENDING: frozenset({RESERVED_WAITING, REQUEST_PENDING}),
+    RESERVED_WAITING: frozenset({BOARDING}),
+    BOARDING: frozenset({LANDED}),
+    LANDED: frozenset({BEING_SERVICED}),
+    BEING_SERVICED: frozenset({DEPARTING}),
+    DEPARTING: frozenset({OPERATING}),
 }
 
 
-class ApNode:
+class ApNode(StateMachine):
     """One aerial platform: telemetry-driven requests and boarding flow."""
+
+    TRANSITIONS = AP_TRANSITIONS
+    KIND = "AP"
 
     def __init__(
         self,
@@ -97,7 +91,7 @@ class ApNode:
         service_duration_estimate_s: float = 120.0,
         departure_clear_s: float = 1.0,
     ):
-        self.sys_id = sys_id
+        super().__init__(sys_id, OPERATING)
         self.known_lps = {
             int(lp_id): (float(pos[0]), float(pos[1])) for lp_id, pos in known_lps
         }
@@ -108,7 +102,6 @@ class ApNode:
         self.service_duration_estimate_s = service_duration_estimate_s
         self.departure_clear_s = departure_clear_s
 
-        self.state = OPERATING
         self.battery_pct = 100.0
         self.position = (0.0, 0.0)
         # (lp_sys_id, last confirmed queue position) while reserved/boarding.
@@ -122,27 +115,6 @@ class ApNode:
         self._departing_since: float | None = None
         self._last_heartbeat_at: float | None = None
         self._heartbeat: ExtendedHeartbeat | None = None
-        # (from, to) pairs not yet drained; the simulator reads it after
-        # each message to skip nodes with nothing to report.
-        self.transitions: list[tuple[NodeState, NodeState]] = []
-        # Dropped messages, by reason.
-        self.drops: Counter[str] = Counter()
-
-    # -- state machine plumbing -------------------------------------------
-
-    def _transition(self, to: NodeState) -> None:
-        if to not in AP_TRANSITIONS[self.state]:
-            raise ProtocolStateError(f"AP {self.sys_id}: {self.state.name} -> {to.name}")
-        self.transitions.append((self.state, to))
-        self.state = to
-
-    def drain_transitions(self) -> list[tuple[NodeState, NodeState]]:
-        out, self.transitions = self.transitions, []
-        return out
-
-    def _drop(self, reason: str) -> list[Outbound]:
-        self.drops[reason] += 1
-        return []
 
     def _nearest_first(self) -> list[int]:
         return reachable_lps(self.known_lps, self.position, math.inf)

@@ -31,35 +31,31 @@ from collections import Counter
 from .reservation import Reservation, ServiceQueue
 from .transport import Outbound
 from .wire import (
+    ALIGNING,
+    AWAITING_BOARDING,
+    DEPARTED,
+    IDLE,
+    KEEP,
+    LANDED,
+    RELEASING,
+    SERVICE_COMPLETE,
+    SERVICING,
     ApReservationDecision,
     ExtendedHeartbeat,
     LpReservationConfirmation,
     Message,
     NodeState,
-    ReservationAction,
     ServiceReservationRequest,
     SystemStateUpdate,
 )
 
-# Enum members bound once at import, as in ap_node: a function-level
-# NodeState.X load is unspecialised and slow on CPython 3.11.
-ALIGNING = NodeState.ALIGNING
-AWAITING_BOARDING = NodeState.AWAITING_BOARDING
-DEPARTED = NodeState.DEPARTED
-IDLE = NodeState.IDLE
-LANDED = NodeState.LANDED
-RELEASING = NodeState.RELEASING
-SERVICE_COMPLETE = NodeState.SERVICE_COMPLETE
-SERVICING = NodeState.SERVICING
-KEEP = ReservationAction.KEEP
-
 # AWAITING_BOARDING -> IDLE is the cancel/no-show revert.
 LP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
-    NodeState.IDLE: frozenset({NodeState.AWAITING_BOARDING}),
-    NodeState.AWAITING_BOARDING: frozenset({NodeState.ALIGNING, NodeState.IDLE}),
-    NodeState.ALIGNING: frozenset({NodeState.SERVICING}),
-    NodeState.SERVICING: frozenset({NodeState.RELEASING}),
-    NodeState.RELEASING: frozenset({NodeState.IDLE}),
+    IDLE: frozenset({AWAITING_BOARDING}),
+    AWAITING_BOARDING: frozenset({ALIGNING, IDLE}),
+    ALIGNING: frozenset({SERVICING}),
+    SERVICING: frozenset({RELEASING}),
+    RELEASING: frozenset({IDLE}),
 }
 
 
@@ -67,42 +63,23 @@ class ProtocolStateError(RuntimeError):
     """An illegal state-machine transition was attempted."""
 
 
-class LpNode:
-    """One landing platform: its queue and phase machine."""
+class StateMachine:
+    """The plumbing both service machines share. A subclass sets
+    TRANSITIONS, its legal next states by state, and KIND, the "AP" or "LP"
+    that labels its ProtocolStateError texts."""
 
-    def __init__(
-        self,
-        sys_id: int,
-        position: tuple[float, float],
-        *,
-        service_duration_s: float = 120.0,
-        alignment_duration_s: float = 10.0,
-        boarding_timeout_s: float = 180.0,
-    ):
+    def __init__(self, sys_id: int, state: NodeState):
         self.sys_id = sys_id
-        self.position = (float(position[0]), float(position[1]))
-        self.queue = ServiceQueue()
-        self.state = IDLE
-        self.current_ap: int | None = None
-        self.service_duration_s = service_duration_s
-        self.alignment_duration_s = alignment_duration_s
-        self.boarding_timeout_s = boarding_timeout_s
-
-        self.services_completed = 0
-        self.wait_samples: list[float] = []
-
-        self._phase_started_at: float | None = None
+        self.state = state
         # (from, to) pairs not yet drained; the simulator reads it after
         # each message to skip nodes with nothing to report.
         self.transitions: list[tuple[NodeState, NodeState]] = []
         # Dropped messages and reservations, by reason.
         self.drops: Counter[str] = Counter()
 
-    # -- state machine plumbing -------------------------------------------
-
     def _transition(self, to: NodeState) -> None:
-        if to not in LP_TRANSITIONS[self.state]:
-            raise ProtocolStateError(f"LP {self.sys_id}: {self.state.name} -> {to.name}")
+        if to not in self.TRANSITIONS[self.state]:
+            raise ProtocolStateError(f"{self.KIND} {self.sys_id}: {self.state.name} -> {to.name}")
         self.transitions.append((self.state, to))
         self.state = to
 
@@ -113,6 +90,35 @@ class LpNode:
     def _drop(self, reason: str) -> list[Outbound]:
         self.drops[reason] += 1
         return []
+
+
+class LpNode(StateMachine):
+    """One landing platform: its queue and phase machine."""
+
+    TRANSITIONS = LP_TRANSITIONS
+    KIND = "LP"
+
+    def __init__(
+        self,
+        sys_id: int,
+        position: tuple[float, float],
+        *,
+        service_duration_s: float = 120.0,
+        alignment_duration_s: float = 10.0,
+        boarding_timeout_s: float = 180.0,
+    ):
+        super().__init__(sys_id, IDLE)
+        self.position = (float(position[0]), float(position[1]))
+        self.queue = ServiceQueue()
+        self.current_ap: int | None = None
+        self.service_duration_s = service_duration_s
+        self.alignment_duration_s = alignment_duration_s
+        self.boarding_timeout_s = boarding_timeout_s
+
+        self.services_completed = 0
+        self.wait_samples: list[float] = []
+
+        self._phase_started_at: float | None = None
 
     def effective_position(self, raw_position: int) -> int:
         """Queue position as reported to peers, counting the vehicle on deck."""

@@ -39,7 +39,15 @@ from typing import IO, Mapping
 from .ap_node import ApNode
 from .lp_node import LpNode
 from .transport import InMemoryBus
-from .wire import NodeState, TIMESTAMP_UNITS_PER_S, message_json
+from .wire import (
+    BEING_SERVICED,
+    BOARDING,
+    DEPARTING,
+    OPERATING,
+    TIMESTAMP_UNITS_PER_S,
+    NodeState,
+    message_json,
+)
 
 # Shared by every node on the simulated network; links are trusted here,
 # signing exists to exercise the full wire path.
@@ -63,16 +71,7 @@ _AP_TICK = '{"state":"%s","battery_pct":%r,"x":%r,"y":%r,"failed":%s}'
 
 # Battery drains while flying a leg; holding for the protocol or sitting
 # on the platform costs nothing.
-DRAIN_STATES = frozenset(
-    {NodeState.OPERATING, NodeState.BOARDING, NodeState.DEPARTING}
-)
-
-# Enum members bound once at import, as in ap_node: a function-level
-# NodeState.X load is unspecialised and slow on CPython 3.11.
-BEING_SERVICED = NodeState.BEING_SERVICED
-BOARDING = NodeState.BOARDING
-DEPARTING = NodeState.DEPARTING
-OPERATING = NodeState.OPERATING
+DRAIN_STATES = frozenset({OPERATING, BOARDING, DEPARTING})
 
 # Each state's name by its code; NodeState.name is a property, slower than
 # a tuple index. Raises unless the codes run 0, 1, 2, ...
@@ -522,12 +521,10 @@ class Simulation:
         # the two render differently; a slot keeps its message alive.
         self._sent_heads: list[tuple] = [(None, "")] * 256
         self._recv_details: list[tuple] = [(None, "")] * 256
-        # TICK detail memos, one (key, text) slot per LP and per AP in
-        # roster order. An LP's key, (state, queue length, current_ap), is
-        # compared by value. An AP's, (state, battery, position, failed), is
-        # compared item by item by identity, as above: battery and position
-        # stay the same objects while a vehicle neither drains nor moves.
-        self._lp_ticks: list[tuple] = [((), "")] * len(self._lps)
+        # AP TICK detail memo, one (key, text) slot per AP in roster order.
+        # The key, (state, battery, position, failed), is compared item by
+        # item by identity, as above: battery and position stay the same
+        # objects while a vehicle neither drains nor moves.
         self._ap_ticks: list[tuple] = [((None,) * 4, "")] * len(self._uavs)
 
     def _timestamp_units(self) -> int:
@@ -642,15 +639,10 @@ class Simulation:
         tracer = self._tracer
         if tracer is None:
             return
-        names, lp_ticks, ap_ticks = _STATE_NAMES, self._lp_ticks, self._ap_ticks
-        for i, lp in enumerate(self._lps):
-            key = (lp.state, len(lp.queue), lp.current_ap)
-            memo_key, detail = lp_ticks[i]
-            if key != memo_key:
-                state, queue_len, current_ap = key
-                current_ap = "null" if current_ap is None else current_ap
-                detail = _LP_TICK % (names[state], queue_len, current_ap)
-                lp_ticks[i] = key, detail
+        names, ap_ticks = _STATE_NAMES, self._ap_ticks
+        for lp in self._lps:
+            current_ap = "null" if lp.current_ap is None else lp.current_ap
+            detail = _LP_TICK % (names[lp.state], len(lp.queue), current_ap)
             tracer.record(t, self._actor_names[lp.sys_id], "TICK", detail)
         for i, body in enumerate(self._uavs):
             key = (body.node.state, body.battery, body.position, body.failed)

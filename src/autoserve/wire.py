@@ -39,7 +39,7 @@ import hmac
 import json
 import operator
 import struct
-from dataclasses import MISSING, dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields
 from enum import Enum, IntEnum
 from hashlib import sha256
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
@@ -197,6 +197,18 @@ class FlightStack(IntEnum):
     ARDUPILOT = 2
 
 
+# Every code bound once as a module global, for the per-tick modules to
+# import: in a function, NodeState.X is a class attribute load that CPython
+# 3.11 cannot specialise (EnumType defines __getattr__), about 150 ns
+# against about 20 ns for a global.
+(IDLE, AWAITING_BOARDING, ALIGNING, SERVICING, RELEASING, OPERATING, REQUEST_PENDING,
+ RESERVED_WAITING, BOARDING, LANDED, BEING_SERVICED, DEPARTING, SERVICE_COMPLETE,
+ DEPARTED) = NodeState
+CANCEL, KEEP = ReservationAction
+GENERIC, AERIAL_PLATFORM, LANDING_PLATFORM = VehicleType
+UNKNOWN, PX4, ARDUPILOT = FlightStack
+
+
 @dataclass(frozen=True)
 class ExtendedHeartbeat:
     """Health beacon with battery, position and mission state.
@@ -276,9 +288,8 @@ class _Field(NamedTuple):
 class _MessageSpec:
     """One message's codec, generated entirely from its field table.
 
-    pack(msg), unpack(payload) and init, installed as the message class's
-    __init__, are straight-line functions compiled once per message from
-    the rows, as dataclasses builds its methods.
+    pack(msg) and unpack(payload) are straight-line functions compiled
+    once per message from the rows, as dataclasses builds its methods.
 
     last_sent and last_received hold one slot per sending sys_id: the last
     message encode_frame packed and its sent payload, and the last payload
@@ -302,19 +313,18 @@ class _MessageSpec:
         )
         self.last_sent: dict[int, tuple[Message, bytes]] = {}
         self.last_received: dict[int, tuple[bytes, Message]] = {}
-        self.pack, self.unpack, self.init = _compile_codec(self)
+        self.pack, self.unpack = _compile_codec(self)
 
 
-def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable, Callable]:
-    """Write and exec one message's pack(msg), unpack(payload) and __init__.
+def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable]:
+    """Write and exec one message's pack(msg) and unpack(payload).
 
     pack converts each field once and range-checks it with one chained
     comparison; a scaled value is checked before round() so that infinity,
     NaN and an int too large for a float fail like any other value off the
-    wire. unpack checks only the ranges narrower than the C type.
-    Both unpack and __init__ build the frozen instance by filling its
-    __dict__ in field order, the class's dataclass fields when it has
-    them; __init__ takes the dataclass's parameters and defaults.
+    wire. unpack checks only the ranges narrower than the C type, and
+    builds the frozen instance by filling its __dict__ in the order of
+    the dataclass's fields, as the dataclass's __init__ does.
     """
     env = {"_pack": spec.struct.pack, "_unpack_from": spec.struct.unpack_from,
            "_new": object.__new__, "_cls": spec.cls, "MalformedPayload": MalformedPayload}
@@ -341,13 +351,7 @@ def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable, Callable]:
         if (lo, hi) != (type_lo, type_hi):
             unpack += f"\n    if not {lo} <= {v} <= {hi}: raise MalformedPayload("
             unpack += f'f"{f.attr} field out of range: {{{v}}}")'
-    fields = getattr(spec.cls, "__dataclass_fields__", {})
-    order = fields or values
-    defaults = env["_defaults"] = {
-        name: f.default for name, f in fields.items() if f.default is not MISSING
-    }
-    params = [f"{name}=_defaults[{name!r}]" if name in defaults else name for name in order]
-    stores = "".join(f"\n    attrs[{name!r}] = {name}" for name in order)
+    attrs = ", ".join(f"{f.name}={values[f.name]}" for f in dataclass_fields(spec.cls))
     exec(f"""
 def pack(msg):{pack}
     return _pack({", ".join(raw)})
@@ -356,14 +360,10 @@ def unpack(payload):
         payload += bytes({spec.size} - len(payload))
     {", ".join(raw)}, = _unpack_from(payload){unpack}
     msg = _new(_cls)
-    msg.__dict__.update({", ".join(f"{name}={values[name]}" for name in order)})
+    msg.__dict__.update({attrs})
     return msg
-def __init__(self, {", ".join(params)}):
-    attrs = self.__dict__{stores}
 """, env)
-    init = env["__init__"]
-    init.__qualname__ = f"{spec.cls.__qualname__}.__init__"
-    return env["pack"], env["unpack"], init
+    return env["pack"], env["unpack"]
 
 
 # The message table: each message's fields exactly once, in wire order.
@@ -401,12 +401,6 @@ _MESSAGE_SPECS: dict[int, _MessageSpec] = {
 _SPEC_BY_TYPE: dict[type, _MessageSpec] = {
     spec.cls: spec for spec in _MESSAGE_SPECS.values()
 }
-# The compiled constructors replace the frozen dataclasses' own, which
-# make one object.__setattr__ call per field, and keep their annotations.
-for _spec in _MESSAGE_SPECS.values():
-    _spec.init.__annotations__ = _spec.cls.__init__.__annotations__
-    _spec.cls.__init__ = _spec.init
-del _spec
 _SPEC_BY_NAME: dict[str, _MessageSpec] = {
     spec.cls.__name__: spec for spec in _MESSAGE_SPECS.values()
 }

@@ -116,7 +116,7 @@ class OracleQueue:
 # then packed or unpacked one field at a time. The rows are data; the
 # only package name used is the decode error class, so that failures
 # compare by class. Messages are built by reference_message, never by
-# the package's compiled constructors.
+# calling the message classes.
 
 _CTYPE_RANGES = {
     "uint8_t": ("B", 0, 0xFF),
@@ -185,7 +185,7 @@ def reference_unpack(fields, cls, payload: bytes):
 
 
 def reference_message(cls, *args, **kwargs):
-    """Build a message the way its frozen dataclass __init__ did.
+    """Build a message the way its frozen dataclass __init__ does.
 
     Binds the arguments to dataclasses.fields(cls) (positional first,
     then keywords, then each field's default), then fills an

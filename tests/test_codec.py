@@ -3,8 +3,8 @@
 Both sides read the same message table rows; they must agree on every
 input: identical bytes, an equal message, or the same exception class
 and message. Expected messages come from oracles.reference_message, the
-frozen dataclass's own construction, so the compiled constructors are
-checked here too.
+frozen dataclass's field-by-field construction, so the message classes'
+constructors are checked here too.
 """
 
 import dataclasses

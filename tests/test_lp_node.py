@@ -1,5 +1,6 @@
 import pytest
 
+from autoserve.ap_node import AP_TRANSITIONS, ApNode
 from autoserve.lp_node import LP_TRANSITIONS, LpNode, ProtocolStateError
 from autoserve.wire import (
     ApReservationDecision,
@@ -297,6 +298,30 @@ def test_illegal_transition_raises():
 def test_transition_table_is_complete():
     for state, targets in LP_TRANSITIONS.items():
         assert targets  # no dead ends
+
+
+MACHINES = {
+    "AP": (AP_TRANSITIONS, lambda: ApNode(7, [(1, (0.0, 0.0))])),
+    "LP": (LP_TRANSITIONS, lambda: LpNode(7, (0.0, 0.0))),
+}
+ILLEGAL_EDGES = [
+    pytest.param(kind, from_state, to_state, id=f"{kind}-{from_state.name}-{to_state.name}")
+    for kind, (table, _) in MACHINES.items()
+    for from_state, targets in table.items()
+    for to_state in NodeState
+    if to_state not in targets
+]
+
+
+@pytest.mark.parametrize("kind, from_state, to_state", ILLEGAL_EDGES)
+def test_every_illegal_edge_raises_and_leaves_the_machine_unchanged(kind, from_state, to_state):
+    node = MACHINES[kind][1]()
+    node.state = from_state
+    with pytest.raises(ProtocolStateError) as raised:
+        node._transition(to_state)
+    assert str(raised.value) == f"{kind} 7: {from_state.name} -> {to_state.name}"
+    assert node.state is from_state
+    assert node.transitions == []
 
 
 # --- heartbeats ---------------------------------------------------------------------
