@@ -56,6 +56,7 @@ from .wire import (
     LpReservationConfirmation,
     Message,
     NodeState,
+    ReservationAction,
     ServiceReservationRequest,
     SystemStateUpdate,
 )
@@ -102,10 +103,12 @@ class ApNode(StateMachine):
         self.service_duration_estimate_s = service_duration_estimate_s
         self.departure_clear_s = departure_clear_s
 
+        # Telemetry; tick is its one writer.
         self.battery_pct = 100.0
         self.position = (0.0, 0.0)
-        # (lp_sys_id, last confirmed queue position) while reserved/boarding.
-        self.current_reservation: tuple[int, int] | None = None
+        # The platform holding this vehicle's reservation, from its accepted
+        # confirmation until the service completes.
+        self.current_reservation: int | None = None
 
         self._pending_target: int | None = None
         self._tried: set[int] = set()
@@ -173,23 +176,17 @@ class ApNode(StateMachine):
         return self._drop("ap_unexpected_message")
 
     def _accept(self, lp_sys_id: int, queue_position: int) -> list[Outbound]:
-        self.current_reservation = (lp_sys_id, queue_position)
+        self.current_reservation = lp_sys_id
         self._pending_target = None
         self._transition(RESERVED_WAITING)
         if queue_position == 0:
             self._transition(BOARDING)
             return []
-        return [
-            Outbound(
-                lp_sys_id,
-                ApReservationDecision(target_lp_sys_id=lp_sys_id, decision=KEEP),
-            )
-        ]
+        return [self._decision(lp_sys_id, KEEP)]
 
-    def _cancel_msg(self, lp_sys_id: int) -> Outbound:
+    def _decision(self, lp_sys_id: int, action: ReservationAction) -> Outbound:
         return Outbound(
-            lp_sys_id,
-            ApReservationDecision(target_lp_sys_id=lp_sys_id, decision=CANCEL),
+            lp_sys_id, ApReservationDecision(target_lp_sys_id=lp_sys_id, decision=action)
         )
 
     def _request_msg(self, lp_sys_id: int) -> Outbound:
@@ -220,14 +217,9 @@ class ApNode(StateMachine):
                 # best offer, accepted whatever position it confirms.
                 self._settling = True
             # Cancel strictly before the replacement request.
-            return [self._cancel_msg(from_sys_id), self._request_msg(next_lp)]
+            return [self._decision(from_sys_id, CANCEL), self._request_msg(next_lp)]
 
-        if (
-            self.state is RESERVED_WAITING
-            and self.current_reservation is not None
-            and from_sys_id == self.current_reservation[0]
-        ):
-            self.current_reservation = (from_sys_id, conf.queue_position)
+        if self.state is RESERVED_WAITING and from_sys_id == self.current_reservation:
             if conf.queue_position == 0:
                 self._transition(BOARDING)
             return []
@@ -237,8 +229,7 @@ class ApNode(StateMachine):
         self, upd: SystemStateUpdate, from_sys_id: int, now: float
     ) -> list[Outbound]:
         """React to the landing platform's phase announcements."""
-        reserved_lp = self.current_reservation[0] if self.current_reservation else None
-        if from_sys_id != reserved_lp:
+        if from_sys_id != self.current_reservation:
             return self._drop("ap_state_update_from_other_lp")
         if upd.state is SERVICING and self.state is LANDED:
             self._transition(BEING_SERVICED)
@@ -258,7 +249,7 @@ class ApNode(StateMachine):
                 f"AP {self.sys_id}: arrival notified while {self.state.name}"
             )
         self._transition(LANDED)
-        return [Outbound(self.current_reservation[0], SystemStateUpdate(state=LANDED))]
+        return [Outbound(self.current_reservation, SystemStateUpdate(state=LANDED))]
 
     # -- periodic work -----------------------------------------------------------
 

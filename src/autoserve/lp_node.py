@@ -133,14 +133,13 @@ class LpNode(StateMachine):
         self._transition(AWAITING_BOARDING)
         self._phase_started_at = now
         self.wait_samples.append(now - reservation.requested_at)
-        return [
-            Outbound(
-                reservation.ap_sys_id,
-                LpReservationConfirmation(
-                    target_ap_sys_id=reservation.ap_sys_id, queue_position=0
-                ),
-            )
-        ]
+        return [self._confirmation(reservation.ap_sys_id, 0)]
+
+    def _confirmation(self, ap_sys_id: int, queue_position: int) -> Outbound:
+        return Outbound(
+            ap_sys_id,
+            LpReservationConfirmation(target_ap_sys_id=ap_sys_id, queue_position=queue_position),
+        )
 
     def _release_current(self, now: float) -> list[Outbound]:
         self.current_ap = None
@@ -171,14 +170,7 @@ class LpNode(StateMachine):
             return self._drop("lp_request_for_other_lp")
         if from_sys_id == self.current_ap:
             # Already cleared to board; repeat the boarding signal.
-            return [
-                Outbound(
-                    from_sys_id,
-                    LpReservationConfirmation(
-                        target_ap_sys_id=from_sys_id, queue_position=0
-                    ),
-                )
-            ]
+            return [self._confirmation(from_sys_id, 0)]
         existing = self.queue.position_of(from_sys_id)
         if existing is not None:
             self._drop("lp_duplicate_request")  # counted, and still answered
@@ -193,15 +185,7 @@ class LpNode(StateMachine):
             # An IDLE platform's queue was empty, so the requester is its
             # head: the promotion's confirmation with position 0 is the reply.
             return self._promote(now)
-        return [
-            Outbound(
-                from_sys_id,
-                LpReservationConfirmation(
-                    target_ap_sys_id=from_sys_id,
-                    queue_position=self.effective_position(position),
-                ),
-            )
-        ]
+        return [self._confirmation(from_sys_id, self.effective_position(position))]
 
     def _handle_decision(
         self, msg: ApReservationDecision, from_sys_id: int, now: float

@@ -45,6 +45,7 @@ from .wire import (
     DEPARTING,
     OPERATING,
     TIMESTAMP_UNITS_PER_S,
+    _COMPACT_JSON,
     NodeState,
     message_json,
 )
@@ -62,10 +63,8 @@ RNG_DESCRIPTION = (
 
 TRACE_FORMAT = 1
 
-_dumps = json.JSONEncoder(separators=(",", ":")).encode
-
 # TICK details, the bulk of a trace; state names need no JSON escaping.
-# The rare STATE_CHANGE, BATTERY and FAILURE details go through _dumps.
+# The rare STATE_CHANGE, BATTERY and FAILURE details go through _COMPACT_JSON.
 _LP_TICK = '{"state":"%s","queue_len":%d,"current_ap":%s}'
 _AP_TICK = '{"state":"%s","battery_pct":%r,"x":%r,"y":%r,"failed":%s}'
 
@@ -160,9 +159,8 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         data = asdict(self)
-        data["area_m"] = list(self.area_m)
-        data["consumption_pct_per_s"] = list(self.consumption_pct_per_s)
-        data["initial_battery_pct"] = list(self.initial_battery_pct)
+        for name in self._TUPLE_FIELDS:
+            data[name] = list(getattr(self, name))
         if self.lp_positions is not None:
             data["lp_positions"] = [list(p) for p in self.lp_positions]
         return data
@@ -385,16 +383,16 @@ class TraceWriter:
 
     def header(self, config: dict) -> None:
         header = {"config": config, "rng": RNG_DESCRIPTION, "trace_format": TRACE_FORMAT}
-        self._write(_dumps({"header": header}) + "\n")
+        self._write(_COMPACT_JSON({"header": header}) + "\n")
 
     def record(self, t: float, actor: str, kind: str, detail: str) -> None:
         """Buffer one record; detail is the JSON text of its detail object."""
         if t is not self._t:
             self._t = t
-            self._t_json = _dumps(t)
+            self._t_json = _COMPACT_JSON(t)
         names = self._names
-        actor_json = names.get(actor) or names.setdefault(actor, _dumps(actor))
-        kind_json = names.get(kind) or names.setdefault(kind, _dumps(kind))
+        actor_json = names.get(actor) or names.setdefault(actor, _COMPACT_JSON(actor))
+        kind_json = names.get(kind) or names.setdefault(kind, _COMPACT_JSON(kind))
         self._append(
             f'{{"t":{self._t_json},"actor":{actor_json},"kind":{kind_json},"detail":{detail}}}\n'
         )
@@ -490,8 +488,6 @@ class Simulation:
                 service_duration_estimate_s=cfg.service_duration_s,
                 departure_clear_s=cfg.departure_clear_s,
             )
-            node.battery_pct = battery
-            node.position = position
             self._uavs.append(
                 _UavBody(
                     sys_id=ap_id,
@@ -505,11 +501,12 @@ class Simulation:
             )
             self._bus.register(ap_id, "AP")
 
-        self._nodes = {lp.sys_id: lp for lp in self._lps}
-        self._nodes.update({body.sys_id: body.node for body in self._uavs})
-        self._bodies = {body.sys_id: body for body in self._uavs}
-        self._actor_names = {lp.sys_id: f"LP{lp.sys_id}" for lp in self._lps}
-        self._actor_names.update({body.sys_id: body.actor for body in self._uavs})
+        # Every node by sys_id: its trace actor, its node and, for a
+        # vehicle, its body.
+        self._members: dict[int, tuple[str, ApNode | LpNode, _UavBody | None]] = {
+            lp.sys_id: (f"LP{lp.sys_id}", lp, None) for lp in self._lps
+        }
+        self._members.update({body.sys_id: (body.actor, body.node, body) for body in self._uavs})
         self._failures: list[dict] = []
 
         self._tracer = TraceWriter(trace) if trace is not None else None
@@ -533,26 +530,21 @@ class Simulation:
     def _send(self, sys_id: int, outbound_list, t: float) -> None:
         """Trace sys_id's state changes, then put its outbound messages on the bus."""
         tracer = self._tracer
-        actor = self._actor_names[sys_id]
-        node = self._nodes[sys_id]
+        actor, node, body = self._members[sys_id]
         if node.transitions:
             for from_state, to_state in node.drain_transitions():
                 if tracer is not None:
-                    detail = _dumps(
+                    detail = _COMPACT_JSON(
                         {"from": _STATE_NAMES[from_state], "to": _STATE_NAMES[to_state]}
                     )
                     tracer.record(t, actor, "STATE_CHANGE", detail)
                 if (from_state, to_state) == (BEING_SERVICED, DEPARTING):
-                    body = self._bodies[sys_id]
                     body.battery = 100.0
-                    body.node.battery_pct = 100.0
                     if tracer is not None:
-                        tracer.record(
-                            t,
-                            actor,
-                            "BATTERY",
-                            _dumps({"battery_pct": 100.0, "event": "service_complete_restore"}),
+                        detail = _COMPACT_JSON(
+                            {"battery_pct": 100.0, "event": "service_complete_restore"}
                         )
+                        tracer.record(t, actor, "BATTERY", detail)
         for outbound in outbound_list:
             deliveries = self._bus.send(sys_id, outbound, t)
             if tracer is not None and deliveries:
@@ -566,10 +558,11 @@ class Simulation:
 
     def _deliver(self, t: float) -> None:
         """Messages sent last tick arrive now."""
-        decode_for, nodes, tracer = self._bus.decode_for, self._nodes, self._tracer
+        decode_for, members, tracer = self._bus.decode_for, self._members, self._tracer
         recv_details = self._recv_details
         for src, dest, _deliver_at, frame in self._bus.pop_due(t):
             header, msg, _sig = decode_for(dest, frame)
+            actor, node, _body = members[dest]
             if tracer is not None:
                 # The receivers of one broadcast share its decoded message,
                 # and the codec's stream slot hands back the same object
@@ -578,8 +571,7 @@ class Simulation:
                 if recv_msg is not msg:
                     detail = f"{_message_head(msg, 'src')}{src}}}"
                     recv_details[src] = msg, detail
-                tracer.record(t, self._actor_names[dest], "MSG_RECV", detail)
-            node = nodes[dest]
+                tracer.record(t, actor, "MSG_RECV", detail)
             outbound = node.handle_message(msg, header.sys_id, t)
             # Most deliveries are vehicle heartbeats: no reply, no state change.
             if outbound or node.transitions:
@@ -604,7 +596,7 @@ class Simulation:
                     )
                     if tracer is not None:
                         tracer.record(
-                            t, body.actor, "FAILURE", _dumps({"battery_pct": body.battery})
+                            t, body.actor, "FAILURE", _COMPACT_JSON({"battery_pct": body.battery})
                         )
                     continue
             if state is OPERATING:
@@ -614,7 +606,7 @@ class Simulation:
                 )
             elif state is BOARDING:
                 node = body.node
-                target = node.known_lps[node.current_reservation[0]]
+                target = node.known_lps[node.current_reservation]
                 distance = math.dist(body.position, target)
                 if distance <= cfg.max_step_m_per_s:
                     body.position = target
@@ -643,7 +635,7 @@ class Simulation:
         for lp in self._lps:
             current_ap = "null" if lp.current_ap is None else lp.current_ap
             detail = _LP_TICK % (names[lp.state], len(lp.queue), current_ap)
-            tracer.record(t, self._actor_names[lp.sys_id], "TICK", detail)
+            tracer.record(t, self._members[lp.sys_id][0], "TICK", detail)
         for i, body in enumerate(self._uavs):
             key = (body.node.state, body.battery, body.position, body.failed)
             memo_key, detail = ap_ticks[i]

@@ -291,6 +291,12 @@ class _MessageSpec:
     pack(msg) and unpack(payload) are straight-line functions compiled
     once per message from the rows, as dataclasses builds its methods.
 
+    field_names lists the message's fields in dataclass order, the order of
+    its field dict and JSON text; json_template and json_values are the
+    %-template of that JSON and the attrgetter that fills it (a bare value,
+    not a tuple, for a one-field message). Scaled fields hold floats; every
+    other field holds an int.
+
     last_sent and last_received hold one slot per sending sys_id: the last
     message encode_frame packed and its sent payload, and the last payload
     verify_frame unpacked and its message. A node whose reported fields are
@@ -311,6 +317,12 @@ class _MessageSpec:
         self.crc_extra = _seed_crc_extra(
             wire_name, [(f.ctype, f.seed_name or f.attr) for f in fields]
         )
+        self.field_names = tuple(f.name for f in dataclass_fields(cls))
+        scaled = {f.attr for f in fields if f.scale is not None}
+        self.json_template = "{" + ",".join(
+            f'"{name}":%{"r" if name in scaled else "d"}' for name in self.field_names
+        ) + "}"
+        self.json_values = operator.attrgetter(*self.field_names)
         self.last_sent: dict[int, tuple[Message, bytes]] = {}
         self.last_received: dict[int, tuple[bytes, Message]] = {}
         self.pack, self.unpack = _compile_codec(self)
@@ -351,7 +363,7 @@ def _compile_codec(spec: _MessageSpec) -> tuple[Callable, Callable]:
         if (lo, hi) != (type_lo, type_hi):
             unpack += f"\n    if not {lo} <= {v} <= {hi}: raise MalformedPayload("
             unpack += f'f"{f.attr} field out of range: {{{v}}}")'
-    attrs = ", ".join(f"{f.name}={values[f.name]}" for f in dataclass_fields(spec.cls))
+    attrs = ", ".join(f"{name}={values[name]}" for name in spec.field_names)
     exec(f"""
 def pack(msg):{pack}
     return _pack({", ".join(raw)})
@@ -406,38 +418,23 @@ _SPEC_BY_NAME: dict[str, _MessageSpec] = {
 }
 
 
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {
-    cls: tuple(f.name for f in dataclass_fields(cls)) for cls in _SPEC_BY_TYPE
-}
-
-
 def message_to_fields(msg: Message) -> dict:
     """Flatten a message into a JSON-friendly field dict."""
     out = {}
-    for name in _FIELD_NAMES[type(msg)]:
+    for name in _SPEC_BY_TYPE[type(msg)].field_names:
         value = getattr(msg, name)
         out[name] = int(value) if isinstance(value, Enum) else value
     return out
 
 
-def _json_form(spec: _MessageSpec) -> tuple[str, Callable]:
-    """A %-template of the field dict's JSON, in dataclass field order, and
-    the attrgetter that fills it (a bare value, not a tuple, for a one-field
-    message). Scaled fields hold floats; every other field holds an int."""
-    names = _FIELD_NAMES[spec.cls]
-    scaled = {f.attr for f in spec.fields if f.scale is not None}
-    template = ",".join(f'"{name}":%{"r" if name in scaled else "d"}' for name in names)
-    return "{" + template + "}", operator.attrgetter(*names)
-
-
-_JSON_FORMS = {spec.cls: _json_form(spec) for spec in _MESSAGE_SPECS.values()}
+# The trace's one JSON encoder: each trace line equals its text for the line's value.
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def message_json(msg: Message) -> str:
     """The compact JSON text of message_to_fields(msg), rendered directly."""
-    template, values = _JSON_FORMS[type(msg)]
-    text = template % values(msg)
+    spec = _SPEC_BY_TYPE[type(msg)]
+    text = spec.json_template % spec.json_values(msg)
     # %r spells a non-finite float inf or nan, which JSON spells otherwise.
     if "inf" in text or "nan" in text:
         return _COMPACT_JSON(message_to_fields(msg))

@@ -263,7 +263,7 @@ class ChaosNetwork:
     def arrivals(self, always: bool = False) -> None:
         for sys_id, ap in sorted(self.aps.items()):
             if ap.state is NodeState.BOARDING and (always or self.rng.random() < 0.5):
-                self.positions[sys_id] = ap.known_lps[ap.current_reservation[0]]
+                self.positions[sys_id] = ap.known_lps[ap.current_reservation]
                 self.post(sys_id, ap.notify_arrival(self.now))
                 self.after(sys_id)
 

@@ -160,7 +160,7 @@ def test_position_zero_adjacent_keeps_and_boards():
     out = ap.handle_message(conf(0), 1, 1.0)
     assert out == []
     assert ap.state is NodeState.BOARDING
-    assert ap.current_reservation == (1, 0)
+    assert ap.current_reservation == 1
     check_reservation_invariant(ap)
 
 
@@ -172,7 +172,7 @@ def test_integer_roster_boards_toward_a_float_target():
     assert ap.state is NodeState.BOARDING
     # The simulator snaps a boarding vehicle onto this target, and the
     # trace renders it, so 3 and 3.0 would differ there.
-    target = ap.known_lps[ap.current_reservation[0]]
+    target = ap.known_lps[ap.current_reservation]
     assert repr(target) == "(3.0, 4.0)"
     (heartbeat,) = [o.msg for o in tick(ap, 2.0, 49.0, target) if isinstance(o.msg, ExtendedHeartbeat)]
     assert (type(heartbeat.pos_x), type(heartbeat.pos_y)) == (float, float)
@@ -197,6 +197,14 @@ def test_travel_time_counts_against_margin():
     tick(ap, 0.0, battery=20.0, pos=(50.0, 0.0))
     # position 0 but 50 m away at 0.3 m/s is 167 s > (20-15)/0.2 = 25 s
     assert ap.evaluate_confirmation(1, 0) == 2
+
+
+def test_vehicle_that_cannot_fly_affords_only_the_platform_it_is_on():
+    ap = make_ap(cruise_speed_m_per_s=0)
+    tick(ap, 0.0, battery=100.0, pos=(0.0, 0.0))
+    assert ap.evaluate_confirmation(1, 0) is None
+    # Platform 2 is 100 m away: no battery covers an infinite flight.
+    assert ap.evaluate_confirmation(2, 0) == 1
 
 
 def test_confirmation_for_wrong_vehicle_dropped_by_handler():
@@ -233,7 +241,7 @@ def test_accepting_nonzero_position_sends_keep_and_waits():
     tick(ap, 0.0, battery=49.0, pos=(0.0, 0.0))
     out = ap.handle_message(conf(1), 1, 1.0)
     assert ap.state is NodeState.RESERVED_WAITING
-    assert ap.current_reservation == (1, 1)
+    assert ap.current_reservation == 1
     assert len(out) == 1
     assert out[0].msg.decision is ReservationAction.KEEP
     # Later clearance boards.
@@ -248,7 +256,7 @@ def test_exhausted_alternatives_keeps_single_platform_offer():
     out = ap.handle_message(conf(4), 1, 1.0)
     assert out == [] or not cancels_in(out)
     assert ap.state is NodeState.RESERVED_WAITING
-    assert ap.current_reservation == (1, 4)
+    assert ap.current_reservation == 1
 
 
 def test_exhausted_alternatives_settles_on_best_offer():
@@ -262,7 +270,7 @@ def test_exhausted_alternatives_settles_on_best_offer():
     assert requests_in(second)[0].dest_sys_id == 1
     final = ap.handle_message(conf(5), 1, 3.0)  # settling: accepted regardless
     assert ap.state is NodeState.RESERVED_WAITING
-    assert ap.current_reservation == (1, 5)
+    assert ap.current_reservation == 1
     assert final[0].msg.decision is ReservationAction.KEEP
 
 
@@ -286,7 +294,7 @@ def test_unsolicited_clearance_from_fresh_platform_is_ignored():
     assert ap.state is NodeState.RESERVED_WAITING
     assert ap.handle_message(conf(0), 2, 3.0) == []
     assert ap.state is NodeState.RESERVED_WAITING
-    assert ap.current_reservation == (1, 1)
+    assert ap.current_reservation == 1
 
 
 def test_clearance_while_operating_is_ignored():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -177,6 +178,15 @@ def test_sweep_prints_pass_rate_and_distribution(tmp_path, config_path, capsys):
     summary = json.loads(report_path.read_text())
     assert summary["total"] == 3
     assert [run["seed"] for run in summary["runs"]] == [3, 4, 5]
+
+
+def test_sweep_of_one_seed_prints_its_minimum_as_both_ends(config_path, capsys):
+    assert main(["sweep", "--config", config_path, "--seeds", "1", "--duration", "120"]) == 0
+    out = capsys.readouterr().out
+    assert "pass=1/1" in out
+    (line,) = [line for line in out.splitlines() if line.startswith("fleet_min_battery_pct:")]
+    low, high = re.fullmatch(r"fleet_min_battery_pct: min=(\S+) max=(\S+)", line).groups()
+    assert low == high
 
 
 def test_dump_prints_fields(capsys):

@@ -25,6 +25,7 @@ from autoserve.sim import (
 )
 from autoserve.transport import Outbound
 from autoserve.wire import (
+    _COMPACT_JSON,
     ExtendedHeartbeat,
     FlightStack,
     NodeState,
@@ -282,6 +283,24 @@ def test_config_file_spelling_nan_fails_before_the_run(tmp_path):
         run_sim(cfg)
 
 
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda tmp: SimConfig.from_dict({"lp_positions": "GRID"}),
+         "lp_positions: expected coordinates or 'AUTO'"),
+        (lambda tmp: SimConfig.from_file(tmp / "list.json"), "list.json: expected a JSON object"),
+        (lambda tmp: small_cfg(area_m=(1000.0, 0.0)).validate(),
+         "area_m dimensions must be positive"),
+        (lambda tmp: sweep(small_cfg(), 0), "n_seeds must be at least 1"),
+    ],
+    ids=["lp-positions-word", "file-not-object", "area-zero", "sweep-no-seeds"],
+)
+def test_config_input_checks_name_the_fault(tmp_path, check, message):
+    (tmp_path / "list.json").write_text("[1, 2]")
+    with pytest.raises(InvalidConfig, match=re.escape(message)):
+        check(tmp_path)
+
+
 def test_auto_grid_positions_stay_inside_area():
     cfg = small_cfg(n_lps=5)
     positions = cfg.resolved_lp_positions()
@@ -410,6 +429,9 @@ def test_each_record_is_one_record_call_and_one_line_and_each_tick_one_write(mon
         record_obj = json.loads(line)
         assert list(record_obj) == ["t", "actor", "kind", "detail"]
         assert record_obj["kind"] == kind
+    # The %-templates, the f-strings and the encoder write the same bytes.
+    for line in lines:
+        assert _COMPACT_JSON(json.loads(line)) == line
     # The header is one write, then each tick's records are one write.
     assert "header" in json.loads(sink.writes[0]) and sink.writes[0].count("\n") == 1
     tick_times = [{json.loads(line)["t"] for line in text.splitlines()} for text in sink.writes[1:]]
@@ -694,7 +716,7 @@ def test_replaying_messages_reproduces_state_changes(traced_run):
                 continue
             node = aps[ap_id]
             if node.state is NodeState.BOARDING:
-                target = lp_pos[node.current_reservation[0]]
+                target = lp_pos[node.current_reservation]
                 if (detail["x"], detail["y"]) == target:
                     node.notify_arrival(t)
                     collect(actor, node)

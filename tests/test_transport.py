@@ -56,6 +56,15 @@ def count_accept_calls(monkeypatch):
     return calls
 
 
+def test_register_refuses_an_unknown_kind_and_a_repeated_sys_id():
+    bus = InMemoryBus(SECRET, lambda: 0)
+    with pytest.raises(ValueError, match="kind must be 'AP' or 'LP', got 'GS'"):
+        bus.register(1, "GS")
+    bus.register(1, "LP")
+    with pytest.raises(ValueError, match="sys_id 1 already registered"):
+        bus.register(1, "AP")
+
+
 def test_broadcast_goes_to_other_kind_in_sys_id_order():
     bus = InMemoryBus(SECRET, lambda: 0)
     for sys_id, kind in ((5, "AP"), (2, "LP"), (9, "AP"), (3, "AP"), (7, "LP")):

@@ -273,10 +273,43 @@ def test_trailing_bytes_are_ignored():
     assert msg == SystemStateUpdate(state=NodeState.IDLE)
 
 
+def test_decode_accepts_a_bytearray_frame():
+    frame = encode_frame(ServiceReservationRequest(50, 3), 0, 8, 1, signing())
+    keystore = Keystore({0: SECRET})
+    _, msg, _ = decode_frame(bytearray(frame), keystore)
+    assert msg == ServiceReservationRequest(50, 3)
+    # The replay check ran: the same bytes again are stale.
+    with pytest.raises(StaleTimestamp):
+        decode_frame(frame, keystore)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SigningContext(SECRET[:31], 0, lambda: 0),
+        lambda: Keystore().add_key(0, SECRET[:31]),
+    ],
+    ids=["signing-context", "add-key"],
+)
+def test_short_secret_rejected(make):
+    with pytest.raises(ValueError, match="secret_key must be exactly 32 bytes"):
+        make()
+
+
+def test_signing_context_refuses_a_two_byte_link_id():
+    with pytest.raises(ValueError, match="link_id must fit in one byte"):
+        SigningContext(SECRET, 256, lambda: 0)
+
+
 def test_message_fields_roundtrip():
     msg = ExtendedHeartbeat(1, 2, NodeState.BOARDING, 33.33, -1.25, 900.0, 7, 9)
     fields = wire.message_to_fields(msg)
     assert wire.message_from_fields("ExtendedHeartbeat", fields) == msg
+
+
+def test_message_from_fields_refuses_an_unknown_type_name():
+    with pytest.raises(ValueError, match="unknown message type 'Ping'"):
+        wire.message_from_fields("Ping", {})
 
 
 # Values a sender may put in a message: IntEnum members in plain-int fields,
@@ -649,3 +682,16 @@ def test_dump_flags_bad_checksum():
     frame = bytearray(encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1))
     frame[-1] ^= 0xFF
     assert "BAD" in dump_frame(bytes(frame))
+
+
+def test_dump_shows_the_raw_payload_of_an_unknown_msg_id():
+    header = bytes([2, 0, 0, 0, 1, 1]) + (42999).to_bytes(3, "little")
+    frame = b"\xfd" + header + b"\xab\xcd" + b"\x34\x12"
+    lines = dump_frame(frame).splitlines()
+    assert lines[-3:] == ["msg_type=UNKNOWN", "payload=0xabcd", "checksum=0x1234"]
+
+
+def test_dump_reports_a_malformed_payload_and_still_checks_the_checksum():
+    text = dump_frame(_frame_with_payload(42004, struct.pack("<B", 99)))
+    assert "payload_error=state field out of range: 99" in text.splitlines()
+    assert "(ok)" in text
