@@ -72,6 +72,7 @@ AP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
     BEING_SERVICED: frozenset({DEPARTING}),
     DEPARTING: frozenset({OPERATING}),
 }
+_HOLDING = frozenset({RESERVED_WAITING, BOARDING, LANDED, BEING_SERVICED})
 
 
 class ApNode(StateMachine):
@@ -106,18 +107,20 @@ class ApNode(StateMachine):
         # Telemetry; tick is its one writer.
         self.battery_pct = 100.0
         self.position = (0.0, 0.0)
-        # The platform holding this vehicle's reservation, from its accepted
-        # confirmation until the service completes.
-        self.current_reservation: int | None = None
-
-        self._pending_target: int | None = None
-        self._tried: set[int] = set()
+        # The request episode: _lp is the platform last asked, which holds the
+        # reservation once accepted and is told DEPARTED after the service;
+        # _offers maps each platform that has answered to its offer's
+        # estimated time to service, so its keys are the platforms tried.
+        self._lp: int | None = None
         self._offers: dict[int, float] = {}
-        self._settling = False
-        self._departing_from: int | None = None
         self._departing_since: float | None = None
         self._last_heartbeat_at: float | None = None
         self._heartbeat: ExtendedHeartbeat | None = None
+
+    @property
+    def current_reservation(self) -> int | None:
+        """The platform holding this vehicle's reservation, if any."""
+        return self._lp if self.state in _HOLDING else None
 
     def _nearest_first(self) -> list[int]:
         return reachable_lps(self.known_lps, self.position, math.inf)
@@ -157,7 +160,7 @@ class ApNode(StateMachine):
             return None
 
         for sys_id in self._nearest_first():
-            if sys_id not in self._tried:
+            if sys_id not in self._offers:
                 return sys_id
         # Every platform was tried and none fits: settle for the best offer
         # seen rather than starve.
@@ -176,8 +179,6 @@ class ApNode(StateMachine):
         return self._drop("ap_unexpected_message")
 
     def _accept(self, lp_sys_id: int, queue_position: int) -> list[Outbound]:
-        self.current_reservation = lp_sys_id
-        self._pending_target = None
         self._transition(RESERVED_WAITING)
         if queue_position == 0:
             self._transition(BOARDING)
@@ -190,8 +191,7 @@ class ApNode(StateMachine):
         )
 
     def _request_msg(self, lp_sys_id: int) -> Outbound:
-        self._pending_target = lp_sys_id
-        self._tried.add(lp_sys_id)
+        self._lp = lp_sys_id
         return Outbound(
             lp_sys_id,
             ServiceReservationRequest(
@@ -206,16 +206,14 @@ class ApNode(StateMachine):
         if conf.target_ap_sys_id != self.sys_id:
             return self._drop("ap_confirmation_for_other_ap")
 
-        if self.state is REQUEST_PENDING and from_sys_id == self._pending_target:
-            if self._settling:
+        if self.state is REQUEST_PENDING and from_sys_id == self._lp:
+            # Asked again after answering once: the exhausted-alternatives hop
+            # back to the best offer, accepted whatever position it confirms.
+            if from_sys_id in self._offers:
                 return self._accept(from_sys_id, conf.queue_position)
             next_lp = self.evaluate_confirmation(from_sys_id, conf.queue_position)
             if next_lp is None:
                 return self._accept(from_sys_id, conf.queue_position)
-            if next_lp in self._tried:
-                # Exhausted-alternatives fallback: one final hop back to the
-                # best offer, accepted whatever position it confirms.
-                self._settling = True
             # Cancel strictly before the replacement request.
             return [self._decision(from_sys_id, CANCEL), self._request_msg(next_lp)]
 
@@ -236,20 +234,18 @@ class ApNode(StateMachine):
             return []
         if upd.state is SERVICE_COMPLETE and self.state is BEING_SERVICED:
             self._transition(DEPARTING)
-            self._departing_from = from_sys_id
             self._departing_since = now
-            self.current_reservation = None
             return []
         return self._drop("ap_state_update_unexpected")
 
     def notify_arrival(self, now: float) -> list[Outbound]:
         """The vehicle has touched down on its reserved platform."""
-        if self.state is not BOARDING or self.current_reservation is None:
+        if self.state is not BOARDING:
             raise ProtocolStateError(
                 f"AP {self.sys_id}: arrival notified while {self.state.name}"
             )
         self._transition(LANDED)
-        return [Outbound(self.current_reservation, SystemStateUpdate(state=LANDED))]
+        return [Outbound(self._lp, SystemStateUpdate(state=LANDED))]
 
     # -- periodic work -----------------------------------------------------------
 
@@ -272,18 +268,13 @@ class ApNode(StateMachine):
             out.append(Outbound(None, self.heartbeat()))
 
         if self.state is DEPARTING and now - self._departing_since >= self.departure_clear_s:
-            departed_lp = self._departing_from
-            self._departing_from = None
-            self._departing_since = None
             self._transition(OPERATING)
-            out.append(Outbound(departed_lp, SystemStateUpdate(state=DEPARTED)))
+            out.append(Outbound(self._lp, SystemStateUpdate(state=DEPARTED)))
 
         if self.state is OPERATING and self.battery_pct < self.request_threshold_pct:
             ranked = self._nearest_first()
             if ranked:
-                self._tried.clear()
                 self._offers.clear()
-                self._settling = False
                 self._transition(REQUEST_PENDING)
                 out.append(self._request_msg(ranked[0]))
         return out

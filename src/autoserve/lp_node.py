@@ -101,14 +101,12 @@ class LpNode(StateMachine):
     def __init__(
         self,
         sys_id: int,
-        position: tuple[float, float],
         *,
         service_duration_s: float = 120.0,
         alignment_duration_s: float = 10.0,
         boarding_timeout_s: float = 180.0,
     ):
         super().__init__(sys_id, IDLE)
-        self.position = (float(position[0]), float(position[1]))
         self.queue = ServiceQueue()
         self.current_ap: int | None = None
         self.service_duration_s = service_duration_s

@@ -454,11 +454,10 @@ class Simulation:
         self._bus = InMemoryBus(NETWORK_SECRET, self._timestamp_units)
 
         self._lps: list[LpNode] = []
-        for lp_id, position in roster:
+        for lp_id in lp_ids:
             self._lps.append(
                 LpNode(
                     lp_id,
-                    position,
                     service_duration_s=cfg.service_duration_s,
                     alignment_duration_s=cfg.alignment_duration_s,
                     boarding_timeout_s=cfg.boarding_timeout_s,

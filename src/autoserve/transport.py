@@ -62,6 +62,7 @@ class Delivery(NamedTuple):
 @dataclass
 class _Endpoint:
     peers: list[int]  # sorted sys_ids of the other kind: broadcast targets
+    keystore: Keystore
     tx_seq: int = 0
 
 
@@ -70,7 +71,6 @@ class InMemoryBus:
         self._secret = secret
         self._signing = SigningContext(secret, LINK_ID, timestamp_source)
         self._endpoints: dict[int, _Endpoint] = {}
-        self._keystores: dict[int, Keystore] = {}
         self._in_flight: list[Delivery] = []
         self._by_kind: dict[str, list[int]] = {"AP": [], "LP": []}
         # The latest deliver_at in _in_flight; -inf when it is empty.
@@ -85,8 +85,7 @@ class InMemoryBus:
             raise ValueError(f"sys_id {sys_id} already registered")
         insort(self._by_kind[kind], sys_id)
         peers = self._by_kind["LP" if kind == "AP" else "AP"]
-        self._endpoints[sys_id] = _Endpoint(peers=peers)
-        self._keystores[sys_id] = Keystore({LINK_ID: self._secret})
+        self._endpoints[sys_id] = _Endpoint(peers, Keystore({LINK_ID: self._secret}))
 
     def send(self, src_sys_id: int, outbound: Outbound, now: float) -> list[Delivery]:
         """Frame, sign and queue a message; returns the queued deliveries."""
@@ -127,7 +126,7 @@ class InMemoryBus:
         replay check. Failures are never remembered, so every receiver of
         a bad or unsigned frame raises.
         """
-        keystore = self._keystores[dest_sys_id]
+        keystore = self._endpoints[dest_sys_id].keystore
         decoded_frame, result = self._decoded
         if decoded_frame is not frame:
             result = decode_frame(frame, keystore)

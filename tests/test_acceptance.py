@@ -156,7 +156,7 @@ def test_criterion_4_queue_oracle_equivalence():
 
 def test_criterion_5_lower_battery_is_prioritized():
     """The emptier of two requesters is confirmed earlier and served first."""
-    lp = LpNode(1, (0.0, 0.0), alignment_duration_s=0.0, service_duration_s=10.0)
+    lp = LpNode(1, alignment_duration_s=0.0, service_duration_s=10.0)
     service_order = []
 
     def serve_current():
@@ -208,12 +208,11 @@ class ChaosNetwork:
         self.lps = {
             sys_id: LpNode(
                 sys_id,
-                position,
                 alignment_duration_s=5.0,
                 service_duration_s=20.0,
                 boarding_timeout_s=60.0,
             )
-            for sys_id, position in roster
+            for sys_id, _ in roster
         }
         self.aps = {
             sys_id: ApNode(sys_id, roster, departure_clear_s=1.0) for sys_id in (3, 4, 5)

@@ -274,6 +274,50 @@ def test_exhausted_alternatives_settles_on_best_offer():
     assert final[0].msg.decision is ReservationAction.KEEP
 
 
+@pytest.mark.parametrize(
+    "roster, offers, settle",
+    [
+        # The two-platform sequence above: LP 1's offer of 4 was best.
+        (ROSTER, [(1, 4), (2, 6)], (1, 5)),
+        # Three platforms, the best offer from LP 2, the second one tried.
+        (ROSTER + [(3, (200.0, 0.0))], [(1, 6), (2, 1), (3, 2)], (2, 3)),
+    ],
+    ids=["two-platforms", "best-of-three-second-tried"],
+)
+def test_settled_episode_does_not_carry_into_the_next(roster, offers, settle):
+    ap = make_ap(roster=roster)
+    tick(ap, 0.0, battery=49.5, pos=(0.0, 0.0))
+    ap.battery_pct = 50.0  # budget 175 s: every offer here is rejected
+    now = 1.0
+    for lp, position in offers:
+        out = ap.handle_message(conf(position), lp, now)
+        assert cancels_in(out)[0].dest_sys_id == lp
+        now += 1.0
+    settled, position = settle
+    assert requests_in(out)[0].dest_sys_id == settled
+    ap.handle_message(conf(position), settled, now)  # settling: accepted regardless
+    assert (ap.state, ap.current_reservation) == (NodeState.RESERVED_WAITING, settled)
+
+    # Serviced at the settled platform, then departs.
+    ap.handle_message(conf(0), settled, now + 1)
+    assert ap.notify_arrival(now + 2)[0].dest_sys_id == settled
+    ap.handle_message(update(NodeState.SERVICING), settled, now + 3)
+    ap.handle_message(update(NodeState.SERVICE_COMPLETE), settled, now + 4)
+    out = tick(ap, now + 5, battery=100.0)
+    assert [o.dest_sys_id for o in out if o.msg == update(NodeState.DEPARTED)] == [settled]
+    assert ap.state is NodeState.OPERATING
+
+    # The next episode judges LP 1's offer afresh: rejected, LP 2 asked next.
+    out = tick(ap, now + 6, battery=49.5, pos=(0.0, 0.0))
+    assert requests_in(out)[0].dest_sys_id == 1
+    ap.battery_pct = 50.0
+    out = ap.handle_message(conf(4), 1, now + 7)
+    assert cancels_in(out)[0].dest_sys_id == 1
+    assert requests_in(out)[0].dest_sys_id == 2
+    assert ap.state is NodeState.REQUEST_PENDING
+    check_reservation_invariant(ap)
+
+
 def test_stale_clearance_from_cancelled_platform_ignored():
     ap = make_ap()
     tick(ap, 0.0, battery=49.5, pos=(0.0, 0.0))
@@ -419,22 +463,35 @@ def test_random_message_storm_never_faults_the_vehicle():
     ap = make_ap()
     now = 0.0
     battery = 100.0
+    serviced_by = None  # the sender of the SERVICE_COMPLETE that began departure
+    departures = 0
     for _ in range(3000):
         now += rng.random()
         roll = rng.randrange(6)
         sender = rng.choice((1, 2, 9))
+        out = []
         if roll == 0:
-            ap.handle_message(conf(rng.randrange(4), ap=rng.choice((7, 9))), sender, now)
+            out = ap.handle_message(conf(rng.randrange(4), ap=rng.choice((7, 9))), sender, now)
         elif roll == 1:
+            was_serviced = ap.state is NodeState.BEING_SERVICED
             ap.handle_message(update(NodeState(rng.randrange(14))), sender, now)
+            if was_serviced and ap.state is NodeState.DEPARTING:
+                serviced_by = sender
         elif roll == 2 and ap.state is NodeState.BOARDING:
-            ap.notify_arrival(now)
+            out = ap.notify_arrival(now)
         elif roll == 3:
             battery = max(0.0, battery - rng.uniform(0, 2))
-            tick(ap, now, battery=battery)
+            out = tick(ap, now, battery=battery)
         else:
-            tick(ap, now, battery=battery)
+            out = tick(ap, now, battery=battery)
+        for o in out:
+            if o.msg == update(NodeState.DEPARTED):
+                assert o.dest_sys_id == serviced_by
+                departures += 1
+            elif isinstance(o.msg, ApReservationDecision) and o.msg.decision is ReservationAction.KEEP:
+                assert o.dest_sys_id == ap.current_reservation
         check_reservation_invariant(ap)
+    assert departures  # the storm reaches the departure it checks
 
 
 # --- full exchange against a real landing platform ---------------------------------------
@@ -443,7 +500,6 @@ def test_random_message_storm_never_faults_the_vehicle():
 def test_full_service_cycle_returns_both_machines_to_initial_states():
     lp = LpNode(
         1,
-        (0.0, 0.0),
         service_duration_s=5.0,
         alignment_duration_s=2.0,
     )

@@ -21,7 +21,7 @@ def make_lp(**kwargs):
         boarding_timeout_s=180.0,
     )
     defaults.update(kwargs)
-    return LpNode(1, (0.0, 0.0), **defaults)
+    return LpNode(1, **defaults)
 
 
 def request(priority, lp=1):
@@ -302,7 +302,7 @@ def test_transition_table_is_complete():
 
 MACHINES = {
     "AP": (AP_TRANSITIONS, lambda: ApNode(7, [(1, (0.0, 0.0))])),
-    "LP": (LP_TRANSITIONS, lambda: LpNode(7, (0.0, 0.0))),
+    "LP": (LP_TRANSITIONS, lambda: LpNode(7)),
 }
 ILLEGAL_EDGES = [
     pytest.param(kind, from_state, to_state, id=f"{kind}-{from_state.name}-{to_state.name}")

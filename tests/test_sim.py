@@ -662,12 +662,11 @@ def test_replaying_messages_reproduces_state_changes(traced_run):
     lps = {
         lp_id: LpNode(
             lp_id,
-            position,
             service_duration_s=cfg.service_duration_s,
             alignment_duration_s=cfg.alignment_duration_s,
             boarding_timeout_s=cfg.boarding_timeout_s,
         )
-        for lp_id, position in roster
+        for lp_id, _ in roster
     }
     aps = {
         ap_id: ApNode(
