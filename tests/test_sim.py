@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import operator
 import re
 import sys
 from collections import Counter
@@ -469,6 +470,35 @@ def test_a_run_that_raises_keeps_every_record_made_before_the_raise(monkeypatch)
     assert partial.getvalue() == "".join(expected)
     # Including records of the tick that raised, which were still buffered.
     assert json.loads(expected[-1])["t"] == 150.0
+
+
+def test_each_decoded_message_object_gets_one_received_text(monkeypatch):
+    import autoserve.sim as sim_module
+    import autoserve.transport as transport
+
+    rendered, decoded = [], []
+    message_head, decode_for = sim_module._message_head, transport.InMemoryBus.decode_for
+
+    def counting_head(msg, peer_key):
+        if peer_key == "src":
+            rendered.append(msg)
+        return message_head(msg, peer_key)
+
+    def recording_decode_for(bus, dest_sys_id, frame):
+        result = decode_for(bus, dest_sys_id, frame)
+        decoded.append(result[1])
+        return result
+
+    monkeypatch.setattr(sim_module, "_message_head", counting_head)
+    monkeypatch.setattr(transport.InMemoryBus, "decode_for", recording_decode_for)
+    report, _, records = run_traced(SimConfig(n_uavs=1, n_lps=5, duration_s=600))
+    assert sum(report.services_completed.values()) >= 1
+    assert sum(r["kind"] == "MSG_RECV" for r in records) == len(decoded)
+    # Both lists hold their messages, so no two distinct objects share an id.
+    distinct = list({id(msg): msg for msg in decoded}.values())
+    assert len(rendered) == len(distinct) and all(map(operator.is_, rendered, distinct))
+    # Each heartbeat reaches five platforms but is rendered once.
+    assert len(decoded) > 4 * len(rendered)
 
 
 def test_distinct_messages_that_compare_equal_get_their_own_sent_text():
