@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -187,6 +188,24 @@ def test_sweep_of_one_seed_prints_its_minimum_as_both_ends(config_path, capsys):
     (line,) = [line for line in out.splitlines() if line.startswith("fleet_min_battery_pct:")]
     low, high = re.fullmatch(r"fleet_min_battery_pct: min=(\S+) max=(\S+)", line).groups()
     assert low == high
+
+
+def test_sweep_stdout_and_report_are_pinned(tmp_path, capsys):
+    config = tmp_path / "sweep-config.json"
+    config.write_text(json.dumps({"n_uavs": 2, "n_lps": 1, "seed": 3}))
+    report_path = tmp_path / "sweep.json"
+    argv = ["sweep", "--config", str(config), "--seeds", "4", "--duration", "900"]
+    assert main([*argv, "--report", str(report_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "seeds=4 base_seed=3 pass=4/4 (100.0%)",
+        "fleet_min_battery_pct: min=27.32 p25=27.50 median=29.68 p75=38.91 max=41.43",
+        "seed=3 outcome=PASS min_battery=28.03",
+        "seed=4 outcome=PASS min_battery=31.34",
+        "seed=5 outcome=PASS min_battery=27.32",
+        "seed=6 outcome=PASS min_battery=41.43",
+    ]
+    digest = hashlib.sha256(report_path.read_bytes()).hexdigest()
+    assert digest == "95a0440a83a619fe1a56b80c499e3b35c90089d8625630de42c7ceb117e8c861"
 
 
 def test_dump_prints_fields(capsys):
