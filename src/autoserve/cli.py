@@ -110,11 +110,20 @@ def _cmd_sweep(args) -> int:
     import statistics  # for the quartiles alone; run need not load it
 
     cfg = _load_config(args)
-    result = sweep(cfg, args.seeds)
-    values = sorted(result.min_battery_values())
+    runs = [
+        {
+            "seed": seed,
+            "outcome": report.outcome,
+            "fleet_min_battery_pct": min(report.min_battery_pct.values()),
+        }
+        for seed, report in enumerate(sweep(cfg, args.seeds), start=cfg.seed)
+    ]
+    pass_count = sum(run["outcome"] == "PASS" for run in runs)
+    pass_rate = pass_count / len(runs)
+    values = sorted(run["fleet_min_battery_pct"] for run in runs)
     print(
-        f"seeds={len(result.runs)} base_seed={cfg.seed} "
-        f"pass={result.pass_count}/{len(result.runs)} ({result.pass_rate:.1%})"
+        f"seeds={len(runs)} base_seed={cfg.seed} "
+        f"pass={pass_count}/{len(runs)} ({pass_rate:.1%})"
     )
     if len(values) >= 2:
         quartiles = statistics.quantiles(values, n=4)
@@ -125,14 +134,17 @@ def _cmd_sweep(args) -> int:
         )
     else:
         print(f"fleet_min_battery_pct: min={values[0]:.2f} max={values[0]:.2f}")
-    for run in result.runs:
+    for run in runs:
         print(
-            f"seed={run.seed} outcome={run.outcome} "
-            f"min_battery={run.fleet_min_battery_pct:.2f}"
+            f"seed={run['seed']} outcome={run['outcome']} "
+            f"min_battery={run['fleet_min_battery_pct']:.2f}"
         )
     if args.report:
+        summary = {
+            "pass_count": pass_count, "total": len(runs), "pass_rate": pass_rate, "runs": runs
+        }
         with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(result.to_dict(), handle, indent=2, sort_keys=True)
+            json.dump(summary, handle, indent=2, sort_keys=True)
             handle.write("\n")
     return EXIT_PASS
 

@@ -118,10 +118,6 @@ class LpNode(StateMachine):
 
         self._phase_started_at: float | None = None
 
-    def effective_position(self, raw_position: int) -> int:
-        """Queue position as reported to peers, counting the vehicle on deck."""
-        return raw_position + (1 if self.current_ap is not None else 0)
-
     def _promote(self, now: float) -> list[Outbound]:
         """On an IDLE platform, clear the queue's head, if any, for boarding."""
         if len(self.queue) == 0:
@@ -183,7 +179,9 @@ class LpNode(StateMachine):
             # An IDLE platform's queue was empty, so the requester is its
             # head: the promotion's confirmation with position 0 is the reply.
             return self._promote(now)
-        return [self._confirmation(from_sys_id, self.effective_position(position))]
+        # Peers are told their position counting the vehicle on deck.
+        on_deck = 1 if self.current_ap is not None else 0
+        return [self._confirmation(from_sys_id, position + on_deck)]
 
     def _handle_decision(
         self, msg: ApReservationDecision, from_sys_id: int, now: float

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from hashlib import sha256
 from typing import IO, Mapping
 
@@ -664,50 +664,10 @@ def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
     return sim._report()
 
 
-@dataclass
-class SweepRun:
-    seed: int
-    outcome: str
-    fleet_min_battery_pct: float
-
-
-@dataclass
-class SweepResult:
-    runs: list[SweepRun] = field(default_factory=list)
-
-    @property
-    def pass_count(self) -> int:
-        return sum(1 for run in self.runs if run.outcome == "PASS")
-
-    @property
-    def pass_rate(self) -> float:
-        return self.pass_count / len(self.runs) if self.runs else 0.0
-
-    def min_battery_values(self) -> list[float]:
-        return [run.fleet_min_battery_pct for run in self.runs]
-
-    def to_dict(self) -> dict:
-        return {
-            "pass_count": self.pass_count,
-            "total": len(self.runs),
-            "pass_rate": self.pass_rate,
-            "runs": [asdict(run) for run in self.runs],
-        }
-
-
-def sweep(cfg: SimConfig, n_seeds: int) -> SweepResult:
-    """Run n_seeds consecutive seeds starting at cfg.seed."""
+def sweep(cfg: SimConfig, n_seeds: int) -> list[SimReport]:
+    """Run n_seeds consecutive seeds starting at cfg.seed; one report per seed."""
     if n_seeds < 1:
         raise InvalidConfig("n_seeds must be at least 1")
-    result = SweepResult()
-    for offset in range(n_seeds):
-        run_cfg = replace(cfg, seed=cfg.seed + offset)
-        report = run_sim(run_cfg)
-        result.runs.append(
-            SweepRun(
-                seed=run_cfg.seed,
-                outcome=report.outcome,
-                fleet_min_battery_pct=min(report.min_battery_pct.values()),
-            )
-        )
-    return result
+    # Reject a seed range that overflows before any run's work is spent.
+    replace(cfg, seed=cfg.seed + n_seeds - 1).validate()
+    return [run_sim(replace(cfg, seed=cfg.seed + offset)) for offset in range(n_seeds)]

@@ -514,19 +514,15 @@ class Keystore:
     """
 
     def __init__(self, keys: Mapping[int, bytes] | None = None):
-        # link_id -> SHA-256 with that link's secret already absorbed;
-        # add_key checks each secret before it enters.
+        # link_id -> SHA-256 with that link's secret already absorbed.
         self.keyed_sha256 = {}
+        for link_id, secret_key in (keys or {}).items():
+            if len(secret_key) != 32:
+                raise ValueError("secret_key must be exactly 32 bytes")
+            self.keyed_sha256[int(link_id)] = sha256(secret_key)
         # Each stream's last timestamp in a one-element list, updated in place.
         self._last: dict[tuple[int, int, int], list[int]] = {}
         self._link_max: dict[int, int] = {}
-        for link_id, secret in (keys or {}).items():
-            self.add_key(link_id, secret)
-
-    def add_key(self, link_id: int, secret_key: bytes) -> None:
-        if len(secret_key) != 32:
-            raise ValueError("secret_key must be exactly 32 bytes")
-        self.keyed_sha256[int(link_id)] = sha256(secret_key)
 
     def accept(self, link_id: int, sys_id: int, comp_id: int, ts: int) -> None:
         """Replay check of one verified frame; records ts only if it passes."""

@@ -330,19 +330,22 @@ def test_criterion_7_single_platform_capacity():
     five = sweep(SimConfig(n_uavs=5, n_lps=1, seed=0), 20)
     one = sweep(SimConfig(n_uavs=1, n_lps=1, seed=0), 20)
     print("\n  parameters:", json.dumps(SimConfig(n_uavs=5, n_lps=1).to_dict(), sort_keys=True))
-    for label, result in (("n_uavs=5", five), ("n_uavs=1", one)):
+    passes = {}
+    for label, reports in (("n_uavs=5", five), ("n_uavs=1", one)):
+        passes[label] = sum(run.passed for run in reports)
         outcomes = " ".join(
-            f"{run.seed}:{'P' if run.outcome == 'PASS' else 'F'}" for run in result.runs
+            f"{run.config['seed']}:{'P' if run.passed else 'F'}" for run in reports
         )
-        print(f"  {label}: pass {result.pass_count}/20, min-battery "
-              f"{min(result.min_battery_values()):.1f}..{max(result.min_battery_values()):.1f} "
+        minima = [min(run.min_battery_pct.values()) for run in reports]
+        print(f"  {label}: pass {passes[label]}/20, min-battery "
+              f"{min(minima):.1f}..{max(minima):.1f} "
               f"[{outcomes}]")
-    assert five.pass_count >= 18
-    assert one.pass_count == 20
+    assert passes["n_uavs=5"] >= 18
+    assert passes["n_uavs=1"] == 20
     report(
         7,
         "single-platform capacity",
-        f"5 UAVs {five.pass_count}/20, 1 UAV {one.pass_count}/20",
+        f"5 UAVs {passes['n_uavs=5']}/20, 1 UAV {passes['n_uavs=1']}/20",
     )
 
 

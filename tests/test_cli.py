@@ -208,6 +208,17 @@ def test_sweep_stdout_and_report_are_pinned(tmp_path, capsys):
     assert digest == "95a0440a83a619fe1a56b80c499e3b35c90089d8625630de42c7ceb117e8c861"
 
 
+def test_sweep_past_the_last_seed_fails_before_any_run(tmp_path, capsys):
+    report_path = tmp_path / "sweep.json"
+    argv = ["sweep", "--uavs", "1", "--lps", "1", "--duration", "60"]
+    argv += ["--seed", str(2**64 - 1), "--seeds", "2", "--report", str(report_path)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "seed must be an unsigned 64-bit integer" in err
+    assert not report_path.exists()
+
+
 def test_dump_prints_fields(capsys):
     frame = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1)
     assert main(["dump", frame.hex()]) == 0

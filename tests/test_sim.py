@@ -6,6 +6,7 @@ import operator
 import re
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -395,9 +396,24 @@ def test_multi_platform_fleet_shares_the_load():
 
 
 def test_sweep_runs_consecutive_seeds():
-    result = sweep(small_cfg(n_uavs=1, duration_s=60, seed=5), 3)
-    assert [run.seed for run in result.runs] == [5, 6, 7]
-    assert result.pass_count == 3
+    cfg = small_cfg(n_uavs=1, duration_s=60, seed=5)
+    reports = sweep(cfg, 3)
+    assert [report.config["seed"] for report in reports] == [5, 6, 7]
+    assert sum(report.passed for report in reports) == 3
+    # Each report is exactly the one run_sim gives for that seed's config.
+    assert [report.to_json() for report in reports] == [
+        run_sim(replace(cfg, seed=seed)).to_json() for seed in (5, 6, 7)
+    ]
+
+
+def test_sweep_checks_the_whole_seed_range_before_any_run(monkeypatch):
+    import autoserve.sim as sim_module
+
+    runs = []
+    monkeypatch.setattr(sim_module, "run_sim", runs.append)
+    with pytest.raises(InvalidConfig, match="seed must be an unsigned 64-bit integer"):
+        sweep(small_cfg(seed=2**64 - 1), 2)
+    assert runs == []
 
 
 # --- trace invariants -----------------------------------------------------------------

@@ -287,9 +287,9 @@ def test_decode_accepts_a_bytearray_frame():
     "make",
     [
         lambda: SigningContext(SECRET[:31], 0, lambda: 0),
-        lambda: Keystore().add_key(0, SECRET[:31]),
+        lambda: Keystore({0: SECRET[:31]}),
     ],
-    ids=["signing-context", "add-key"],
+    ids=["signing-context", "keystore"],
 )
 def test_short_secret_rejected(make):
     with pytest.raises(ValueError, match="secret_key must be exactly 32 bytes"):
