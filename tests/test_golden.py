@@ -120,3 +120,28 @@ def test_run_digests(cfg, drops, report_sha, trace_sha):
     assert report.drops == drops
     assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == report_sha
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == trace_sha
+
+
+# (config, report drops, report SHA-256) for the configs bench/run.py
+# runs: capacity-5x1 and capacity-5x1-traced share the default config, and
+# fleet-20x5 is 20x5x1800. Reports only: the traced workload writes its
+# trace to a discard sink, so no trace digest is pinned here.
+BENCH_RUNS = [
+    (SimConfig(), {}, "ef1802d8607de8f85e6c5c018d441a11590b1cacb7a85757b1d19952b95a143a"),
+    (
+        SimConfig(n_uavs=20, n_lps=5, duration_s=1800),
+        {"ap_confirmation_unexpected": 1},
+        "9e76aed4889e2597c9312f0c0cc3c076e98c135a3cc7448b068eed94c5395713",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, drops, report_sha",
+    BENCH_RUNS,
+    ids=[f"{cfg.n_uavs}x{cfg.n_lps}x{cfg.duration_s}" for cfg, *_ in BENCH_RUNS],
+)
+def test_bench_config_reports(cfg, drops, report_sha):
+    report = run_sim(cfg)
+    assert report.drops == drops
+    assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == report_sha
