@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .lp_node import ProtocolStateError, StateMachine
+from .lp_node import StateMachine
 from .reservation import priority_from_battery
 from .routing import reachable_lps
 from .transport import Outbound
@@ -240,10 +240,6 @@ class ApNode(StateMachine):
 
     def notify_arrival(self, now: float) -> list[Outbound]:
         """The vehicle has touched down on its reserved platform."""
-        if self.state is not BOARDING:
-            raise ProtocolStateError(
-                f"AP {self.sys_id}: arrival notified while {self.state.name}"
-            )
         self._transition(LANDED)
         return [Outbound(self._lp, SystemStateUpdate(state=LANDED))]
 

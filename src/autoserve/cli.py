@@ -125,7 +125,7 @@ def _cmd_sweep(args) -> int:
         f"seeds={len(runs)} base_seed={cfg.seed} "
         f"pass={pass_count}/{len(runs)} ({pass_rate:.1%})"
     )
-    if len(values) >= 2:
+    if len(values) >= 3:  # quartiles of fewer values extrapolate past them
         quartiles = statistics.quantiles(values, n=4)
         print(
             "fleet_min_battery_pct: "
@@ -133,7 +133,7 @@ def _cmd_sweep(args) -> int:
             f"p75={quartiles[2]:.2f} max={values[-1]:.2f}"
         )
     else:
-        print(f"fleet_min_battery_pct: min={values[0]:.2f} max={values[0]:.2f}")
+        print(f"fleet_min_battery_pct: min={values[0]:.2f} max={values[-1]:.2f}")
     for run in runs:
         print(
             f"seed={run['seed']} outcome={run['outcome']} "

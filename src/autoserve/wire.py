@@ -106,17 +106,9 @@ class StaleTimestamp(FrameDecodeError):
 
 
 # crc_hqx runs the same polynomial MSB-first, so the reflected register is
-# computed on bit-reversed bytes with a bit-reversed initial value.
+# computed on bit-reversed bytes and its result bit-reversed back (the
+# initial value 0xFFFF is its own reverse).
 _REV8 = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
-
-
-def _rev16(value: int) -> int:
-    return (_REV8[value & 0xFF] << 8) | _REV8[value >> 8]
-
-
-def crc16_accumulate(data: bytes, crc: int = 0xFFFF) -> int:
-    """Accumulate data into a reflected CRC-16 register (no final XOR)."""
-    return _rev16(binascii.crc_hqx(bytes(data).translate(_REV8), _rev16(crc)))
 
 
 def crc16_x25(data: bytes) -> int:
@@ -124,7 +116,8 @@ def crc16_x25(data: bytes) -> int:
 
     Check value: crc16_x25(b"123456789") == 0x906E.
     """
-    return crc16_accumulate(data) ^ 0xFFFF
+    crc = binascii.crc_hqx(bytes(data).translate(_REV8), 0xFFFF)
+    return (_REV8[crc & 0xFF] << 8 | _REV8[crc >> 8]) ^ 0xFFFF
 
 
 # Each crc_extra value as one bit-reversed byte, ready to append.
@@ -143,12 +136,11 @@ def compute_checksum(header_and_payload: bytes, crc_extra: int) -> int:
 
 
 def _seed_crc_extra(name: str, field_sig: Sequence[tuple[str, str]]) -> int:
-    # Seed accumulates name and "ctype name" pairs in wire order, then folds
-    # the 16-bit register to one byte. Matches the published message-seed rule.
-    crc = crc16_accumulate((name + " ").encode("ascii"))
-    for ctype, fname in field_sig:
-        crc = crc16_accumulate((ctype + " ").encode("ascii"), crc)
-        crc = crc16_accumulate((fname + " ").encode("ascii"), crc)
+    # Seed hashes the name and "ctype name" pairs in wire order, then folds
+    # the 16-bit register (before its final XOR) to one byte. Matches the
+    # published message-seed rule.
+    text = name + " " + "".join(f"{ctype} {fname} " for ctype, fname in field_sig)
+    crc = crc16_x25(text.encode("ascii")) ^ 0xFFFF
     return (crc & 0xFF) ^ (crc >> 8)
 
 

@@ -37,14 +37,6 @@ def crc16_x25_oracle(data: bytes) -> int:
     return value ^ 0xFFFF
 
 
-def crc16_no_xorout_oracle(data: bytes) -> int:
-    """Same register without the final inversion (check value 0x6F91)."""
-    value = 0xFFFF
-    for byte in data:
-        value = _TABLE[(value ^ byte) & 0xFF] ^ (value >> 8)
-    return value
-
-
 # --- bit-level reference framer ---------------------------------------------
 # Assembles the unsigned SYSTEM_STATE_UPDATE frame byte by byte, without
 # the package codec. msg_id 42004, one-byte payload.

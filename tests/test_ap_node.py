@@ -441,7 +441,7 @@ def test_departure_notifies_platform_after_clearing():
 
 def test_arrival_outside_boarding_raises():
     ap = make_ap()
-    with pytest.raises(ProtocolStateError):
+    with pytest.raises(ProtocolStateError, match="AP 7: OPERATING -> LANDED"):
         ap.notify_arrival(0.0)
 
 

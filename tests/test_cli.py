@@ -190,6 +190,14 @@ def test_sweep_of_one_seed_prints_its_minimum_as_both_ends(config_path, capsys):
     assert low == high
 
 
+def test_sweep_of_two_seeds_prints_only_its_ends(capsys):
+    argv = ["sweep", "--uavs", "2", "--lps", "1", "--duration", "300", "--seeds", "2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "fleet_min_battery_pct: min=32.19 max=32.92"
+    assert sorted(line.rsplit("=", 1)[1] for line in lines[2:]) == ["32.19", "32.92"]
+
+
 def test_sweep_stdout_and_report_are_pinned(tmp_path, capsys):
     config = tmp_path / "sweep-config.json"
     config.write_text(json.dumps({"n_uavs": 2, "n_lps": 1, "seed": 3}))

@@ -426,3 +426,26 @@ def test_priority_order_over_busy_platform():
     lp.handle_message(request(75), 9, now=21.0)  # battery 25
     assert lp.queue.position_of(9) == 0
     assert lp.queue.position_of(8) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3: a platform that releases a vehicle on boarding_timeout_s "
+    "never tells it, so the vehicle keeps boarding toward a slot that is gone",
+)
+def test_boarding_timeout_tells_the_released_vehicle():
+    lp = LpNode(1, boarding_timeout_s=180.0)
+    ap = ApNode(2, [(1, (0.0, 0.0))])
+    (req,) = [o for o in ap.tick(0.0, 40.0, (0.0, 0.0)) if o.dest_sys_id == 1]
+    (conf,) = lp.handle_message(req.msg, 2, 0.0)
+    assert conf.msg.queue_position == 0
+    assert ap.handle_message(conf.msg, 1, 0.0) == []
+    assert ap.state is NodeState.BOARDING
+
+    out = lp.tick(181.0)
+    assert lp.drops == {"lp_boarding_timeout": 1}
+    to_vehicle = [o.msg for o in out if o.dest_sys_id == 2]
+    assert to_vehicle
+    for msg in to_vehicle:
+        ap.handle_message(msg, 1, 181.0)
+    assert ap.current_reservation != 1

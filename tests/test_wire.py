@@ -32,14 +32,13 @@ from autoserve.wire import (
     UnknownMsgId,
     VehicleType,
     compute_checksum,
-    crc16_accumulate,
     crc16_x25,
     decode_frame,
     dump_frame,
     encode_frame,
     verify_frame,
 )
-from oracles import crc16_no_xorout_oracle, crc16_x25_oracle, reference_state_update_frame
+from oracles import crc16_x25_oracle, reference_state_update_frame
 
 SECRET = bytes(range(32))
 
@@ -96,7 +95,6 @@ messages = st.one_of(
 
 def test_crc_published_check_values():
     assert crc16_x25(b"123456789") == 0x906E
-    assert crc16_accumulate(b"123456789") == 0x6F91
 
 
 def test_crc_matches_oracle_on_random_inputs():
@@ -104,7 +102,6 @@ def test_crc_matches_oracle_on_random_inputs():
     for _ in range(300):
         data = rng.randbytes(rng.randint(0, 64))
         assert crc16_x25(data) == crc16_x25_oracle(data)
-        assert crc16_accumulate(data) == crc16_no_xorout_oracle(data)
 
 
 def test_compute_checksum_empty_input_is_crc_of_extra_byte():
