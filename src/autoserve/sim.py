@@ -12,12 +12,11 @@ leg: operating, approaching, or departing). A vehicle is restored to
 drops below the failure threshold.
 
 Every run is a pure function of its SimConfig: each vehicle draws from
-its own PCG64 stream seeded with SeedSequence(seed, spawn_key=(1,
-vehicle_index)), so adding vehicle k+1 never alters the draws of
-vehicles 1..k. The stream is a pure-Python copy of numpy's PCG64 and
-SeedSequence, and every draw equals numpy's Generator.uniform bit for
-bit; numpy itself is needed only by the tests and the benchmark. Two
-runs of the same config produce byte-identical traces.
+its own random.Random (Mersenne Twister) stream seeded with the string
+f"{seed} {vehicle_index}", so adding vehicle k+1 never alters the draws
+of vehicles 1..k. A string seed goes through SHA-512, not hash(), so the
+streams do not depend on PYTHONHASHSEED. Two runs of the same config
+produce byte-identical traces.
 
 Trace files are UTF-8 JSON lines. The first line is
 {"header": {config, rng, trace_format}}; every following line is a
@@ -30,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from hashlib import sha256
@@ -54,8 +54,8 @@ from .wire import (
 NETWORK_SECRET = sha256(b"autoserve shared network key").digest()
 
 RNG_DESCRIPTION = (
-    "numpy PCG64, one stream per vehicle from "
-    "SeedSequence(seed, spawn_key=(1, vehicle_index)); draw order per "
+    "Python random.Random (MT19937), one stream per vehicle seeded with "
+    "the string f'{seed} {vehicle_index}'; draw order per "
     "vehicle: spawn radius u, spawn angle u, initial battery, then per "
     "tick consumption (when flying) and displacement x, y (when operating)"
 )
@@ -235,102 +235,19 @@ class SimConfig:
         ]
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_M32, _M53, _M64, _M128 = (1 << 32) - 1, (1 << 53) - 1, (1 << 64) - 1, (1 << 128) - 1
-
-
-def _uint32_words(value: int) -> list[int]:
-    """value's 32-bit words, least significant first; [0] for 0."""
-    if value < 0:
-        raise ValueError("expected a non-negative integer")
-    words = [value & _M32]
-    while value := value >> 32:
-        words.append(value & _M32)
-    return words
-
-
-def _hasher(hash_const: int, mult: int):
-    """SeedSequence's hashmix over a running hash constant."""
-
-    def hashmix(value: int) -> int:
-        nonlocal hash_const
-        value ^= hash_const
-        hash_const = hash_const * mult & _M32
-        value = value * hash_const & _M32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
-    return result ^ result >> 16
-
-
-def _seed_words(seed: int, index: int) -> list[int]:
-    """SeedSequence(entropy=seed, spawn_key=(1, index)).generate_state(4, uint64)."""
-    entropy = _uint32_words(seed)
-    # The seed's words are padded to the pool size when a spawn key follows;
-    # then come the words of the spawn key (1, index).
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    entropy += [1, *_uint32_words(index)]
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    words = [hashmix(pool[i % _POOL_SIZE]) for i in range(8)]
-    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
-
-
-class _Pcg64:
-    """numpy's PCG64 (128-bit LCG state, XSL-RR output) and Generator.uniform:
-    uniform(low, high) is low + (high - low) * u, with u the top 53 bits of
-    the next 64-bit output times 2**-53. One draw per call."""
-
-    __slots__ = ("_state", "_inc")
-
-    def __init__(self, seed: int, index: int) -> None:
-        # numpy's pcg64_set_seed: state 0, step, add initstate, step.
-        state_hi, state_lo, seq_hi, seq_lo = _seed_words(seed, index)
-        self._inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
-        state = (self._inc + (state_hi << 64 | state_lo)) & _M128
-        self._state = (state * _PCG_MULT + self._inc) & _M128
-
-    def uniform(self, low: float, high: float) -> float:
-        state = self._state = (self._state * _PCG_MULT + self._inc) & _M128
-        word = ((state >> 64) ^ state) & _M64
-        # word * (2**64 + 1) is word beside itself, so shifting it right by
-        # the rotation plus 11 leaves rotr64(word, rotation) >> 11 in the
-        # low 53 bits.
-        u = ((word * ((1 << 64) + 1)) >> ((state >> 122) + 11) & _M53) * 2.0**-53
-        return low + (high - low) * u
-
-
-def uav_rng(seed: int, index: int) -> _Pcg64:
+def uav_rng(seed: int, index: int) -> random.Random:
     """The dedicated random stream of vehicle `index` (0-based)."""
-    return _Pcg64(seed, index)
+    return random.Random(f"{seed} {index}")
 
 
-def sample_consumption(rng: _Pcg64, min_pct: float, max_pct: float) -> float:
+def sample_consumption(rng: random.Random, min_pct: float, max_pct: float) -> float:
     """One battery-consumption draw, uniform in [min_pct, max_pct]."""
     if min_pct > max_pct:
         raise ValueError("min_pct must not exceed max_pct")
     return rng.uniform(min_pct, max_pct)
 
 
-def sample_displacement(rng: _Pcg64, max_step: float) -> tuple[float, float]:
+def sample_displacement(rng: random.Random, max_step: float) -> tuple[float, float]:
     """One 2D displacement draw, each component uniform in [-max_step, max_step]."""
     if max_step < 0:
         raise ValueError("max_step must be non-negative")
@@ -411,7 +328,7 @@ class _UavBody:
     sys_id: int
     actor: str
     node: ApNode
-    rng: _Pcg64
+    rng: random.Random
     battery: float
     position: tuple[float, float]
     min_battery: float

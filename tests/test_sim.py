@@ -111,16 +111,20 @@ SPAWN_RANGES = [(0.0, 1.0), (0.0, 1.0), (60.0, 100.0)]
 
 
 def numpy_rng(seed, index):
-    """The oracle: numpy's own generator for vehicle index's stream."""
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(1, index)))
-    )
+    """The oracle: numpy's legacy Mersenne Twister, seeded as CPython seeds
+    random.Random from a string: the integer of the text's bytes followed
+    by their SHA-512 digest, split into 32-bit words, least significant
+    first."""
+    text = f"{seed} {index}".encode()
+    key = int.from_bytes(text + hashlib.sha512(text).digest(), "big")
+    words = [key >> shift & 0xFFFFFFFF for shift in range(0, key.bit_length(), 32)]
+    return np.random.RandomState(np.array(words, dtype=np.uint32))
 
 
 # Seeds and indices of one and two 32-bit words, at the word edges.
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
 @pytest.mark.parametrize("index", [0, 3, 2**33])
-def test_uav_rng_draws_equal_numpy_pcg64(seed, index):
+def test_uav_rng_draws_equal_numpy_mt19937(seed, index):
     reference, stream = numpy_rng(seed, index), uav_rng(seed, index)
     # The three spawn draws, then 1,200 draws as a run's ticks interleave them.
     for i, (low, high) in enumerate(SPAWN_RANGES + DRAW_RANGES * 200):
@@ -130,18 +134,11 @@ def test_uav_rng_draws_equal_numpy_pcg64(seed, index):
         assert got == expected, (i, low, high)
 
 
-def test_samplers_draw_as_from_numpy_pcg64():
+def test_samplers_draw_as_from_numpy_mt19937():
     reference, stream = numpy_rng(5, 1), uav_rng(5, 1)
     for _ in range(1000):
         assert sample_consumption(stream, 0.15, 0.2) == sample_consumption(reference, 0.15, 0.2)
         assert sample_displacement(stream, 0.3) == sample_displacement(reference, 0.3)
-
-
-# Splitting a negative int into 32-bit words by shifting never reaches 0.
-@pytest.mark.parametrize("seed, index", [(-1, 0), (0, -1), (-(2**64), 3)])
-def test_negative_seed_or_index_rejected(seed, index):
-    with pytest.raises(ValueError):
-        uav_rng(seed, index)
 
 
 def test_vehicle_streams_are_independent_of_fleet_size():
@@ -395,6 +392,17 @@ def test_multi_platform_fleet_shares_the_load():
     assert report.services_completed["LP2"] >= 1
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: probing vehicles hop to platforms anywhere on the map, "
+    "and LpNode._promote clears vehicles that already left, which then drop the "
+    "clearance as ap_confirmation_unexpected",
+)
+def test_large_fleet_drops_no_unexpected_clearance():
+    report = run_sim(SimConfig(n_uavs=200, n_lps=50, duration_s=120))
+    assert "ap_confirmation_unexpected" not in report.drops
+
+
 def test_sweep_runs_consecutive_seeds():
     cfg = small_cfg(n_uavs=1, duration_s=60, seed=5)
     reports = sweep(cfg, 3)
@@ -575,7 +583,7 @@ def test_tick_records_show_each_actor_at_the_end_of_its_tick():
 def test_trace_header_records_config_and_generator(traced_run):
     cfg, _, header, _ = traced_run
     assert header["config"] == cfg.to_dict()
-    assert "PCG64" in header["rng"]
+    assert "random.Random" in header["rng"]
 
 
 def test_trace_times_are_non_decreasing(traced_run):
