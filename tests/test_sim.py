@@ -148,6 +148,18 @@ def test_vehicle_streams_are_independent_of_fleet_size():
     assert first == again
 
 
+# Pairs whose seed and index digits run together without the separator.
+@pytest.mark.parametrize("a, b", [((1, 23), (12, 3)), ((11, 1), (1, 11))])
+def test_seed_and_index_stay_apart_in_the_seeding_text(a, b):
+    assert uav_rng(*a).random() != uav_rng(*b).random()
+
+
+def test_run_rejects_a_negative_seed_before_drawing():
+    # uav_rng seeds from text and accepts any int; the config check guards it.
+    with pytest.raises(InvalidConfig, match="seed must be an unsigned 64-bit integer"):
+        run_sim(small_cfg(seed=-1))
+
+
 def test_added_vehicle_does_not_disturb_existing_spawns():
     base = run_sim(small_cfg(n_uavs=2, duration_s=1))
     grown = run_sim(small_cfg(n_uavs=3, duration_s=1))
