@@ -19,7 +19,9 @@ State sequence:
     OPERATING -> REQUEST_PENDING -> RESERVED_WAITING -> BOARDING
               -> LANDED -> BEING_SERVICED -> DEPARTING -> OPERATING
 
-with REQUEST_PENDING looping to itself on each retry. While waiting for
+with REQUEST_PENDING looping to itself on each retry, and BOARDING
+returning to OPERATING when the platform's boarding timeout releases the
+vehicle, announced by SystemStateUpdate(IDLE). While waiting for
 its slot the vehicle loiters in place. A confirmation with position 0 is
 the boarding signal; only the platform the vehicle asked or holds a
 reservation at can give it. Messages inconsistent with the current state,
@@ -43,6 +45,7 @@ from .wire import (
     CANCEL,
     DEPARTED,
     DEPARTING,
+    IDLE,
     KEEP,
     LANDED,
     OPERATING,
@@ -67,7 +70,7 @@ AP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
     OPERATING: frozenset({REQUEST_PENDING}),
     REQUEST_PENDING: frozenset({RESERVED_WAITING, REQUEST_PENDING}),
     RESERVED_WAITING: frozenset({BOARDING}),
-    BOARDING: frozenset({LANDED}),
+    BOARDING: frozenset({LANDED, OPERATING}),
     LANDED: frozenset({BEING_SERVICED}),
     BEING_SERVICED: frozenset({DEPARTING}),
     DEPARTING: frozenset({OPERATING}),
@@ -229,6 +232,11 @@ class ApNode(StateMachine):
         """React to the landing platform's phase announcements."""
         if from_sys_id != self.current_reservation:
             return self._drop("ap_state_update_from_other_lp")
+        if upd.state is IDLE and self.state is BOARDING:
+            # The platform gave up the slot on its boarding timeout; the
+            # next tick's request policy asks again.
+            self._transition(OPERATING)
+            return []
         if upd.state is SERVICING and self.state is LANDED:
             self._transition(BEING_SERVICED)
             return []

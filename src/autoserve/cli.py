@@ -97,9 +97,10 @@ def _cmd_run(args) -> int:
         f" over {report.queue_wait_count}"
     )
     for failure in report.failures:
+        # repr, since rounding can print a battery just below the threshold as at it.
         print(
             f"failure uav={failure['uav']} t={failure['t']:.0f}"
-            f" battery={failure['battery_pct']:.2f}"
+            f" battery={failure['battery_pct']!r}"
         )
     for reason, count in report.drops.items():
         print(f"drop reason={reason} count={count}")

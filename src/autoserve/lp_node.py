@@ -12,7 +12,8 @@ which is the boarding signal. While the platform is occupied, confirmed
 positions count the vehicle currently on deck, so position 0 is only
 ever reported to a vehicle that is actually cleared to board.
 AWAITING_BOARDING reverts to IDLE when the boarding vehicle cancels or
-never lands within the boarding timeout.
+never lands within the boarding timeout; a vehicle released on the
+timeout is sent SystemStateUpdate(IDLE), the notice that its slot is gone.
 
 The queue fills only from vehicle requests, and every return to IDLE
 promotes its head, so a platform is never IDLE with a non-empty queue
@@ -225,8 +226,10 @@ class LpNode(StateMachine):
         )
 
         if self.state is AWAITING_BOARDING and elapsed >= self.boarding_timeout_s:
-            # The vehicle cleared to board never landed: drop its reservation.
+            # The vehicle cleared to board never landed: drop its reservation
+            # and tell it the slot is gone.
             self._drop("lp_boarding_timeout")
+            out.append(Outbound(self.current_ap, SystemStateUpdate(state=IDLE)))
             out.extend(self._release_current(now))
         if self.state is ALIGNING and elapsed >= self.alignment_duration_s:
             self._transition(SERVICING)

@@ -111,28 +111,21 @@ class StaleTimestamp(FrameDecodeError):
 _REV8 = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 
-def crc16_x25(data: bytes) -> int:
+def crc16_x25(data: bytes | bytearray) -> int:
     """CRC-16/X.25: poly 0x1021 reflected, init 0xFFFF, final XOR 0xFFFF.
 
     Check value: crc16_x25(b"123456789") == 0x906E.
     """
-    crc = binascii.crc_hqx(bytes(data).translate(_REV8), 0xFFFF)
+    crc = binascii.crc_hqx(data.translate(_REV8), 0xFFFF)
     return (_REV8[crc & 0xFF] << 8 | _REV8[crc >> 8]) ^ 0xFFFF
 
 
-# Each crc_extra value as one bit-reversed byte, ready to append.
-_REV_EXTRA = [_REV8[extra : extra + 1] for extra in range(256)]
-
-
-def compute_checksum(header_and_payload: bytes, crc_extra: int) -> int:
+def compute_checksum(header_and_payload: bytes | bytearray, crc_extra: int) -> int:
     """Frame checksum: CRC-16/X.25 over the input followed by crc_extra.
 
     The input excludes the magic byte.
     """
-    crc = binascii.crc_hqx(
-        header_and_payload.translate(_REV8) + _REV_EXTRA[crc_extra & 0xFF], 0xFFFF
-    )
-    return (_REV8[crc & 0xFF] << 8 | _REV8[crc >> 8]) ^ 0xFFFF
+    return crc16_x25(header_and_payload + crc_extra.to_bytes(1, "little"))
 
 
 def _seed_crc_extra(name: str, field_sig: Sequence[tuple[str, str]]) -> int:

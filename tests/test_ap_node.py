@@ -374,6 +374,7 @@ def test_clearance_while_operating_is_ignored():
         (conf(0), 2, "ap_confirmation_unexpected"),
         (update(NodeState.SERVICING), 2, "ap_state_update_from_other_lp"),
         (update(NodeState.SERVICE_COMPLETE), 1, "ap_state_update_unexpected"),
+        (update(NodeState.IDLE), 1, "ap_state_update_unexpected"),
     ],
     ids=[
         "request",
@@ -383,6 +384,7 @@ def test_clearance_while_operating_is_ignored():
         "clearance-from-other-lp",
         "update-from-other-lp",
         "service-complete-while-waiting",
+        "release-notice-while-waiting",
     ],
 )
 def test_message_the_vehicle_does_not_act_on_changes_nothing(msg, sender, reason):
@@ -425,6 +427,31 @@ def test_service_complete_while_operating_ignored():
     assert ap.handle_message(update(NodeState.SERVICE_COMPLETE), 1, 0.0) == []
     assert ap.state is NodeState.OPERATING
     assert ap.drops == {"ap_state_update_from_other_lp": 1}
+
+
+def test_release_notice_returns_a_boarding_vehicle_to_its_request_policy():
+    ap = make_ap()
+    tick(ap, 0.0, battery=49.0)
+    ap.handle_message(conf(0), 1, 1.0)
+    assert ap.state is NodeState.BOARDING
+    assert ap.handle_message(update(NodeState.IDLE), 1, 181.0) == []
+    assert ap.state is NodeState.OPERATING
+    check_reservation_invariant(ap)
+    # The next tick asks again, nearest platform first.
+    assert [o.dest_sys_id for o in requests_in(tick(ap, 182.0, battery=40.0))] == [1]
+    assert ap.state is NodeState.REQUEST_PENDING
+
+
+def test_release_notice_after_touchdown_is_dropped():
+    # The platform's timeout crossed the vehicle's LANDED on the link: the
+    # vehicle is on the deck, and only BOARDING returns to OPERATING.
+    ap = make_ap()
+    tick(ap, 0.0, battery=49.0)
+    ap.handle_message(conf(0), 1, 1.0)
+    ap.notify_arrival(180.0)
+    assert ap.handle_message(update(NodeState.IDLE), 1, 181.0) == []
+    assert ap.state is NodeState.LANDED
+    assert ap.drops == {"ap_state_update_unexpected": 1}
 
 
 def test_departure_notifies_platform_after_clearing():

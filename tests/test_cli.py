@@ -82,6 +82,17 @@ def test_run_prints_one_line_per_drop_reason_after_the_failures(tmp_path, capsys
     assert lines[failures[-1] + 1 :] == ["drop reason=lp_boarding_timeout count=2"]
 
 
+@pytest.mark.parametrize("seed", [0, 20])
+def test_run_prints_every_failure_battery_below_the_threshold(tmp_path, capsys, seed):
+    # At both seeds a vehicle fails within 0.01 of the 15% threshold.
+    path = tmp_path / "hungry.json"
+    path.write_text(json.dumps({"duration_s": 900, "consumption_pct_per_s": [0.35, 0.45]}))
+    assert main(["run", "--config", str(path), "--seed", str(seed)]) == 2
+    batteries = re.findall(r"^failure .* battery=(\S+)$", capsys.readouterr().out, re.M)
+    assert batteries
+    assert all(float(battery) < 15 for battery in batteries), batteries
+
+
 def test_run_invalid_config_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps({"n_uavs": 0}))

@@ -83,12 +83,17 @@ RUNS = [
         "8dd5c389e4ba624e710064c0a7f022ebd5069c6cc5e9d6e313548eade9a54bbd",
     ),
     # Fails: 2 FAILURE records and 978 TICKs with "failed":true; both
-    # vehicles cleared to board fail before they land.
+    # vehicles cleared to board fail before they land. Its trace was
+    # re-pinned when a platform began telling the vehicle it releases on
+    # its boarding timeout: each release adds the SystemStateUpdate(IDLE)
+    # MSG_SENT and MSG_RECV records and the failed vehicle's BOARDING ->
+    # OPERATING STATE_CHANGE, and that vehicle's remaining TICKs (792 in
+    # all) read OPERATING in place of BOARDING. The report did not change.
     (
         SimConfig(duration_s=900, consumption_pct_per_s=(0.35, 0.45)),
         {"lp_boarding_timeout": 2},
         "b34686e1b99f5863c2e73cee60c904c72732cefe3136fd3e713faa4e4536aeac",
-        "6eeadb39716f5275aff5b06bb270fec7914f2eab1905664d11b7beb99e2e5832",
+        "dc2f89b92421ec407fc936a177b26e0f4a0ffaf085d3c6330e5d7eae47340966",
     ),
 ]
 

@@ -428,11 +428,6 @@ def test_priority_order_over_busy_platform():
     assert lp.queue.position_of(8) == 1
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 3: a platform that releases a vehicle on boarding_timeout_s "
-    "never tells it, so the vehicle keeps boarding toward a slot that is gone",
-)
 def test_boarding_timeout_tells_the_released_vehicle():
     lp = LpNode(1, boarding_timeout_s=180.0)
     ap = ApNode(2, [(1, (0.0, 0.0))])

@@ -102,6 +102,13 @@ def test_crc_matches_oracle_on_random_inputs():
     for _ in range(300):
         data = rng.randbytes(rng.randint(0, 64))
         assert crc16_x25(data) == crc16_x25_oracle(data)
+        assert crc16_x25(bytearray(data)) == crc16_x25_oracle(data)
+    # The frame checksum is the CRC of its input followed by the crc_extra byte.
+    for extra in range(256):
+        data = rng.randbytes(rng.randint(0, 64))
+        expected = crc16_x25_oracle(data + bytes([extra]))
+        assert compute_checksum(data, extra) == expected
+        assert compute_checksum(bytearray(data), extra) == expected
 
 
 def test_compute_checksum_empty_input_is_crc_of_extra_byte():
