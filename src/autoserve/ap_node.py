@@ -64,8 +64,6 @@ from .wire import (
     SystemStateUpdate,
 )
 
-HEARTBEAT_INTERVAL_S = 1.0  # a vehicle broadcasts its heartbeat at 1 Hz
-
 AP_TRANSITIONS: dict[NodeState, frozenset[NodeState]] = {
     OPERATING: frozenset({REQUEST_PENDING}),
     REQUEST_PENDING: frozenset({RESERVED_WAITING, REQUEST_PENDING}),
@@ -117,7 +115,6 @@ class ApNode(StateMachine):
         self._lp: int | None = None
         self._offers: dict[int, float] = {}
         self._departing_since: float | None = None
-        self._last_heartbeat_at: float | None = None
         self._heartbeat: ExtendedHeartbeat | None = None
 
     @property
@@ -256,20 +253,14 @@ class ApNode(StateMachine):
     def tick(
         self, now: float, battery_pct: float, position: tuple[float, float]
     ) -> list[Outbound]:
-        """Ingest telemetry, heartbeat at 1 Hz, and run the request policy.
+        """Ingest telemetry, broadcast one heartbeat, and run the request policy.
 
-        Must be called with non-decreasing now.
+        Must be called with non-decreasing now. The simulator calls it once
+        per 1 s tick, which makes the heartbeat 1 Hz.
         """
-        self.battery_pct = float(battery_pct)
-        self.position = (float(position[0]), float(position[1]))
-        out: list[Outbound] = []
-
-        if (
-            self._last_heartbeat_at is None
-            or now - self._last_heartbeat_at >= HEARTBEAT_INTERVAL_S
-        ):
-            self._last_heartbeat_at = now
-            out.append(Outbound(None, self.heartbeat()))
+        self.battery_pct = battery_pct
+        self.position = position
+        out = [Outbound(None, self.heartbeat())]
 
         if self.state is DEPARTING and now - self._departing_since >= self.departure_clear_s:
             self._transition(OPERATING)

@@ -61,17 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> SimConfig:
     cfg = SimConfig.from_file(args.config) if args.config else SimConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.uavs is not None:
-        overrides["n_uavs"] = args.uavs
-    if args.lps is not None:
-        overrides["n_lps"] = args.lps
-    if args.duration is not None:
-        overrides["duration_s"] = args.duration
-    if overrides:
-        cfg = replace(cfg, **overrides)
+    flags = dict(seed=args.seed, n_uavs=args.uavs, n_lps=args.lps, duration_s=args.duration)
+    cfg = replace(cfg, **{name: value for name, value in flags.items() if value is not None})
     cfg.validate()
     return cfg
 

@@ -117,7 +117,9 @@ class LpNode(StateMachine):
         self.services_completed = 0
         self.wait_samples: list[float] = []
 
-        self._phase_started_at: float | None = None
+        # When the current phase began; IDLE, the one phase entered without
+        # setting it, reads no elapsed time.
+        self._phase_started_at = 0.0
 
     def _promote(self, now: float) -> list[Outbound]:
         """On an IDLE platform, clear the queue's head, if any, for boarding."""
@@ -221,9 +223,7 @@ class LpNode(StateMachine):
         time is a no-op the second time.
         """
         out: list[Outbound] = []
-        elapsed = (
-            now - self._phase_started_at if self._phase_started_at is not None else 0.0
-        )
+        elapsed = now - self._phase_started_at
 
         if self.state is AWAITING_BOARDING and elapsed >= self.boarding_timeout_s:
             # The vehicle cleared to board never landed: drop its reservation

@@ -9,7 +9,8 @@ fly straight at their platform at the speed bound; docked or holding
 vehicles neither move nor consume (battery drains only while flying a
 leg: operating, approaching, or departing). A vehicle is restored to
 100% when its service completes, and the run fails if any vehicle ever
-drops below the failure threshold.
+drops below the failure threshold. A failed vehicle neither moves, ticks
+nor receives for the rest of the run.
 
 Every run is a pure function of its SimConfig: each vehicle draws from
 its own random.Random (Mersenne Twister) stream seeded with the string
@@ -461,12 +462,14 @@ class Simulation:
                     tracer.record(t, actor, "MSG_SENT", f"{head}{delivery.dest_sys_id}}}")
 
     def _deliver(self, t: float) -> None:
-        """Messages sent last tick arrive now."""
+        """Messages sent last tick arrive now; a failed vehicle receives nothing."""
         decode_for, members, tracer = self._bus.decode_for, self._members, self._tracer
         recv_details = self._recv_details
         for src, dest, _deliver_at, frame in self._bus.pop_due(t):
+            actor, node, body = members[dest]
+            if body is not None and body.failed:
+                continue
             header, msg, _sig = decode_for(dest, frame)
-            actor, node, _body = members[dest]
             if tracer is not None:
                 recv_msg, detail = recv_details[src]
                 if recv_msg is not msg:

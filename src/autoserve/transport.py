@@ -9,9 +9,9 @@ nodes.
 
 The bus is one signed link, as in MAVLink v2 signing: one secret, one
 link_id (LINK_ID) and one timestamp clock. Every sender signs with the
-link's one `SigningContext`, which keeps timestamps per (link_id, sys_id,
-comp_id) stream, and every endpoint holds a `Keystore` of that secret with
-its own replay state. Every receiver decodes with `decode_frame`, which
+link's one `SigningContext`, which keeps timestamps per (sys_id, comp_id)
+stream, and every endpoint holds a `Keystore` of that secret and link_id
+with its own replay state. Every receiver decodes with `decode_frame`, which
 refuses an unsigned frame.
 
 Broadcast (dest_sys_id None) delivers to every registered node of the
@@ -85,7 +85,7 @@ class InMemoryBus:
             raise ValueError(f"sys_id {sys_id} already registered")
         insort(self._by_kind[kind], sys_id)
         peers = self._by_kind["LP" if kind == "AP" else "AP"]
-        self._endpoints[sys_id] = _Endpoint(peers, Keystore({LINK_ID: self._secret}))
+        self._endpoints[sys_id] = _Endpoint(peers, Keystore(self._secret, LINK_ID))
 
     def send(self, src_sys_id: int, outbound: Outbound, now: float) -> list[Delivery]:
         """Frame, sign and queue a message; returns the queued deliveries."""
@@ -133,5 +133,5 @@ class InMemoryBus:
             self._decoded = frame, result
             return result
         header, _, signature = result
-        keystore.accept(signature.link_id, header.sys_id, header.comp_id, signature.timestamp)
+        keystore.accept(header.sys_id, header.comp_id, signature.timestamp)
         return result

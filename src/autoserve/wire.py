@@ -26,7 +26,7 @@ sig is the first six bytes of SHA-256 over
 secret_key | frame bytes from magic through checksum | link_id | timestamp.
 Sender and receiver both copy a SHA-256 state that has already absorbed
 the secret. Timestamps count 10 us units on a clock the sender supplies
-and are strictly monotonic per (link_id, sys_id, comp_id) stream on the
+and are strictly monotonic per (sys_id, comp_id) stream of a link on the
 sender side; a receiver's Keystore keeps the replay state per stream.
 
 AutoServe message ids live in the custom range 42000-42004.
@@ -459,30 +459,35 @@ class Signature(NamedTuple):
     sig: bytes
 
 
-class SigningContext:
-    """Sender-side signing state: secret, link id and monotonic timestamps.
+def _check_link_key(secret_key: bytes, link_id: int) -> None:
+    """The checks both ends of a signed link run on its secret and link_id."""
+    if len(secret_key) != 32:
+        raise ValueError("secret_key must be exactly 32 bytes")
+    if not 0 <= link_id <= 255:
+        raise ValueError("link_id must fit in one byte")
 
-    Each (link_id, sys_id, comp_id) stream gets strictly increasing
-    timestamps even when the clock source stalls.
+
+class SigningContext:
+    """Sender-side signing state of one link: secret and monotonic timestamps.
+
+    Each (sys_id, comp_id) stream gets strictly increasing timestamps even
+    when the clock source stalls.
     """
 
     def __init__(self, secret_key: bytes, link_id: int, timestamp_source: Callable[[], int]):
-        if len(secret_key) != 32:
-            raise ValueError("secret_key must be exactly 32 bytes")
-        if not 0 <= link_id <= 255:
-            raise ValueError("link_id must fit in one byte")
+        _check_link_key(secret_key, link_id)
         # SHA-256 with the secret already absorbed; each signature copies it.
         self.keyed_sha256 = sha256(secret_key)
         self.link_id = link_id
         self._timestamp_source = timestamp_source
         # Each stream's last timestamp in a one-element list, updated in place.
-        self._last: dict[tuple[int, int, int], list[int]] = {}
+        self._last: dict[tuple[int, int], list[int]] = {}
 
     def next_timestamp(self, sys_id: int, comp_id: int) -> int:
         ts = int(self._timestamp_source())
-        last = self._last.get((self.link_id, sys_id, comp_id))
+        last = self._last.get((sys_id, comp_id))
         if last is None:
-            self._last[(self.link_id, sys_id, comp_id)] = [ts]
+            self._last[(sys_id, comp_id)] = [ts]
             return ts
         if ts <= last[0]:
             ts = last[0] + 1
@@ -491,31 +496,30 @@ class SigningContext:
 
 
 class Keystore:
-    """Receiver-side secrets plus per-stream replay protection.
+    """Receiver-side secret of one link plus per-stream replay protection.
 
-    Timestamps must strictly increase per (link_id, sys_id, comp_id)
-    stream; frames from a new stream are rejected when they lag the
-    link's newest accepted timestamp by more than REPLAY_WINDOW_S.
+    Timestamps must strictly increase per (sys_id, comp_id) stream;
+    frames from a new stream are rejected when they lag the link's newest
+    accepted timestamp by more than REPLAY_WINDOW_S.
     """
 
-    def __init__(self, keys: Mapping[int, bytes] | None = None):
-        # link_id -> SHA-256 with that link's secret already absorbed.
-        self.keyed_sha256 = {}
-        for link_id, secret_key in (keys or {}).items():
-            if len(secret_key) != 32:
-                raise ValueError("secret_key must be exactly 32 bytes")
-            self.keyed_sha256[int(link_id)] = sha256(secret_key)
+    def __init__(self, secret_key: bytes, link_id: int):
+        _check_link_key(secret_key, link_id)
+        # SHA-256 with the secret already absorbed; each check copies it.
+        self.keyed_sha256 = sha256(secret_key)
+        self.link_id = link_id
         # Each stream's last timestamp in a one-element list, updated in place.
-        self._last: dict[tuple[int, int, int], list[int]] = {}
-        self._link_max: dict[int, int] = {}
+        self._last: dict[tuple[int, int], list[int]] = {}
+        # The link's newest accepted timestamp; 0, below any window, at first.
+        self._link_max = 0
 
-    def accept(self, link_id: int, sys_id: int, comp_id: int, ts: int) -> None:
+    def accept(self, sys_id: int, comp_id: int, ts: int) -> None:
         """Replay check of one verified frame; records ts only if it passes."""
-        stream = (link_id, sys_id, comp_id)
+        stream = (sys_id, comp_id)
         last = self._last.get(stream)
-        link_max = self._link_max.get(link_id)
+        link_max = self._link_max
         if last is None:
-            if link_max is not None and ts < link_max - REPLAY_WINDOW_S * TIMESTAMP_UNITS_PER_S:
+            if ts < link_max - REPLAY_WINDOW_S * TIMESTAMP_UNITS_PER_S:
                 raise StaleTimestamp(
                     f"timestamp {ts} lags link maximum {link_max} beyond the replay window"
                 )
@@ -524,8 +528,8 @@ class Keystore:
             raise StaleTimestamp(f"timestamp {ts} <= last accepted {last[0]}")
         else:
             last[0] = ts
-        if link_max is None or ts > link_max:
-            self._link_max[link_id] = ts
+        if ts > link_max:
+            self._link_max = ts
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +633,11 @@ def verify_frame(
 
     _parse_frame reads the header, payload, checksum and signature block,
     and raises BadMagic or TruncatedFrame. Then the msg_id, the checksum
-    and, for a signed frame, the signature against the keystore's secret
-    for its link_id are checked, and the payload is unpacked. The result
-    depends only on the bytes and that secret; decode_frame adds the
-    refusal of unsigned frames and the keystore's replay check. Bytes
-    after the end of the frame are ignored.
+    and, for a signed frame, its link_id and signature against the
+    keystore's link and secret are checked, and the payload is unpacked.
+    The result depends only on the bytes and that link and secret;
+    decode_frame adds the refusal of unsigned frames and the keystore's
+    replay check. Bytes after the end of the frame are ignored.
 
     A frame whose payload bytes equal those of the last frame of its
     msg_id that passed every check from the same sys_id reuses that
@@ -653,10 +657,9 @@ def verify_frame(
     if signature is not None:
         if keystore is None:
             raise SignatureInvalid("signed frame but no keystore supplied")
-        keyed = keystore.keyed_sha256.get(signature.link_id)
-        if keyed is None:
+        if signature.link_id != keystore.link_id:
             raise SignatureInvalid(f"no key for link_id {signature.link_id}")
-        hasher = keyed.copy()
+        hasher = keystore.keyed_sha256.copy()
         hasher.update(data[: end + _SIGNED_TRAILER_LEN])
         if not hmac.compare_digest(hasher.digest()[:6], signature.sig):
             raise SignatureInvalid("signature does not match frame contents")
@@ -682,7 +685,7 @@ def decode_frame(data: bytes, keystore: Keystore) -> tuple[FrameHeader, Message,
     if len(data) >= HEADER_LEN and data[0] == MAGIC_V2 and not data[2] & INCOMPAT_SIGNED:
         raise SignatureMissing("receiver policy requires signed frames")
     header, msg, signature = verify_frame(data, keystore)
-    keystore.accept(signature.link_id, header.sys_id, header.comp_id, signature.timestamp)
+    keystore.accept(header.sys_id, header.comp_id, signature.timestamp)
     return header, msg, signature
 
 

@@ -118,12 +118,12 @@ def test_criterion_3_tamper_detection():
             mutated = bytearray(frame)
             mutated[10 + bit // 8] ^= 1 << (bit % 8)
             with pytest.raises(FrameDecodeError):
-                decode_frame(bytes(mutated), keystore=Keystore({0: SECRET}))
+                decode_frame(bytes(mutated), keystore=Keystore(SECRET, 0))
             mutations += 1
         wrong = bytes(rng.randrange(256) for _ in range(32))
         if wrong != SECRET:
             with pytest.raises(SignatureInvalid):
-                decode_frame(frame, keystore=Keystore({0: wrong}))
+                decode_frame(frame, keystore=Keystore(wrong, 0))
     report(3, "tamper detection", f"{mutations} bit flips and 1000 wrong keys rejected")
 
 

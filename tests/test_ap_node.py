@@ -89,13 +89,17 @@ def test_exact_threshold_does_not_request():
     assert ap.state is NodeState.OPERATING
 
 
-def test_heartbeat_every_second_in_all_states():
+def test_one_heartbeat_per_tick_call():
+    """The node keeps no heartbeat clock: each tick broadcasts one, first in
+    its list, and the simulator's 1 s tick makes the cadence 1 Hz. The
+    message storm below checks the same in every state it reaches."""
     ap = make_ap()
     beats = []
     for now in (0.0, 0.4, 1.0, 2.0):
         out = tick(ap, now, battery=90.0)
+        assert isinstance(out[0].msg, ExtendedHeartbeat)
         beats.extend(o for o in out if isinstance(o.msg, ExtendedHeartbeat))
-    assert len(beats) == 3
+    assert len(beats) == 4
     assert all(o.dest_sys_id is None for o in beats)  # broadcast
 
 
@@ -511,6 +515,11 @@ def test_random_message_storm_never_faults_the_vehicle():
             out = tick(ap, now, battery=battery)
         else:
             out = tick(ap, now, battery=battery)
+        if roll >= 3:
+            # One heartbeat per tick, first in its list, in whatever state the
+            # storm left the vehicle and however little time has passed.
+            beats = [o for o in out if isinstance(o.msg, ExtendedHeartbeat)]
+            assert beats == out[:1]
         for o in out:
             if o.msg == update(NodeState.DEPARTED):
                 assert o.dest_sys_id == serviced_by

@@ -195,7 +195,7 @@ def check_round_trip(spec, msg, sys_id=1):
     frame = frame_of(msg, sys_id)
     sent = frame[wire.HEADER_LEN : wire.HEADER_LEN + frame[1]]
     assert sent == (payload.rstrip(b"\x00") or payload[:1])
-    _, decoded, _ = wire.verify_frame(frame, wire.Keystore({0: SECRET}))
+    _, decoded, _ = wire.verify_frame(frame, wire.Keystore(SECRET, 0))
     assert_same_message(decoded, reference_unpack(spec.fields, spec.cls, payload))
     return decoded
 
@@ -306,7 +306,7 @@ def test_failures_are_not_memoised():
     frame[-1] ^= 0xFF
     for _ in range(2):
         with pytest.raises(wire.SignatureInvalid):
-            wire.verify_frame(bytes(frame), wire.Keystore({0: SECRET}))
+            wire.verify_frame(bytes(frame), wire.Keystore(SECRET, 0))
     assert HEARTBEAT_SPEC.last_received[sys_id] is received
     # And a payload that fails to unpack.
     request_spec = wire._SPEC_BY_TYPE[ServiceReservationRequest]

@@ -89,11 +89,14 @@ RUNS = [
     # MSG_SENT and MSG_RECV records and the failed vehicle's BOARDING ->
     # OPERATING STATE_CHANGE, and that vehicle's remaining TICKs (792 in
     # all) read OPERATING in place of BOARDING. The report did not change.
+    # Re-pinned again when failed vehicles stopped receiving: the two
+    # releases' MSG_RECV and STATE_CHANGE records are gone, and each failed
+    # vehicle's TICKs read BOARDING again. The report did not change.
     (
         SimConfig(duration_s=900, consumption_pct_per_s=(0.35, 0.45)),
         {"lp_boarding_timeout": 2},
         "b34686e1b99f5863c2e73cee60c904c72732cefe3136fd3e713faa4e4536aeac",
-        "dc2f89b92421ec407fc936a177b26e0f4a0ffaf085d3c6330e5d7eae47340966",
+        "6e6bfb7ead03689922cc4bb7a66adcb4e7fc7452a329bf4b50cbfca97f7da480",
     ),
 ]
 

@@ -389,6 +389,26 @@ def test_failure_recorded_and_vehicle_goes_inactive():
     assert all(b >= 0.0 for b in batteries)
 
 
+def test_a_failed_vehicle_only_ticks_after_its_failure():
+    """A failed vehicle receives nothing, so no handler changes its state:
+    in this run both vehicles cleared to board fail before they land, and
+    the platform's later boarding-timeout release reaches neither."""
+    cfg = SimConfig(duration_s=900, consumption_pct_per_s=(0.35, 0.45))
+    _, _, records = run_traced(cfg)
+    failed, late, states = set(), [], {}
+    for r in records:
+        if r["kind"] == "FAILURE":
+            failed.add(r["actor"])
+        elif r["actor"] in failed:
+            if r["kind"] == "TICK":
+                states.setdefault(r["actor"], set()).add(r["detail"]["state"])
+            else:
+                late.append(r)
+    assert len(failed) == 2
+    assert late == []
+    assert states == {actor: {"BOARDING"} for actor in failed}
+
+
 def test_multi_platform_fleet_shares_the_load():
     cfg = SimConfig(
         n_uavs=4,

@@ -266,7 +266,7 @@ def test_roundtrip_unsigned(msg, seq, sys_id, comp_id):
 def test_roundtrip_signed(msg):
     ctx = signing(link_id=4)
     frame = encode_frame(msg, 0, 9, 1, signing=ctx)
-    header, decoded, sig = decode_frame(frame, keystore=Keystore({4: SECRET}))
+    header, decoded, sig = decode_frame(frame, keystore=Keystore(SECRET, 4))
     assert decoded == msg
     assert isinstance(sig, Signature) and sig.link_id == 4
 
@@ -279,7 +279,7 @@ def test_trailing_bytes_are_ignored():
 
 def test_decode_accepts_a_bytearray_frame():
     frame = encode_frame(ServiceReservationRequest(50, 3), 0, 8, 1, signing())
-    keystore = Keystore({0: SECRET})
+    keystore = Keystore(SECRET, 0)
     _, msg, _ = decode_frame(bytearray(frame), keystore)
     assert msg == ServiceReservationRequest(50, 3)
     # The replay check ran: the same bytes again are stale.
@@ -291,7 +291,7 @@ def test_decode_accepts_a_bytearray_frame():
     "make",
     [
         lambda: SigningContext(SECRET[:31], 0, lambda: 0),
-        lambda: Keystore({0: SECRET[:31]}),
+        lambda: Keystore(SECRET[:31], 0),
     ],
     ids=["signing-context", "keystore"],
 )
@@ -300,9 +300,14 @@ def test_short_secret_rejected(make):
         make()
 
 
-def test_signing_context_refuses_a_two_byte_link_id():
+@pytest.mark.parametrize(
+    "make",
+    [lambda: SigningContext(SECRET, 256, lambda: 0), lambda: Keystore(SECRET, 256)],
+    ids=["signing-context", "keystore"],
+)
+def test_two_byte_link_id_rejected(make):
     with pytest.raises(ValueError, match="link_id must fit in one byte"):
-        SigningContext(SECRET, 256, lambda: 0)
+        make()
 
 
 def test_message_fields_roundtrip():
@@ -364,7 +369,7 @@ def check_message_json(msg):
         frame = encode_frame(msg, 0, 9, 1, signing=signing())
     except ValueError:
         return
-    _, received, _ = verify_frame(frame, Keystore({0: SECRET}))
+    _, received, _ = verify_frame(frame, Keystore(SECRET, 0))
     assert wire.message_json(received) == compact(wire.message_to_fields(received))
 
 
@@ -418,7 +423,7 @@ def test_every_prefix_raises_as_the_structural_parse_does(signed):
         expected = (type(parsed.value), str(parsed.value))
         for decode in (verify_frame, decode_frame) if signed else (verify_frame,):
             with pytest.raises(FrameDecodeError) as raised:
-                decode(prefix, Keystore({0: SECRET}))
+                decode(prefix, Keystore(SECRET, 0))
             assert (type(raised.value), str(raised.value)) == expected
 
 
@@ -434,13 +439,13 @@ def test_flipped_payload_bit_is_checksum_mismatch():
     frame = bytearray(encode_frame(ServiceReservationRequest(50, 3), 1, 8, 1, signing=ctx))
     frame[wire.HEADER_LEN] ^= 0x04
     with pytest.raises(ChecksumMismatch):
-        decode_frame(bytes(frame), keystore=Keystore({0: SECRET}))
+        decode_frame(bytes(frame), keystore=Keystore(SECRET, 0))
 
 
 def test_signature_missing_when_required():
     frame = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1)
     with pytest.raises(SignatureMissing):
-        decode_frame(frame, keystore=Keystore({0: SECRET}))
+        decode_frame(frame, keystore=Keystore(SECRET, 0))
 
 
 def test_refused_unsigned_frame_leaves_the_codec_slots_alone():
@@ -448,12 +453,12 @@ def test_refused_unsigned_frame_leaves_the_codec_slots_alone():
     # sys_id 2's slot holds a message that passed every check.
     decode_frame(
         encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 2, 1, signing=signing()),
-        keystore=Keystore({0: SECRET}),
+        keystore=Keystore(SECRET, 0),
     )
     before = dict(spec.last_received)
     forged = encode_frame(SystemStateUpdate(state=NodeState.DEPARTED), 1, 2, 1)
     with pytest.raises(SignatureMissing):
-        decode_frame(forged, keystore=Keystore({0: SECRET}))
+        decode_frame(forged, keystore=Keystore(SECRET, 0))
     assert spec.last_received == before
     assert spec.last_received[2] is before[2]
 
@@ -467,7 +472,7 @@ def test_signed_frame_without_keystore_rejected():
 def test_unknown_link_id_rejected():
     frame = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1, signing=signing(link_id=9))
     with pytest.raises(SignatureInvalid):
-        decode_frame(frame, keystore=Keystore({0: SECRET}))
+        decode_frame(frame, keystore=Keystore(SECRET, 0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -475,22 +480,22 @@ def test_unknown_link_id_rejected():
 def test_wrong_secret_always_rejected(wrong):
     frame = encode_frame(ServiceReservationRequest(10, 1), 0, 2, 1, signing=signing())
     if wrong == SECRET:
-        decode_frame(frame, keystore=Keystore({0: wrong}))
+        decode_frame(frame, keystore=Keystore(wrong, 0))
         return
     with pytest.raises(SignatureInvalid):
-        decode_frame(frame, keystore=Keystore({0: wrong}))
+        decode_frame(frame, keystore=Keystore(wrong, 0))
 
 
 def test_replay_identical_timestamp_is_stale():
     frame = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1, signing=signing())
-    store = Keystore({0: SECRET})
+    store = Keystore(SECRET, 0)
     decode_frame(frame, keystore=store)
     with pytest.raises(StaleTimestamp):
         decode_frame(frame, keystore=store)
 
 
 def test_new_stream_behind_replay_window_is_stale():
-    store = Keystore({0: SECRET})
+    store = Keystore(SECRET, 0)
     late = signing(ts=10_000_000)
     frame_late = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1, signing=late)
     decode_frame(frame_late, keystore=store)
@@ -517,7 +522,7 @@ def test_timestamps_strictly_monotonic_per_stream():
 def test_rejected_frame_does_not_advance_replay_state():
     ctx = signing(ts=9_000)
     frame = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1, signing=ctx)
-    store = Keystore({0: SECRET})
+    store = Keystore(SECRET, 0)
     tampered = bytearray(frame)
     tampered[-1] ^= 0x01
     with pytest.raises(SignatureInvalid):
@@ -536,7 +541,7 @@ def _signed_frame_with_payload(msg_id: int, payload: bytes, ts: int) -> bytes:
 
 
 def test_failed_decode_commits_no_timestamp():
-    store = Keystore({0: SECRET})
+    store = Keystore(SECRET, 0)
     malformed = _signed_frame_with_payload(42001, struct.pack("<BB", 101, 1), ts=5_000)
     with pytest.raises(MalformedPayload):
         decode_frame(malformed, keystore=store)
@@ -553,13 +558,13 @@ def _flip(frame: bytes, index: int) -> bytes:
 
 
 def _replayed_store(frame: bytes) -> Keystore:
-    store = Keystore({0: SECRET})
+    store = Keystore(SECRET, 0)
     decode_frame(frame, keystore=store)
     return store
 
 
 def _ahead_store() -> Keystore:
-    store = Keystore({0: SECRET})
+    store = Keystore(SECRET, 0)
     decode_frame(_signed_frame_with_payload(42004, b"\x00", ts=10_000_000), keystore=store)
     return store
 
@@ -572,7 +577,7 @@ def _no_keystore():
 
 
 def _keystore():
-    return Keystore({0: SECRET})
+    return Keystore(SECRET, 0)
 
 
 # Frames with exactly one fault each: (frame, keystore factory, the
@@ -597,8 +602,8 @@ SINGLE_FAULTS = {
     "timestamp-bit": (_flip(_SIGNED, -8), _keystore, SignatureInvalid),
     "signature-bit": (_flip(_SIGNED, -1), _keystore, SignatureInvalid),
     "signed-no-keystore": (_SIGNED, _no_keystore, SignatureInvalid),
-    "unknown-link-id": (_SIGNED, lambda: Keystore({1: SECRET}), SignatureInvalid),
-    "wrong-secret": (_SIGNED, lambda: Keystore({0: bytes(32)}), SignatureInvalid),
+    "unknown-link-id": (_SIGNED, lambda: Keystore(SECRET, 1), SignatureInvalid),
+    "wrong-secret": (_SIGNED, lambda: Keystore(bytes(32), 0), SignatureInvalid),
     "replayed": (_SIGNED, lambda: _replayed_store(_SIGNED), StaleTimestamp),
     "behind-replay-window": (_SIGNED, _ahead_store, StaleTimestamp),
 }
@@ -639,7 +644,7 @@ def test_every_bitflip_rejected_signed_frame():
         comp_id=1,
         signing=signing(),
     )
-    _expect_every_bitflip_rejected(frame, decode_frame, Keystore({0: SECRET}))
+    _expect_every_bitflip_rejected(frame, decode_frame, Keystore(SECRET, 0))
 
 
 def test_every_bitflip_rejected_unsigned_frame():
