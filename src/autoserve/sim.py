@@ -44,7 +44,6 @@ from .wire import (
     BOARDING,
     DEPARTING,
     OPERATING,
-    TIMESTAMP_UNITS_PER_S,
     _COMPACT_JSON,
     NodeState,
     message_json,
@@ -360,12 +359,11 @@ class Simulation:
 
     def __init__(self, cfg: SimConfig, trace: IO[str] | None) -> None:
         self.cfg = cfg
-        self.now = 0.0
         lp_positions = cfg.resolved_lp_positions()
         lp_ids = list(range(1, cfg.n_lps + 1))
         ap_ids = list(range(cfg.n_lps + 1, cfg.n_lps + 1 + cfg.n_uavs))
         roster = list(zip(lp_ids, lp_positions))
-        self._bus = InMemoryBus(NETWORK_SECRET, self._timestamp_units)
+        self._bus = InMemoryBus(NETWORK_SECRET)
 
         self._lps: list[LpNode] = []
         for lp_id in lp_ids:
@@ -432,9 +430,6 @@ class Simulation:
         # 2-core Xeon). Identity, since 0.0 == -0.0 renders differently; a slot
         # keeps its message alive.
         self._recv_details: list[tuple] = [(None, "")] * 256
-
-    def _timestamp_units(self) -> int:
-        return int(self.now * TIMESTAMP_UNITS_PER_S)
 
     def _send(self, sys_id: int, outbound_list, t: float) -> None:
         """Trace sys_id's state changes, then put its outbound messages on the bus."""
@@ -571,7 +566,7 @@ def run_sim(cfg: SimConfig, trace: IO[str] | None = None) -> SimReport:
     sim = Simulation(cfg, trace)
     try:
         for step in range(cfg.duration_s):
-            t = sim.now = float(step)
+            t = float(step)
             sim._deliver(t)
             sim._physics(t)
             sim._tick_aps(t)

@@ -7,12 +7,12 @@ the simulation transport: lossless, fixed one-tick latency, deterministic
 delivery order. A datagram transport can replace it without touching the
 nodes.
 
-The bus is one signed link, as in MAVLink v2 signing: one secret, one
-link_id (LINK_ID) and one timestamp clock. Every sender signs with the
-link's one `SigningContext`, which keeps timestamps per (sys_id, comp_id)
-stream, and every endpoint holds a `Keystore` of that secret and link_id
-with its own replay state. Every receiver decodes with `decode_frame`, which
-refuses an unsigned frame.
+The bus is one signed link, as in MAVLink v2 signing: one secret and one
+link_id (LINK_ID). Every sender signs with the link's one `SigningContext`
+at the `now` its send is given, in 10 us units; the context keeps
+timestamps per (sys_id, comp_id) stream. Every endpoint holds a `Keystore`
+of that secret and link_id with its own replay state. Every receiver
+decodes with `decode_frame`, which refuses an unsigned frame.
 
 Broadcast (dest_sys_id None) delivers to every registered node of the
 other kind, in sys_id order. Only vehicle heartbeats are broadcast, to
@@ -35,9 +35,11 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .wire import Keystore, Message, SigningContext, decode_frame, encode_frame
+from .wire import (
+    TIMESTAMP_UNITS_PER_S, Keystore, Message, SigningContext, decode_frame, encode_frame,
+)
 
 # Every frame is delivered this long after it is sent: one simulation tick.
 LATENCY_S = 1.0
@@ -67,9 +69,9 @@ class _Endpoint:
 
 
 class InMemoryBus:
-    def __init__(self, secret: bytes, timestamp_source: Callable[[], int]) -> None:
+    def __init__(self, secret: bytes) -> None:
         self._secret = secret
-        self._signing = SigningContext(secret, LINK_ID, timestamp_source)
+        self._signing = SigningContext(secret, LINK_ID)
         self._endpoints: dict[int, _Endpoint] = {}
         self._in_flight: list[Delivery] = []
         self._by_kind: dict[str, list[int]] = {"AP": [], "LP": []}
@@ -99,7 +101,8 @@ class InMemoryBus:
             raise ValueError(f"sys_id {dest_sys_id} is not registered")
         seq = endpoint.tx_seq
         endpoint.tx_seq = (seq + 1) & 0xFF
-        frame = encode_frame(msg, seq, src_sys_id, 1, self._signing)  # comp_id 1
+        ts = int(now * TIMESTAMP_UNITS_PER_S)
+        frame = encode_frame(msg, seq, src_sys_id, 1, self._signing, ts)  # comp_id 1
         deliver_at = now + LATENCY_S
         if deliver_at > self._due_by:
             self._due_by = deliver_at

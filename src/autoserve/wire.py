@@ -25,9 +25,9 @@ tooling derives the same constant.
 sig is the first six bytes of SHA-256 over
 secret_key | frame bytes from magic through checksum | link_id | timestamp.
 Sender and receiver both copy a SHA-256 state that has already absorbed
-the secret. Timestamps count 10 us units on a clock the sender supplies
-and are strictly monotonic per (sys_id, comp_id) stream of a link on the
-sender side; a receiver's Keystore keeps the replay state per stream.
+the secret. A timestamp is the sender's time at the send in 10 us units,
+raised where needed to stay strictly monotonic per (sys_id, comp_id) stream
+of a link; a receiver's Keystore keeps the replay state per stream.
 
 AutoServe message ids live in the custom range 42000-42004.
 """
@@ -471,20 +471,19 @@ class SigningContext:
     """Sender-side signing state of one link: secret and monotonic timestamps.
 
     Each (sys_id, comp_id) stream gets strictly increasing timestamps even
-    when the clock source stalls.
+    when the send times it is given repeat or step back.
     """
 
-    def __init__(self, secret_key: bytes, link_id: int, timestamp_source: Callable[[], int]):
+    def __init__(self, secret_key: bytes, link_id: int):
         _check_link_key(secret_key, link_id)
         # SHA-256 with the secret already absorbed; each signature copies it.
         self.keyed_sha256 = sha256(secret_key)
         self.link_id = link_id
-        self._timestamp_source = timestamp_source
         # Each stream's last timestamp in a one-element list, updated in place.
         self._last: dict[tuple[int, int], list[int]] = {}
 
-    def next_timestamp(self, sys_id: int, comp_id: int) -> int:
-        ts = int(self._timestamp_source())
+    def next_timestamp(self, sys_id: int, comp_id: int, ts: int) -> int:
+        """The stream's timestamp for a frame sent at ts: max(ts, last + 1)."""
         last = self._last.get((sys_id, comp_id))
         if last is None:
             self._last[(sys_id, comp_id)] = [ts]
@@ -555,12 +554,14 @@ def encode_frame(
     sys_id: int,
     comp_id: int,
     signing: SigningContext | None = None,
+    timestamp: int = 0,
 ) -> bytes:
     """Encode one message into a frame, optionally signed.
 
     seq wraps modulo 256. sys_id and comp_id must be 1-255; id 0 is the
-    reserved broadcast placeholder and is never emitted. Sending the
-    message object that sys_id last sent reuses that send's payload.
+    reserved broadcast placeholder and is never emitted. timestamp is the
+    send time, in 10 us units, that signing stamps. Sending the message
+    object that sys_id last sent reuses that send's payload.
     """
     spec = _SPEC_BY_TYPE.get(type(msg))
     if spec is None:
@@ -588,7 +589,7 @@ def encode_frame(
     checksum = compute_checksum(body[1:], spec.crc_extra)
     if signing is None:
         return body + _CHECKSUM.pack(checksum)
-    ts = signing.next_timestamp(sys_id, comp_id)
+    ts = signing.next_timestamp(sys_id, comp_id, timestamp)
     signed = body + _SIGNED_TAIL.pack(checksum, signing.link_id, ts & 0xFFFFFFFF, ts >> 32)
     hasher = signing.keyed_sha256.copy()
     hasher.update(signed)

@@ -108,17 +108,19 @@ def test_reused_heartbeat_frames_get_fresh_seq_and_timestamp():
     new frame that verifies and passes every receiver's replay check."""
     secret = bytes(range(32))
     ap = make_ap()
-    # A stalled clock: the sender still stamps each frame later than the last.
-    bus = InMemoryBus(secret, lambda: 5_000)
+    bus = InMemoryBus(secret)
     bus.register(ap.sys_id, "AP")
     for lp_id, _ in ROSTER:
         bus.register(lp_id, "LP")
+    # Every send at one time, 5_000 units: the sender still stamps each
+    # frame later than the last.
+    sent_at = 0.05
     beats, received = [], {lp_id: [] for lp_id, _ in ROSTER}
     for now in (0.0, 1.0, 2.0):
         for outbound in tick(ap, now, battery=90.0, pos=(3.0, 4.0)):
             beats.append(outbound.msg)
-            bus.send(ap.sys_id, outbound, now)
-        for delivery in bus.pop_due(now + 1.0):
+            bus.send(ap.sys_id, outbound, sent_at)
+        for delivery in bus.pop_due(sent_at + 1.0):
             header, msg, signature = bus.decode_for(delivery.dest_sys_id, delivery.frame)
             received[delivery.dest_sys_id].append((header.seq, signature.timestamp, msg))
     assert len(beats) == 3 and beats[0] is beats[1] is beats[2]

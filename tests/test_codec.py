@@ -184,8 +184,7 @@ SECRET = bytes(range(32))
 
 
 def frame_of(msg, sys_id=1, ts=1):
-    signing = wire.SigningContext(SECRET, 0, lambda: ts)
-    return wire.encode_frame(msg, 0, sys_id, 1, signing)
+    return wire.encode_frame(msg, 0, sys_id, 1, wire.SigningContext(SECRET, 0), ts)
 
 
 def check_round_trip(spec, msg, sys_id=1):

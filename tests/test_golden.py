@@ -114,9 +114,9 @@ def test_readme_reference_frame():
     "msg, unsigned_hex, signed_hex", FRAMES, ids=[type(f[0]).__name__ for f in FRAMES]
 )
 def test_frame_bytes(msg, unsigned_hex, signed_hex):
-    signing = SigningContext(bytes(range(32)), 3, lambda: 123_456_789)
+    signing = SigningContext(bytes(range(32)), 3)
     assert encode_frame(msg, 17, 21, 1).hex() == unsigned_hex
-    assert encode_frame(msg, 17, 21, 1, signing=signing).hex() == signed_hex
+    assert encode_frame(msg, 17, 21, 1, signing=signing, timestamp=123_456_789).hex() == signed_hex
 
 
 @pytest.mark.parametrize(

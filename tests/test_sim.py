@@ -585,7 +585,7 @@ def test_tick_records_show_each_actor_at_the_end_of_its_tick():
     sim = Simulation(cfg, sink)
     departing_ticks = 0
     for step in range(cfg.duration_s):
-        t = sim.now = float(step)
+        t = float(step)
         sink.seek(0)
         sink.truncate()
         sim._deliver(t)
@@ -650,24 +650,50 @@ def test_positions_stay_inside_area(traced_run):
             assert 0.0 <= r["detail"]["y"] <= height
 
 
-def test_every_sent_message_is_received_exactly_once_one_tick_later(traced_run):
+def check_sent_messages_received_one_tick_later(cfg, records):
+    """Every message sent before the last tick is received exactly once one
+    tick later, except one to a vehicle whose FAILURE record precedes its
+    delivery tick: a failed vehicle receives nothing. Returns those
+    exemptions as (sent t, src, dst, msg) in send order."""
     # Field payloads are quantized by the wire (centi-percent batteries,
     # centimeter positions), so conservation matches on endpoints and type.
-    cfg, _, _, records = traced_run
     last_tick = cfg.duration_s - 1
 
     def actor_id(actor):
         return int(actor[2:])
 
-    sent = Counter()
+    failed_at = {actor_id(r["actor"]): r["t"] for r in records if r["kind"] == "FAILURE"}
+    sent, exempt = Counter(), []
     for r in records:
         if r["kind"] == "MSG_SENT" and r["t"] < last_tick:
-            sent[(r["t"] + 1.0, actor_id(r["actor"]), r["detail"]["dst"], r["detail"]["msg"])] += 1
+            src, dst, msg = actor_id(r["actor"]), r["detail"]["dst"], r["detail"]["msg"]
+            if failed_at.get(dst, math.inf) < r["t"] + 1.0:
+                exempt.append((r["t"], src, dst, msg))
+            else:
+                sent[(r["t"] + 1.0, src, dst, msg)] += 1
     received = Counter()
     for r in records:
         if r["kind"] == "MSG_RECV":
             received[(r["t"], r["detail"]["src"], actor_id(r["actor"]), r["detail"]["msg"])] += 1
     assert sent == received
+    return exempt
+
+
+def test_every_sent_message_is_received_exactly_once_one_tick_later(traced_run):
+    cfg, _, _, records = traced_run
+    assert check_sent_messages_received_one_tick_later(cfg, records) == []
+
+
+def test_a_message_sent_to_a_failed_vehicle_is_never_received():
+    """The platform still frames and queues its boarding-timeout release to
+    each of the two vehicles that failed while boarding; neither receives
+    it. Every other message arrives one tick after its send."""
+    cfg = SimConfig(duration_s=900, consumption_pct_per_s=(0.35, 0.45), seed=0)
+    _, _, records = run_traced(cfg)
+    assert check_sent_messages_received_one_tick_later(cfg, records) == [
+        (413.0, 1, 5, "SystemStateUpdate"),
+        (593.0, 1, 6, "SystemStateUpdate"),
+    ]
 
 
 def test_only_vehicles_send_heartbeats_one_per_live_tick_to_every_platform(monkeypatch):

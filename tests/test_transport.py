@@ -23,9 +23,9 @@ HEARTBEAT = ExtendedHeartbeat(
 )
 
 
-def make_bus(n_aps=3, clock=lambda: 1_000_000):
+def make_bus(n_aps=3):
     """One LP (sys 1) and n_aps APs (sys 2..) on one link signed with SECRET."""
-    bus = InMemoryBus(SECRET, clock)
+    bus = InMemoryBus(SECRET)
     bus.register(1, "LP")
     for ap_id in range(2, 2 + n_aps):
         bus.register(ap_id, "AP")
@@ -57,7 +57,7 @@ def count_accept_calls(monkeypatch):
 
 
 def test_register_refuses_an_unknown_kind_and_a_repeated_sys_id():
-    bus = InMemoryBus(SECRET, lambda: 0)
+    bus = InMemoryBus(SECRET)
     with pytest.raises(ValueError, match="kind must be 'AP' or 'LP', got 'GS'"):
         bus.register(1, "GS")
     bus.register(1, "LP")
@@ -66,7 +66,7 @@ def test_register_refuses_an_unknown_kind_and_a_repeated_sys_id():
 
 
 def test_broadcast_goes_to_other_kind_in_sys_id_order():
-    bus = InMemoryBus(SECRET, lambda: 0)
+    bus = InMemoryBus(SECRET)
     for sys_id, kind in ((5, "AP"), (2, "LP"), (9, "AP"), (3, "AP"), (7, "LP")):
         bus.register(sys_id, kind)
     sent = bus.send(7, Outbound(None, HEARTBEAT), now=0.0)
@@ -97,14 +97,14 @@ def test_same_frame_twice_to_one_receiver_is_stale():
 
 
 def test_shared_signer_keeps_each_senders_stream_apart():
-    """On a stalled clock the link's one signer still stamps each sender's
-    stream 5000, 5001, 5002, and every frame passes every receiver's
-    replay check."""
-    bus = make_bus(n_aps=2, clock=lambda: 5_000)
+    """Sent three times each at one now, 0.05 s, each sender's stream is
+    stamped 5000, 5001, 5002 by the link's one signer, and every frame
+    passes every receiver's replay check."""
+    bus = make_bus(n_aps=2)
     stamps = {1: [], 2: []}
     for _ in range(3):
         for src in (1, 2):
-            for delivery in bus.send(src, Outbound(None, HEARTBEAT), now=0.0):
+            for delivery in bus.send(src, Outbound(None, HEARTBEAT), now=0.05):
                 header, _, signature = bus.decode_for(delivery.dest_sys_id, delivery.frame)
                 stamps[header.sys_id].append((delivery.dest_sys_id, signature.timestamp))
     # The LP broadcasts to both APs; AP 2 broadcasts to the LP.
@@ -166,12 +166,26 @@ def test_unicast_to_unregistered_sys_id_raises_before_framing():
     bus = make_bus(n_aps=1)
     slots = codec_slots()
     with pytest.raises(ValueError, match="sys_id 9 is not registered"):
-        bus.send(1, Outbound(9, SystemStateUpdate(state=NodeState.SERVICING)), now=0.0)
+        bus.send(1, Outbound(9, SystemStateUpdate(state=NodeState.SERVICING)), now=10.0)
     assert same_slots(slots, codec_slots())
-    assert bus.pop_due(1.0) == []
-    (delivery,) = bus.send(1, Outbound(2, HEARTBEAT), now=1.0)
+    assert bus.pop_due(11.0) == []
+    (delivery,) = bus.send(1, Outbound(2, HEARTBEAT), now=10.0)
     header, _, signature = bus.decode_for(2, delivery.frame)
     assert (header.seq, signature.timestamp) == (0, 1_000_000)
+
+
+def test_a_frame_is_signed_with_the_time_of_its_send():
+    """A send at now is stamped int(now * 100_000), in 10 us units; a
+    second frame of that stream at the same now one more, and another
+    sender's first frame at that now int(now * 100_000) again."""
+    bus = make_bus(n_aps=1)
+    now = 12.345
+    stamps = []
+    for src in (1, 1, 2):
+        (delivery,) = bus.send(src, Outbound(None, HEARTBEAT), now)
+        _, _, signature = bus.decode_for(delivery.dest_sys_id, delivery.frame)
+        stamps.append(signature.timestamp)
+    assert stamps == [int(now * 100_000), int(now * 100_000) + 1, int(now * 100_000)]
 
 
 def test_pop_due_with_mixed_deadlines_keeps_later_sends_in_flight():

@@ -43,15 +43,8 @@ from oracles import crc16_x25_oracle, reference_state_update_frame
 SECRET = bytes(range(32))
 
 
-def signing(link_id=0, ts=1_000_000):
-    counter = {"ts": ts}
-
-    def source():
-        return counter["ts"]
-
-    ctx = SigningContext(SECRET, link_id, source)
-    ctx._test_counter = counter
-    return ctx
+def signing(link_id=0):
+    return SigningContext(SECRET, link_id)
 
 
 # --- strategies -------------------------------------------------------------
@@ -290,7 +283,7 @@ def test_decode_accepts_a_bytearray_frame():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: SigningContext(SECRET[:31], 0, lambda: 0),
+        lambda: SigningContext(SECRET[:31], 0),
         lambda: Keystore(SECRET[:31], 0),
     ],
     ids=["signing-context", "keystore"],
@@ -302,7 +295,7 @@ def test_short_secret_rejected(make):
 
 @pytest.mark.parametrize(
     "make",
-    [lambda: SigningContext(SECRET, 256, lambda: 0), lambda: Keystore(SECRET, 256)],
+    [lambda: SigningContext(SECRET, 256), lambda: Keystore(SECRET, 256)],
     ids=["signing-context", "keystore"],
 )
 def test_two_byte_link_id_rejected(make):
@@ -496,32 +489,33 @@ def test_replay_identical_timestamp_is_stale():
 
 def test_new_stream_behind_replay_window_is_stale():
     store = Keystore(SECRET, 0)
-    late = signing(ts=10_000_000)
-    frame_late = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1, signing=late)
+    msg = SystemStateUpdate(state=NodeState.IDLE)
+    frame_late = encode_frame(msg, 0, 1, 1, signing(), timestamp=10_000_000)
     decode_frame(frame_late, keystore=store)
-    early = signing(ts=10_000_000 - 700_000)  # 7 s behind the link maximum
-    frame_early = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 2, 1, signing=early)
+    # 7 s behind the link maximum.
+    frame_early = encode_frame(msg, 0, 2, 1, signing(), timestamp=10_000_000 - 700_000)
     with pytest.raises(StaleTimestamp):
         decode_frame(frame_early, keystore=store)
 
 
 def test_timestamps_strictly_monotonic_per_stream():
-    ctx = signing(ts=500)  # stalled clock
-    first = ctx.next_timestamp(1, 1)
-    second = ctx.next_timestamp(1, 1)
-    other_stream = ctx.next_timestamp(2, 1)
+    ctx = signing()
+    # Three sends at one time: a stream's second frame is stamped one later.
+    first = ctx.next_timestamp(1, 1, 500)
+    second = ctx.next_timestamp(1, 1, 500)
+    other_stream = ctx.next_timestamp(2, 1, 500)
+    assert first == 500
     assert second == first + 1
     assert other_stream == 500
-    ctx._test_counter["ts"] = 400  # the clock steps back
-    assert ctx.next_timestamp(1, 1) == first + 2
-    ctx._test_counter["ts"] = 900
-    assert ctx.next_timestamp(1, 1) == 900
-    assert ctx.next_timestamp(2, 1) == 900
+    # A send time below the stream's last timestamp.
+    assert ctx.next_timestamp(1, 1, 400) == first + 2
+    assert ctx.next_timestamp(1, 1, 900) == 900
+    assert ctx.next_timestamp(2, 1, 900) == 900
 
 
 def test_rejected_frame_does_not_advance_replay_state():
-    ctx = signing(ts=9_000)
-    frame = encode_frame(SystemStateUpdate(state=NodeState.IDLE), 0, 1, 1, signing=ctx)
+    msg = SystemStateUpdate(state=NodeState.IDLE)
+    frame = encode_frame(msg, 0, 1, 1, signing=signing(), timestamp=9_000)
     store = Keystore(SECRET, 0)
     tampered = bytearray(frame)
     tampered[-1] ^= 0x01
@@ -570,7 +564,9 @@ def _ahead_store() -> Keystore:
 
 
 _UNSIGNED = encode_frame(ServiceReservationRequest(50, 3), 1, 8, 1)
-_SIGNED = encode_frame(ServiceReservationRequest(50, 3), 1, 8, 1, signing=signing(ts=9_000_000))
+_SIGNED = encode_frame(
+    ServiceReservationRequest(50, 3), 1, 8, 1, signing=signing(), timestamp=9_000_000
+)
 
 def _no_keystore():
     return None
