@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-MAX_PRIORITY = 100
+from .wire import MAX_PRIORITY
 
 
 class ReservationError(Exception):

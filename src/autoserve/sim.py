@@ -457,21 +457,23 @@ class Simulation:
                     tracer.record(t, actor, "MSG_SENT", f"{head}{delivery.dest_sys_id}}}")
 
     def _deliver(self, t: float) -> None:
-        """Messages sent last tick arrive now; a failed vehicle receives nothing."""
+        """Messages sent last tick arrive now: the bus is drained first in the
+        tick, before its sends. A failed vehicle receives nothing."""
         decode_for, members, tracer = self._bus.decode_for, self._members, self._tracer
         recv_details = self._recv_details
-        for src, dest, _deliver_at, frame in self._bus.pop_due(t):
+        for dest, frame in self._bus.pop_due(t):
             actor, node, body = members[dest]
             if body is not None and body.failed:
                 continue
             header, msg, _sig = decode_for(dest, frame)
+            src = header.sys_id
             if tracer is not None:
                 recv_msg, detail = recv_details[src]
                 if recv_msg is not msg:
                     detail = f"{_message_head(msg, 'src')}{src}}}"
                     recv_details[src] = msg, detail
                 tracer.record(t, actor, "MSG_RECV", detail)
-            outbound = node.handle_message(msg, header.sys_id, t)
+            outbound = node.handle_message(msg, src, t)
             # Most deliveries are vehicle heartbeats: no reply, no state change.
             if outbound or node.transitions:
                 self._send(dest, outbound, t)

@@ -3,9 +3,8 @@
 Node state machines emit `Outbound` named tuples and never touch sockets or
 frame bytes themselves; the transport owns per-endpoint frame sequence
 numbers, the link's signing and each endpoint's keystore. `InMemoryBus` is
-the simulation transport: lossless, fixed one-tick latency, deterministic
-delivery order. A datagram transport can replace it without touching the
-nodes.
+the simulation transport: lossless, deterministic delivery order. A
+datagram transport can replace it without touching the nodes.
 
 The bus is one signed link, as in MAVLink v2 signing: one secret and one
 link_id (LINK_ID). Every sender signs with the link's one `SigningContext`
@@ -25,14 +24,15 @@ frame and its result; a further receiver of that frame object runs only
 its own replay check, the one part of decoding that depends on the
 receiver.
 
-`pop_due` returns the whole in-flight list at once when the latest
-deadline queued is due, which is every tick under a fixed latency; with
-mixed deadlines it filters, keeping send order.
+A `Delivery` is a receiver and a frame. The bus keeps no deadline: the
+simulator drains it with `pop_due` at the start of each tick, before that
+tick's sends, so every frame arrives one tick after it is sent. Nor does
+it keep the sender: a receiver learns it from the frame's signed header
+sys_id, which `decode_for` returns.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,8 +41,6 @@ from .wire import (
     TIMESTAMP_UNITS_PER_S, Keystore, Message, SigningContext, decode_frame, encode_frame,
 )
 
-# Every frame is delivered this long after it is sent: one simulation tick.
-LATENCY_S = 1.0
 # The link_id every frame on the bus is signed under.
 LINK_ID = 0
 
@@ -55,9 +53,9 @@ class Outbound(NamedTuple):
 
 
 class Delivery(NamedTuple):
-    src_sys_id: int
+    """One receiver of a sent frame; the sender is the frame's header sys_id."""
+
     dest_sys_id: int
-    deliver_at: float
     frame: bytes
 
 
@@ -75,8 +73,6 @@ class InMemoryBus:
         self._endpoints: dict[int, _Endpoint] = {}
         self._in_flight: list[Delivery] = []
         self._by_kind: dict[str, list[int]] = {"AP": [], "LP": []}
-        # The latest deliver_at in _in_flight; -inf when it is empty.
-        self._due_by = -math.inf
         # The last frame decode_frame accepted, and its result.
         self._decoded: tuple = (None, None)
 
@@ -103,23 +99,19 @@ class InMemoryBus:
         endpoint.tx_seq = (seq + 1) & 0xFF
         ts = int(now * TIMESTAMP_UNITS_PER_S)
         frame = encode_frame(msg, seq, src_sys_id, 1, self._signing, ts)  # comp_id 1
-        deliver_at = now + LATENCY_S
-        if deliver_at > self._due_by:
-            self._due_by = deliver_at
         # tuple.__new__ builds the named tuples without their Python-level __new__.
         new = tuple.__new__
-        queued = [new(Delivery, (src_sys_id, dest, deliver_at, frame)) for dest in dests]
+        queued = [new(Delivery, (dest, frame)) for dest in dests]
         self._in_flight.extend(queued)
         return queued
 
     def pop_due(self, now: float) -> list[Delivery]:
-        """Remove and return deliveries due by now, in send order."""
-        if self._due_by <= now:
-            due, self._in_flight = self._in_flight, []
-            self._due_by = -math.inf
-            return due
-        due = [d for d in self._in_flight if d.deliver_at <= now]
-        self._in_flight = [d for d in self._in_flight if d.deliver_at > now]
+        """Remove and return every delivery in flight, in send order.
+
+        now is unread: the bus holds no deadlines, and a caller that drains
+        it before each tick's sends delivers every frame one tick later.
+        """
+        due, self._in_flight = self._in_flight, []
         return due
 
     def decode_for(self, dest_sys_id: int, frame: bytes):

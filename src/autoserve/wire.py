@@ -55,6 +55,8 @@ INCOMPAT_SIGNED = 0x01
 TIMESTAMP_UNITS_PER_S = 100_000
 # A frame from a new stream may lag its link's newest accepted timestamp by this much.
 REPLAY_WINDOW_S = 6.0
+# The highest service-reservation priority a request may carry.
+MAX_PRIORITY = 100
 
 
 class WireError(Exception):
@@ -378,7 +380,7 @@ _MESSAGE_SPECS: dict[int, _MessageSpec] = {
             _Field("pos_y", "int32_t", "pos_y_cm", scale=100.0),
         ]),
         _MessageSpec(42001, "SERVICE_RESERVATION_REQUEST", ServiceReservationRequest, [
-            _Field("priority", "uint8_t", hi=100),
+            _Field("priority", "uint8_t", hi=MAX_PRIORITY),
             _Field("target_lp_sys_id", "uint8_t", lo=1),
         ]),
         _MessageSpec(42002, "LP_RESERVATION_CONFIRMATION", LpReservationConfirmation, [

@@ -132,27 +132,50 @@ def test_run_digests(cfg, drops, report_sha, trace_sha):
     assert hashlib.sha256(buf.getvalue().encode("utf-8")).hexdigest() == trace_sha
 
 
-# (config, report drops, report SHA-256) for the configs bench/run.py
-# runs: capacity-5x1 and capacity-5x1-traced share the default config, and
-# fleet-20x5 is 20x5x1800. Reports only: the traced workload writes its
-# trace to a discard sink, so no trace digest is pinned here. Re-pinned,
+# (config, report drops, report SHA-256, trace SHA-256) for the configs
+# bench/run.py runs: capacity-5x1 and capacity-5x1-traced share the default
+# config, and fleet-20x5 is 20x5x1800. The default config's trace digest is
+# the trace_sha256 capacity-5x1-traced reports; the benchmark traces no
+# fleet run, so 20x5x1800's trace digest is pinned here alone. Re-pinned,
 # with RUNS, when the vehicle streams became random.Random.
 BENCH_RUNS = [
-    (SimConfig(), {}, "5911c65d9ea5f1ee5cfd719d04f4e22b9fe326500141d84f4ade143531a27041"),
+    (
+        SimConfig(),
+        {},
+        "5911c65d9ea5f1ee5cfd719d04f4e22b9fe326500141d84f4ade143531a27041",
+        "d071291d9e32685ead515edf1c91c8057e61d3029e939c368652949a1aaec2cb",
+    ),
     (
         SimConfig(n_uavs=20, n_lps=5, duration_s=1800),
         {},
         "6931ba767f6ffa7e6a4bbdccd2aeed30659568ee0ac5dc1590ca1e08091374fa",
+        "21be57958043558f9a3f65ce9e65854794304adaea87f69a76e6a41ea12b6a42",
     ),
 ]
+BENCH_IDS = [f"{cfg.n_uavs}x{cfg.n_lps}x{cfg.duration_s}" for cfg, *_ in BENCH_RUNS]
 
 
-@pytest.mark.parametrize(
-    "cfg, drops, report_sha",
-    BENCH_RUNS,
-    ids=[f"{cfg.n_uavs}x{cfg.n_lps}x{cfg.duration_s}" for cfg, *_ in BENCH_RUNS],
-)
-def test_bench_config_reports(cfg, drops, report_sha):
+@pytest.mark.parametrize("cfg, drops, report_sha, _trace_sha", BENCH_RUNS, ids=BENCH_IDS)
+def test_bench_config_reports(cfg, drops, report_sha, _trace_sha):
     report = run_sim(cfg)
     assert report.drops == drops
     assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == report_sha
+
+
+class HashingSink:
+    """A trace stream that keeps only the SHA-256 of what is written: the
+    20x5x1800 trace is about 98 MB."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode("utf-8"))
+
+
+@pytest.mark.parametrize("cfg, _drops, report_sha, trace_sha", BENCH_RUNS, ids=BENCH_IDS)
+def test_bench_config_traces(cfg, _drops, report_sha, trace_sha):
+    sink = HashingSink()
+    report = run_sim(cfg, trace=sink)
+    assert hashlib.sha256(report.to_json().encode("utf-8")).hexdigest() == report_sha
+    assert sink.digest.hexdigest() == trace_sha

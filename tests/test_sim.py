@@ -684,6 +684,14 @@ def test_every_sent_message_is_received_exactly_once_one_tick_later(traced_run):
     assert check_sent_messages_received_one_tick_later(cfg, records) == []
 
 
+def test_every_fleet_message_is_received_exactly_once_one_tick_later():
+    """20x5x300 carries what one platform does not: heartbeats fanned out
+    to five platforms, requests probing several platforms, and cancels."""
+    cfg = SimConfig(n_uavs=20, n_lps=5, duration_s=300, seed=0)
+    _, _, records = run_traced(cfg)
+    assert check_sent_messages_received_one_tick_later(cfg, records) == []
+
+
 def test_a_message_sent_to_a_failed_vehicle_is_never_received():
     """The platform still frames and queues its boarding-timeout release to
     each of the two vehicles that failed while boarding; neither receives

@@ -188,21 +188,18 @@ def test_a_frame_is_signed_with_the_time_of_its_send():
     assert stamps == [int(now * 100_000), int(now * 100_000) + 1, int(now * 100_000)]
 
 
-def test_pop_due_with_mixed_deadlines_keeps_later_sends_in_flight():
+def test_pop_due_returns_every_delivery_in_send_order_whatever_its_now():
+    """The bus keeps no deadlines: one pop_due returns each send's
+    (dest_sys_id, frame) pairs in send order, whatever now each send and
+    the pop were given, and each frame's header names its sender."""
     bus = make_bus(n_aps=2)
-    first = bus.send(1, Outbound(None, HEARTBEAT), now=0.0)
-    first += bus.send(3, Outbound(1, HEARTBEAT), now=0.0)
-    later = bus.send(1, Outbound(None, HEARTBEAT), now=3.0)
-    assert bus.pop_due(1.0) == first
-    assert bus.pop_due(3.0) == []
-    assert bus.pop_due(4.0) == later and len(later) == 2
-    assert bus.pop_due(5.0) == []
-
-
-def test_send_with_earlier_now_pops_at_its_own_deadline():
-    bus = make_bus(n_aps=2)
-    late = bus.send(1, Outbound(None, HEARTBEAT), now=5.0)
-    early = bus.send(1, Outbound(None, HEARTBEAT), now=2.0)
-    assert bus.pop_due(3.0) == early
-    assert bus.pop_due(5.0) == []
-    assert bus.pop_due(6.0) == late
+    sent = bus.send(1, Outbound(None, HEARTBEAT), now=0.0)
+    sent += bus.send(3, Outbound(1, HEARTBEAT), now=5.0)
+    sent += bus.send(2, Outbound(1, HEARTBEAT), now=2.0)
+    due = bus.pop_due(1.0)
+    assert due == sent
+    assert transport.Delivery._fields == ("dest_sys_id", "frame")
+    assert [d.dest_sys_id for d in due] == [2, 3, 1, 1]
+    senders = [bus.decode_for(dest, frame)[0].sys_id for dest, frame in due]
+    assert senders == [1, 1, 3, 2]
+    assert bus.pop_due(2.0) == []
