@@ -45,7 +45,9 @@ from .wire import (
     DEPARTING,
     OPERATING,
     _COMPACT_JSON,
+    Keystore,
     NodeState,
+    decode_frame,
     message_json,
 )
 
@@ -364,18 +366,20 @@ class Simulation:
         ap_ids = list(range(cfg.n_lps + 1, cfg.n_lps + 1 + cfg.n_uavs))
         roster = list(zip(lp_ids, lp_positions))
         self._bus = InMemoryBus(NETWORK_SECRET)
+        # Every node by sys_id: its trace actor, its node, for a vehicle its
+        # body, and the keystore its receiver verifies with.
+        self._members: dict[int, tuple[str, ApNode | LpNode, _UavBody | None, Keystore]] = {}
 
         self._lps: list[LpNode] = []
         for lp_id in lp_ids:
-            self._lps.append(
-                LpNode(
-                    lp_id,
-                    service_duration_s=cfg.service_duration_s,
-                    alignment_duration_s=cfg.alignment_duration_s,
-                    boarding_timeout_s=cfg.boarding_timeout_s,
-                )
+            lp = LpNode(
+                lp_id,
+                service_duration_s=cfg.service_duration_s,
+                alignment_duration_s=cfg.alignment_duration_s,
+                boarding_timeout_s=cfg.boarding_timeout_s,
             )
-            self._bus.register(lp_id, "LP")
+            self._lps.append(lp)
+            self._members[lp_id] = (f"LP{lp_id}", lp, None, self._bus.register(lp_id, "LP"))
 
         self._uavs: list[_UavBody] = []
         for index, ap_id in enumerate(ap_ids):
@@ -399,25 +403,17 @@ class Simulation:
                 service_duration_estimate_s=cfg.service_duration_s,
                 departure_clear_s=cfg.departure_clear_s,
             )
-            self._uavs.append(
-                _UavBody(
-                    sys_id=ap_id,
-                    actor=f"AP{ap_id}",
-                    node=node,
-                    rng=rng,
-                    battery=battery,
-                    position=position,
-                    min_battery=battery,
-                )
+            body = _UavBody(
+                sys_id=ap_id,
+                actor=f"AP{ap_id}",
+                node=node,
+                rng=rng,
+                battery=battery,
+                position=position,
+                min_battery=battery,
             )
-            self._bus.register(ap_id, "AP")
-
-        # Every node by sys_id: its trace actor, its node and, for a
-        # vehicle, its body.
-        self._members: dict[int, tuple[str, ApNode | LpNode, _UavBody | None]] = {
-            lp.sys_id: (f"LP{lp.sys_id}", lp, None) for lp in self._lps
-        }
-        self._members.update({body.sys_id: (body.actor, body.node, body) for body in self._uavs})
+            self._uavs.append(body)
+            self._members[ap_id] = (body.actor, node, body, self._bus.register(ap_id, "AP"))
         self._failures: list[dict] = []
 
         self._tracer = TraceWriter(trace) if trace is not None else None
@@ -425,16 +421,16 @@ class Simulation:
             self._tracer.header(cfg.to_dict())
         # The one trace text memo: each source's last MSG_RECV detail, one
         # (msg, text) slot per one-byte sys_id. A broadcast's receivers share
-        # one decoded object (decode_for), so its detail renders once, not once
-        # per platform; without it traced 20x5x600 ran 1.4x slower (CPython 3.11,
-        # 2-core Xeon). Identity, since 0.0 == -0.0 renders differently; a slot
-        # keeps its message alive.
+        # one decoded object (_deliver decodes its frame once), so its detail
+        # renders once, not once per platform; without it traced 20x5x600
+        # ran 1.4x slower (CPython 3.11, 2-core Xeon). Identity, since
+        # 0.0 == -0.0 renders differently; a slot keeps its message alive.
         self._recv_details: list[tuple] = [(None, "")] * 256
 
     def _send(self, sys_id: int, outbound_list, t: float) -> None:
         """Trace sys_id's state changes, then put its outbound messages on the bus."""
         tracer = self._tracer
-        actor, node, body = self._members[sys_id]
+        actor, node, body, _keystore = self._members[sys_id]
         if node.transitions:
             for from_state, to_state in node.drain_transitions():
                 if tracer is not None:
@@ -458,14 +454,26 @@ class Simulation:
 
     def _deliver(self, t: float) -> None:
         """Messages sent last tick arrive now: the bus is drained first in the
-        tick, before its sends. A failed vehicle receives nothing."""
-        decode_for, members, tracer = self._bus.decode_for, self._members, self._tracer
+        tick, before its sends. A failed vehicle receives nothing.
+
+        Each receiver verifies a frame with its own keystore. A broadcast's
+        deliveries are adjacent and share one frame object, so a further
+        receiver of the frame just decoded runs only its own replay check,
+        the one part of decoding that depends on the receiver. Any other
+        frame object, a reordered or altered one too, is decoded in full.
+        """
+        members, tracer = self._members, self._tracer
         recv_details = self._recv_details
+        decoded = None  # the frame object last decoded; header, msg, sig are its result
         for dest, frame in self._bus.pop_due(t):
-            actor, node, body = members[dest]
+            actor, node, body, keystore = members[dest]
             if body is not None and body.failed:
                 continue
-            header, msg, _sig = decode_for(dest, frame)
+            if frame is decoded:
+                keystore.accept(header.sys_id, header.comp_id, sig.timestamp)
+            else:
+                header, msg, sig = decode_frame(frame, keystore)
+                decoded = frame
             src = header.sys_id
             if tracer is not None:
                 recv_msg, detail = recv_details[src]

@@ -2,33 +2,30 @@
 
 Node state machines emit `Outbound` named tuples and never touch sockets or
 frame bytes themselves; the transport owns per-endpoint frame sequence
-numbers, the link's signing and each endpoint's keystore. `InMemoryBus` is
-the simulation transport: lossless, deterministic delivery order. A
-datagram transport can replace it without touching the nodes.
+numbers and the link's signing, and mints each endpoint's keystore.
+`InMemoryBus` is the simulation transport: lossless, deterministic
+delivery order. A datagram transport can replace it without touching the
+nodes.
 
 The bus is one signed link, as in MAVLink v2 signing: one secret and one
 link_id (LINK_ID). Every sender signs with the link's one `SigningContext`
 at the `now` its send is given, in 10 us units; the context keeps
-timestamps per (sys_id, comp_id) stream. Every endpoint holds a `Keystore`
-of that secret and link_id with its own replay state. Every receiver
-decodes with `decode_frame`, which refuses an unsigned frame.
+timestamps per (sys_id, comp_id) stream. `register` returns the endpoint's
+`Keystore` of that secret and link_id, with its own replay state.
+Receivers verify what they receive: the bus carries frames and never
+decodes them.
 
 Broadcast (dest_sys_id None) delivers to every registered node of the
-other kind, in sys_id order. Only vehicle heartbeats are broadcast, to
-every platform; platforms send none. A unicast to an unregistered
-sys_id raises ValueError before it is framed.
-
-All deliveries of one send share one frame object. `decode_for` decodes
-a new frame with `decode_frame` at its first receiver and remembers the
-frame and its result; a further receiver of that frame object runs only
-its own replay check, the one part of decoding that depends on the
-receiver.
+other kind, in sys_id order, and all deliveries of one send share one
+frame object. Only vehicle heartbeats are broadcast, to every platform;
+platforms send none. A unicast to an unregistered sys_id raises
+ValueError before it is framed.
 
 A `Delivery` is a receiver and a frame. The bus keeps no deadline: the
 simulator drains it with `pop_due` at the start of each tick, before that
 tick's sends, so every frame arrives one tick after it is sent. Nor does
 it keep the sender: a receiver learns it from the frame's signed header
-sys_id, which `decode_for` returns.
+sys_id.
 """
 
 from __future__ import annotations
@@ -37,9 +34,7 @@ from bisect import insort
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .wire import (
-    TIMESTAMP_UNITS_PER_S, Keystore, Message, SigningContext, decode_frame, encode_frame,
-)
+from .wire import TIMESTAMP_UNITS_PER_S, Keystore, Message, SigningContext, encode_frame
 
 # The link_id every frame on the bus is signed under.
 LINK_ID = 0
@@ -62,7 +57,6 @@ class Delivery(NamedTuple):
 @dataclass
 class _Endpoint:
     peers: list[int]  # sorted sys_ids of the other kind: broadcast targets
-    keystore: Keystore
     tx_seq: int = 0
 
 
@@ -73,17 +67,17 @@ class InMemoryBus:
         self._endpoints: dict[int, _Endpoint] = {}
         self._in_flight: list[Delivery] = []
         self._by_kind: dict[str, list[int]] = {"AP": [], "LP": []}
-        # The last frame decode_frame accepted, and its result.
-        self._decoded: tuple = (None, None)
 
-    def register(self, sys_id: int, kind: str) -> None:
+    def register(self, sys_id: int, kind: str) -> Keystore:
+        """Add an endpoint; returns the keystore its receiver verifies with."""
         if kind not in self._by_kind:
             raise ValueError(f"kind must be 'AP' or 'LP', got {kind!r}")
         if sys_id in self._endpoints:
             raise ValueError(f"sys_id {sys_id} already registered")
         insort(self._by_kind[kind], sys_id)
         peers = self._by_kind["LP" if kind == "AP" else "AP"]
-        self._endpoints[sys_id] = _Endpoint(peers, Keystore(self._secret, LINK_ID))
+        self._endpoints[sys_id] = _Endpoint(peers)
+        return Keystore(self._secret, LINK_ID)
 
     def send(self, src_sys_id: int, outbound: Outbound, now: float) -> list[Delivery]:
         """Frame, sign and queue a message; returns the queued deliveries."""
@@ -113,20 +107,3 @@ class InMemoryBus:
         """
         due, self._in_flight = self._in_flight, []
         return due
-
-    def decode_for(self, dest_sys_id: int, frame: bytes):
-        """Decode a signed frame with the destination endpoint's keystore.
-
-        A further receiver of the last frame object decoded runs only its
-        replay check. Failures are never remembered, so every receiver of
-        a bad or unsigned frame raises.
-        """
-        keystore = self._endpoints[dest_sys_id].keystore
-        decoded_frame, result = self._decoded
-        if decoded_frame is not frame:
-            result = decode_frame(frame, keystore)
-            self._decoded = frame, result
-            return result
-        header, _, signature = result
-        keystore.accept(header.sys_id, header.comp_id, signature.timestamp)
-        return result

@@ -481,18 +481,16 @@ class SigningContext:
         # SHA-256 with the secret already absorbed; each signature copies it.
         self.keyed_sha256 = sha256(secret_key)
         self.link_id = link_id
-        # Each stream's last timestamp in a one-element list, updated in place.
-        self._last: dict[tuple[int, int], list[int]] = {}
+        # Each stream's last timestamp.
+        self._last: dict[tuple[int, int], int] = {}
 
     def next_timestamp(self, sys_id: int, comp_id: int, ts: int) -> int:
         """The stream's timestamp for a frame sent at ts: max(ts, last + 1)."""
-        last = self._last.get((sys_id, comp_id))
-        if last is None:
-            self._last[(sys_id, comp_id)] = [ts]
-            return ts
-        if ts <= last[0]:
-            ts = last[0] + 1
-        last[0] = ts
+        stream = (sys_id, comp_id)
+        last = self._last.get(stream)
+        if last is not None and ts <= last:
+            ts = last + 1
+        self._last[stream] = ts
         return ts
 
 
@@ -509,8 +507,8 @@ class Keystore:
         # SHA-256 with the secret already absorbed; each check copies it.
         self.keyed_sha256 = sha256(secret_key)
         self.link_id = link_id
-        # Each stream's last timestamp in a one-element list, updated in place.
-        self._last: dict[tuple[int, int], list[int]] = {}
+        # Each stream's last timestamp.
+        self._last: dict[tuple[int, int], int] = {}
         # The link's newest accepted timestamp; 0, below any window, at first.
         self._link_max = 0
 
@@ -524,11 +522,9 @@ class Keystore:
                 raise StaleTimestamp(
                     f"timestamp {ts} lags link maximum {link_max} beyond the replay window"
                 )
-            self._last[stream] = [ts]
-        elif ts <= last[0]:
-            raise StaleTimestamp(f"timestamp {ts} <= last accepted {last[0]}")
-        else:
-            last[0] = ts
+        elif ts <= last:
+            raise StaleTimestamp(f"timestamp {ts} <= last accepted {last}")
+        self._last[stream] = ts
         if ts > link_max:
             self._link_max = ts
 

@@ -13,6 +13,7 @@ from autoserve.wire import (
     ServiceReservationRequest,
     SystemStateUpdate,
     VehicleType,
+    decode_frame,
 )
 
 ROSTER = [(1, (0.0, 0.0)), (2, (100.0, 0.0))]
@@ -110,8 +111,7 @@ def test_reused_heartbeat_frames_get_fresh_seq_and_timestamp():
     ap = make_ap()
     bus = InMemoryBus(secret)
     bus.register(ap.sys_id, "AP")
-    for lp_id, _ in ROSTER:
-        bus.register(lp_id, "LP")
+    keystores = {lp_id: bus.register(lp_id, "LP") for lp_id, _ in ROSTER}
     # Every send at one time, 5_000 units: the sender still stamps each
     # frame later than the last.
     sent_at = 0.05
@@ -120,9 +120,9 @@ def test_reused_heartbeat_frames_get_fresh_seq_and_timestamp():
         for outbound in tick(ap, now, battery=90.0, pos=(3.0, 4.0)):
             beats.append(outbound.msg)
             bus.send(ap.sys_id, outbound, sent_at)
-        for delivery in bus.pop_due(sent_at + 1.0):
-            header, msg, signature = bus.decode_for(delivery.dest_sys_id, delivery.frame)
-            received[delivery.dest_sys_id].append((header.seq, signature.timestamp, msg))
+        for dest, frame in bus.pop_due(sent_at + 1.0):
+            header, msg, signature = decode_frame(frame, keystores[dest])
+            received[dest].append((header.seq, signature.timestamp, msg))
     assert len(beats) == 3 and beats[0] is beats[1] is beats[2]
     for got in received.values():
         assert [(seq, ts) for seq, ts, _ in got] == [(0, 5_000), (1, 5_001), (2, 5_002)]

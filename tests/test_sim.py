@@ -25,12 +25,17 @@ from autoserve.sim import (
     sweep,
     uav_rng,
 )
-from autoserve.transport import Outbound
+from autoserve.transport import Delivery, Outbound
 from autoserve.wire import (
     _COMPACT_JSON,
+    HEADER_LEN,
+    ChecksumMismatch,
     ExtendedHeartbeat,
     FlightStack,
+    Keystore,
     NodeState,
+    SignatureInvalid,
+    StaleTimestamp,
     VehicleType,
     message_from_fields,
 )
@@ -530,31 +535,121 @@ def test_a_run_that_raises_keeps_every_record_made_before_the_raise(monkeypatch)
 
 def test_each_decoded_message_object_gets_one_received_text(monkeypatch):
     import autoserve.sim as sim_module
-    import autoserve.transport as transport
 
-    rendered, decoded = [], []
-    message_head, decode_for = sim_module._message_head, transport.InMemoryBus.decode_for
+    rendered, decoded, handled = [], [], []
+    message_head, decode_frame = sim_module._message_head, sim_module.decode_frame
 
     def counting_head(msg, peer_key):
         if peer_key == "src":
             rendered.append(msg)
         return message_head(msg, peer_key)
 
-    def recording_decode_for(bus, dest_sys_id, frame):
-        result = decode_for(bus, dest_sys_id, frame)
+    def recording_decode_frame(frame, keystore):
+        result = decode_frame(frame, keystore)
         decoded.append(result[1])
         return result
 
+    def recording_handler(cls):
+        handle_message = cls.handle_message
+
+        def recording(node, msg, src, now):
+            handled.append(msg)
+            return handle_message(node, msg, src, now)
+
+        monkeypatch.setattr(cls, "handle_message", recording)
+
     monkeypatch.setattr(sim_module, "_message_head", counting_head)
-    monkeypatch.setattr(transport.InMemoryBus, "decode_for", recording_decode_for)
+    monkeypatch.setattr(sim_module, "decode_frame", recording_decode_frame)
+    recording_handler(ApNode)
+    recording_handler(LpNode)
     report, _, records = run_traced(SimConfig(n_uavs=1, n_lps=5, duration_s=600))
     assert sum(report.services_completed.values()) >= 1
-    assert sum(r["kind"] == "MSG_RECV" for r in records) == len(decoded)
-    # Both lists hold their messages, so no two distinct objects share an id.
-    distinct = list({id(msg): msg for msg in decoded}.values())
+    assert sum(r["kind"] == "MSG_RECV" for r in records) == len(handled)
+    # Every delivered message is an object a decode returned.
+    assert {id(msg) for msg in handled} <= {id(msg) for msg in decoded}
+    # The lists hold their messages, so no two distinct objects share an id.
+    distinct = list({id(msg): msg for msg in handled}.values())
     assert len(rendered) == len(distinct) and all(map(operator.is_, rendered, distinct))
-    # Each heartbeat reaches five platforms but is rendered once.
-    assert len(decoded) > 4 * len(rendered)
+    # Each heartbeat reaches five platforms but is decoded and rendered once.
+    assert len(handled) > 4 * len(decoded) >= 4 * len(rendered)
+
+
+def deliver_exactly(monkeypatch, sim, deliveries, t=1.0):
+    """Run sim._deliver with InMemoryBus.pop_due returning deliveries."""
+    import autoserve.transport as transport
+
+    monkeypatch.setattr(transport.InMemoryBus, "pop_due", lambda bus, now: list(deliveries))
+    sim._deliver(t)
+
+
+@pytest.fixture
+def five_platforms(monkeypatch):
+    """A 1x5 simulation, one heartbeat frame its vehicle broadcast to the five
+    platforms, and the decode_frame and Keystore.accept calls made after it."""
+    import autoserve.sim as sim_module
+
+    sim = Simulation(SimConfig(n_uavs=1, n_lps=5, duration_s=1), None)
+    ap_id = sim._uavs[0].sys_id
+    beat = ExtendedHeartbeat(
+        VehicleType.AERIAL_PLATFORM, FlightStack.PX4, NodeState.OPERATING, 80.0, 0.0, 5.0
+    )
+    sent = sim._bus.send(ap_id, Outbound(None, beat), 0.0)
+    assert [dest for dest, _ in sent] == [1, 2, 3, 4, 5]
+    decodes, accepts = [], []
+    decode_frame, accept = sim_module.decode_frame, Keystore.accept
+
+    def counting_decode(frame, keystore):
+        decodes.append(frame)
+        return decode_frame(frame, keystore)
+
+    def counting_accept(keystore, *stream_and_ts):
+        accepts.append(stream_and_ts)
+        return accept(keystore, *stream_and_ts)
+
+    monkeypatch.setattr(sim_module, "decode_frame", counting_decode)
+    monkeypatch.setattr(Keystore, "accept", counting_accept)
+    return sim, sent, decodes, accepts
+
+
+def test_a_broadcast_frame_is_decoded_once_and_replay_checked_per_receiver(
+    monkeypatch, five_platforms
+):
+    sim, sent, decodes, accepts = five_platforms
+    ap_id = sim._uavs[0].sys_id
+    deliver_exactly(monkeypatch, sim, sent)
+    assert decodes == [sent[0].frame]
+    # The decode's own replay check, then one for each further platform.
+    assert accepts == [(ap_id, 1, 0)] * 5
+
+
+def test_one_frame_twice_in_a_row_to_one_receiver_is_stale(monkeypatch, five_platforms):
+    sim, sent, decodes, accepts = five_platforms
+    with pytest.raises(StaleTimestamp):
+        deliver_exactly(monkeypatch, sim, [sent[0], sent[0]])
+    assert len(decodes) == 1 and len(accepts) == 2
+
+
+@pytest.mark.parametrize(
+    "index, expected",
+    [(HEADER_LEN, ChecksumMismatch), (-8, SignatureInvalid), (-1, SignatureInvalid)],
+    ids=["payload-bit", "timestamp-bit", "signature-bit"],
+)
+def test_an_altered_copy_after_its_frame_is_decoded_in_full_and_commits_nothing(
+    monkeypatch, five_platforms, index, expected
+):
+    sim, sent, decodes, accepts = five_platforms
+    frame = sent[0].frame
+    altered = bytearray(frame)
+    altered[index] ^= 1
+    altered = bytes(altered)
+    with pytest.raises(expected):
+        deliver_exactly(monkeypatch, sim, [*sent[:2], Delivery(3, altered)])
+    assert decodes == [frame, altered]
+    assert len(accepts) == 2
+    # Platform 3's replay state did not advance: the intact frame still
+    # passes there and at the platforms after it.
+    deliver_exactly(monkeypatch, sim, sent[2:])
+    assert decodes == [frame, altered, frame] and len(accepts) == 5
 
 
 def test_distinct_messages_that_compare_equal_get_their_own_sent_text():
@@ -904,7 +999,7 @@ def test_codec_calls_are_visible_at_their_module_bindings(monkeypatch):
     assert set(encodes) == {"autoserve.transport.encode_frame"}
     # One decode, and so one verification, per delivered send, however
     # many receivers it has.
-    assert decodes == {"autoserve.transport.decode_frame": len(delivered_frames)}
+    assert decodes == {"autoserve.sim.decode_frame": len(delivered_frames)}
     assert set(verifies) == {"autoserve.wire.verify_frame"}
     assert 0 < n_verifies <= n_encodes
     assert n_verifies == len(delivered_frames)
