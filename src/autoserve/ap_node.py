@@ -114,7 +114,6 @@ class ApNode(StateMachine):
         # estimated time to service, so its keys are the platforms tried.
         self._lp: int | None = None
         self._offers: dict[int, float] = {}
-        self._departing_since: float | None = None
         self._heartbeat: ExtendedHeartbeat | None = None
 
     @property
@@ -173,15 +172,15 @@ class ApNode(StateMachine):
         # Platforms send no heartbeat, so one that arrives is unexpected.
         kind = type(msg)
         if kind is LpReservationConfirmation:
-            return self._handle_confirmation(msg, from_sys_id)
+            return self._handle_confirmation(msg, from_sys_id, now)
         if kind is SystemStateUpdate:
-            return self.handle_state_update(msg, from_sys_id, now)
+            return self._handle_state_update(msg, from_sys_id, now)
         return self._drop("ap_unexpected_message")
 
-    def _accept(self, lp_sys_id: int, queue_position: int) -> list[Outbound]:
-        self._transition(RESERVED_WAITING)
+    def _accept(self, lp_sys_id: int, queue_position: int, now: float) -> list[Outbound]:
+        self._transition(RESERVED_WAITING, now)
         if queue_position == 0:
-            self._transition(BOARDING)
+            self._transition(BOARDING, now)
             return []
         return [self._decision(lp_sys_id, KEEP)]
 
@@ -201,7 +200,7 @@ class ApNode(StateMachine):
         )
 
     def _handle_confirmation(
-        self, conf: LpReservationConfirmation, from_sys_id: int
+        self, conf: LpReservationConfirmation, from_sys_id: int, now: float
     ) -> list[Outbound]:
         if conf.target_ap_sys_id != self.sys_id:
             return self._drop("ap_confirmation_for_other_ap")
@@ -210,20 +209,20 @@ class ApNode(StateMachine):
             # Asked again after answering once: the exhausted-alternatives hop
             # back to the best offer, accepted whatever position it confirms.
             if from_sys_id in self._offers:
-                return self._accept(from_sys_id, conf.queue_position)
+                return self._accept(from_sys_id, conf.queue_position, now)
             next_lp = self.evaluate_confirmation(from_sys_id, conf.queue_position)
             if next_lp is None:
-                return self._accept(from_sys_id, conf.queue_position)
+                return self._accept(from_sys_id, conf.queue_position, now)
             # Cancel strictly before the replacement request.
             return [self._decision(from_sys_id, CANCEL), self._request_msg(next_lp)]
 
         if self.state is RESERVED_WAITING and from_sys_id == self.current_reservation:
             if conf.queue_position == 0:
-                self._transition(BOARDING)
+                self._transition(BOARDING, now)
             return []
         return self._drop("ap_confirmation_unexpected")
 
-    def handle_state_update(
+    def _handle_state_update(
         self, upd: SystemStateUpdate, from_sys_id: int, now: float
     ) -> list[Outbound]:
         """React to the landing platform's phase announcements."""
@@ -232,20 +231,19 @@ class ApNode(StateMachine):
         if upd.state is IDLE and self.state is BOARDING:
             # The platform gave up the slot on its boarding timeout; the
             # next tick's request policy asks again.
-            self._transition(OPERATING)
+            self._transition(OPERATING, now)
             return []
         if upd.state is SERVICING and self.state is LANDED:
-            self._transition(BEING_SERVICED)
+            self._transition(BEING_SERVICED, now)
             return []
         if upd.state is SERVICE_COMPLETE and self.state is BEING_SERVICED:
-            self._transition(DEPARTING)
-            self._departing_since = now
+            self._transition(DEPARTING, now)
             return []
         return self._drop("ap_state_update_unexpected")
 
     def notify_arrival(self, now: float) -> list[Outbound]:
         """The vehicle has touched down on its reserved platform."""
-        self._transition(LANDED)
+        self._transition(LANDED, now)
         return [Outbound(self._lp, SystemStateUpdate(state=LANDED))]
 
     # -- periodic work -----------------------------------------------------------
@@ -262,15 +260,15 @@ class ApNode(StateMachine):
         self.position = position
         out = [Outbound(None, self.heartbeat())]
 
-        if self.state is DEPARTING and now - self._departing_since >= self.departure_clear_s:
-            self._transition(OPERATING)
+        if self.state is DEPARTING and now - self.state_since >= self.departure_clear_s:
+            self._transition(OPERATING, now)
             out.append(Outbound(self._lp, SystemStateUpdate(state=DEPARTED)))
 
         if self.state is OPERATING and self.battery_pct < self.request_threshold_pct:
             ranked = self._nearest_first()
             if ranked:
                 self._offers.clear()
-                self._transition(REQUEST_PENDING)
+                self._transition(REQUEST_PENDING, now)
                 out.append(self._request_msg(ranked[0]))
         return out
 

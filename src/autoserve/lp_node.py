@@ -67,22 +67,27 @@ class ProtocolStateError(RuntimeError):
 class StateMachine:
     """The plumbing both service machines share. A subclass sets
     TRANSITIONS, its legal next states by state, and KIND, the "AP" or "LP"
-    that labels its ProtocolStateError texts."""
+    that labels its ProtocolStateError texts and begins its actor, the name
+    traces and reports know it by."""
 
     def __init__(self, sys_id: int, state: NodeState):
         self.sys_id = sys_id
+        self.actor = f"{self.KIND}{sys_id}"
         self.state = state
+        # When the node entered its state; every timed phase reads it.
+        self.state_since = 0.0
         # (from, to) pairs not yet drained; the simulator reads it after
         # each message to skip nodes with nothing to report.
         self.transitions: list[tuple[NodeState, NodeState]] = []
         # Dropped messages and reservations, by reason.
         self.drops: Counter[str] = Counter()
 
-    def _transition(self, to: NodeState) -> None:
+    def _transition(self, to: NodeState, now: float) -> None:
         if to not in self.TRANSITIONS[self.state]:
             raise ProtocolStateError(f"{self.KIND} {self.sys_id}: {self.state.name} -> {to.name}")
         self.transitions.append((self.state, to))
         self.state = to
+        self.state_since = now
 
     def drain_transitions(self) -> list[tuple[NodeState, NodeState]]:
         out, self.transitions = self.transitions, []
@@ -117,18 +122,13 @@ class LpNode(StateMachine):
         self.services_completed = 0
         self.wait_samples: list[float] = []
 
-        # When the current phase began; IDLE, the one phase entered without
-        # setting it, reads no elapsed time.
-        self._phase_started_at = 0.0
-
     def _promote(self, now: float) -> list[Outbound]:
         """On an IDLE platform, clear the queue's head, if any, for boarding."""
         if len(self.queue) == 0:
             return []
         reservation = self.queue.pop_next()
         self.current_ap = reservation.ap_sys_id
-        self._transition(AWAITING_BOARDING)
-        self._phase_started_at = now
+        self._transition(AWAITING_BOARDING, now)
         self.wait_samples.append(now - reservation.requested_at)
         return [self._confirmation(reservation.ap_sys_id, 0)]
 
@@ -140,7 +140,7 @@ class LpNode(StateMachine):
 
     def _release_current(self, now: float) -> list[Outbound]:
         self.current_ap = None
-        self._transition(IDLE)
+        self._transition(IDLE, now)
         return self._promote(now)
 
     # -- message handling ---------------------------------------------------
@@ -207,8 +207,7 @@ class LpNode(StateMachine):
         if from_sys_id != self.current_ap:
             return self._drop("lp_state_update_from_other_ap")
         if msg.state is LANDED and self.state is AWAITING_BOARDING:
-            self._transition(ALIGNING)
-            self._phase_started_at = now
+            self._transition(ALIGNING, now)
             return []
         if msg.state is DEPARTED and self.state is RELEASING:
             return self._release_current(now)
@@ -223,21 +222,17 @@ class LpNode(StateMachine):
         time is a no-op the second time.
         """
         out: list[Outbound] = []
-        elapsed = now - self._phase_started_at
-
-        if self.state is AWAITING_BOARDING and elapsed >= self.boarding_timeout_s:
+        if self.state is AWAITING_BOARDING and now - self.state_since >= self.boarding_timeout_s:
             # The vehicle cleared to board never landed: drop its reservation
             # and tell it the slot is gone.
             self._drop("lp_boarding_timeout")
             out.append(Outbound(self.current_ap, SystemStateUpdate(state=IDLE)))
             out.extend(self._release_current(now))
-        if self.state is ALIGNING and elapsed >= self.alignment_duration_s:
-            self._transition(SERVICING)
-            self._phase_started_at = now
+        if self.state is ALIGNING and now - self.state_since >= self.alignment_duration_s:
+            self._transition(SERVICING, now)
             out.append(Outbound(self.current_ap, SystemStateUpdate(state=SERVICING)))
-        if self.state is SERVICING and now - self._phase_started_at >= self.service_duration_s:
-            self._transition(RELEASING)
-            self._phase_started_at = now
+        if self.state is SERVICING and now - self.state_since >= self.service_duration_s:
+            self._transition(RELEASING, now)
             self.services_completed += 1
             out.append(Outbound(self.current_ap, SystemStateUpdate(state=SERVICE_COMPLETE)))
         return out

@@ -22,8 +22,8 @@ produce byte-identical traces.
 Trace files are UTF-8 JSON lines. The first line is
 {"header": {config, rng, trace_format}}; every following line is a
 record {t, actor, kind, detail} with kind one of TICK, MSG_SENT,
-MSG_RECV, STATE_CHANGE, BATTERY, FAILURE. actor is "AP<sys_id>" or
-"LP<sys_id>".
+MSG_RECV, STATE_CHANGE, BATTERY, FAILURE. actor names the node the
+record is about, as its StateMachine.actor: "AP<sys_id>" or "LP<sys_id>".
 """
 
 from __future__ import annotations
@@ -327,8 +327,6 @@ class TraceWriter:
 class _UavBody:
     """Simulation-side physical twin of one aerial platform."""
 
-    sys_id: int
-    actor: str
     node: ApNode
     rng: random.Random
     battery: float
@@ -366,9 +364,9 @@ class Simulation:
         ap_ids = list(range(cfg.n_lps + 1, cfg.n_lps + 1 + cfg.n_uavs))
         roster = list(zip(lp_ids, lp_positions))
         self._bus = InMemoryBus(NETWORK_SECRET)
-        # Every node by sys_id: its trace actor, its node, for a vehicle its
-        # body, and the keystore its receiver verifies with.
-        self._members: dict[int, tuple[str, ApNode | LpNode, _UavBody | None, Keystore]] = {}
+        # Every node by sys_id: the node, for a vehicle its body, and the
+        # keystore its receiver verifies with.
+        self._members: dict[int, tuple[ApNode | LpNode, _UavBody | None, Keystore]] = {}
 
         self._lps: list[LpNode] = []
         for lp_id in lp_ids:
@@ -379,7 +377,7 @@ class Simulation:
                 boarding_timeout_s=cfg.boarding_timeout_s,
             )
             self._lps.append(lp)
-            self._members[lp_id] = (f"LP{lp_id}", lp, None, self._bus.register(lp_id, "LP"))
+            self._members[lp_id] = (lp, None, self._bus.register(lp_id, lp.KIND))
 
         self._uavs: list[_UavBody] = []
         for index, ap_id in enumerate(ap_ids):
@@ -404,8 +402,6 @@ class Simulation:
                 departure_clear_s=cfg.departure_clear_s,
             )
             body = _UavBody(
-                sys_id=ap_id,
-                actor=f"AP{ap_id}",
                 node=node,
                 rng=rng,
                 battery=battery,
@@ -413,7 +409,7 @@ class Simulation:
                 min_battery=battery,
             )
             self._uavs.append(body)
-            self._members[ap_id] = (body.actor, node, body, self._bus.register(ap_id, "AP"))
+            self._members[ap_id] = (node, body, self._bus.register(ap_id, node.KIND))
         self._failures: list[dict] = []
 
         self._tracer = TraceWriter(trace) if trace is not None else None
@@ -427,10 +423,11 @@ class Simulation:
         # 0.0 == -0.0 renders differently; a slot keeps its message alive.
         self._recv_details: list[tuple] = [(None, "")] * 256
 
-    def _send(self, sys_id: int, outbound_list, t: float) -> None:
-        """Trace sys_id's state changes, then put its outbound messages on the bus."""
+    def _send(self, node: ApNode | LpNode, body, outbound_list, t: float) -> None:
+        """Trace node's state changes, then put its outbound messages on the
+        bus; body is the vehicle's body, None for a platform."""
         tracer = self._tracer
-        actor, node, body, _keystore = self._members[sys_id]
+        actor = node.actor
         if node.transitions:
             for from_state, to_state in node.drain_transitions():
                 if tracer is not None:
@@ -446,7 +443,7 @@ class Simulation:
                         )
                         tracer.record(t, actor, "BATTERY", detail)
         for outbound in outbound_list:
-            deliveries = self._bus.send(sys_id, outbound, t)
+            deliveries = self._bus.send(node.sys_id, outbound, t)
             if tracer is not None and deliveries:
                 head = _message_head(outbound.msg, "dst")
                 for delivery in deliveries:
@@ -466,7 +463,7 @@ class Simulation:
         recv_details = self._recv_details
         decoded = None  # the frame object last decoded; header, msg, sig are its result
         for dest, frame in self._bus.pop_due(t):
-            actor, node, body, keystore = members[dest]
+            node, body, keystore = members[dest]
             if body is not None and body.failed:
                 continue
             if frame is decoded:
@@ -480,11 +477,11 @@ class Simulation:
                 if recv_msg is not msg:
                     detail = f"{_message_head(msg, 'src')}{src}}}"
                     recv_details[src] = msg, detail
-                tracer.record(t, actor, "MSG_RECV", detail)
+                tracer.record(t, node.actor, "MSG_RECV", detail)
             outbound = node.handle_message(msg, src, t)
             # Most deliveries are vehicle heartbeats: no reply, no state change.
             if outbound or node.transitions:
-                self._send(dest, outbound, t)
+                self._send(node, body, outbound, t)
 
     def _physics(self, t: float) -> None:
         """Consumption, failure detection, motion and arrivals."""
@@ -492,7 +489,8 @@ class Simulation:
         for body in self._uavs:
             if body.failed:
                 continue
-            state = body.node.state
+            node = body.node
+            state = node.state
             if state in DRAIN_STATES:
                 burn = sample_consumption(body.rng, *cfg.consumption_pct_per_s)
                 body.battery = max(0.0, body.battery - burn)
@@ -501,11 +499,11 @@ class Simulation:
                 if body.battery < cfg.fail_threshold_pct:
                     body.failed = True
                     self._failures.append(
-                        {"uav": body.actor, "t": t, "battery_pct": body.battery}
+                        {"uav": node.actor, "t": t, "battery_pct": body.battery}
                     )
                     if tracer is not None:
                         tracer.record(
-                            t, body.actor, "FAILURE", _COMPACT_JSON({"battery_pct": body.battery})
+                            t, node.actor, "FAILURE", _COMPACT_JSON({"battery_pct": body.battery})
                         )
                     continue
             if state is OPERATING:
@@ -514,12 +512,11 @@ class Simulation:
                     body.position[0] + dx, body.position[1] + dy, cfg.area_m
                 )
             elif state is BOARDING:
-                node = body.node
                 target = node.known_lps[node.current_reservation]
                 distance = math.dist(body.position, target)
                 if distance <= cfg.max_step_m_per_s:
                     body.position = target
-                    self._send(body.sys_id, body.node.notify_arrival(t), t)
+                    self._send(node, body, node.notify_arrival(t), t)
                 else:
                     scale = cfg.max_step_m_per_s / distance
                     body.position = (
@@ -530,11 +527,11 @@ class Simulation:
     def _tick_aps(self, t: float) -> None:
         for body in self._uavs:
             if not body.failed:
-                self._send(body.sys_id, body.node.tick(t, body.battery, body.position), t)
+                self._send(body.node, body, body.node.tick(t, body.battery, body.position), t)
 
     def _tick_lps(self, t: float) -> None:
         for lp in self._lps:
-            self._send(lp.sys_id, lp.tick(t), t)
+            self._send(lp, None, lp.tick(t), t)
 
     def _trace_ticks(self, t: float) -> None:
         tracer = self._tracer
@@ -544,12 +541,12 @@ class Simulation:
         for lp in self._lps:
             current_ap = "null" if lp.current_ap is None else lp.current_ap
             detail = _LP_TICK % (names[lp.state], len(lp.queue), current_ap)
-            tracer.record(t, self._members[lp.sys_id][0], "TICK", detail)
+            tracer.record(t, lp.actor, "TICK", detail)
         for body in self._uavs:
             x, y = body.position
             failed = "true" if body.failed else "false"
             detail = _AP_TICK % (names[body.node.state], body.battery, x, y, failed)
-            tracer.record(t, body.actor, "TICK", detail)
+            tracer.record(t, body.node.actor, "TICK", detail)
         tracer._flush()
 
     def _report(self) -> SimReport:
@@ -559,9 +556,9 @@ class Simulation:
             drops.update(node.drops)
         return SimReport(
             outcome="FAIL" if self._failures else "PASS",
-            min_battery_pct={body.actor: body.min_battery for body in self._uavs},
+            min_battery_pct={body.node.actor: body.min_battery for body in self._uavs},
             failures=self._failures,
-            services_completed={f"LP{lp.sys_id}": lp.services_completed for lp in self._lps},
+            services_completed={lp.actor: lp.services_completed for lp in self._lps},
             queue_wait_mean_s=sum(waits) / len(waits) if waits else 0.0,
             queue_wait_max_s=max(waits) if waits else 0.0,
             queue_wait_count=len(waits),

@@ -481,7 +481,7 @@ def test_arrival_outside_boarding_raises():
 def test_illegal_transition_rejected():
     ap = make_ap()
     with pytest.raises(ProtocolStateError):
-        ap._transition(NodeState.LANDED)
+        ap._transition(NodeState.LANDED, 0.0)
 
 
 def test_transition_table_has_no_dead_ends():

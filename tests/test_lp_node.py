@@ -216,6 +216,39 @@ def test_tick_twice_at_same_time_emits_nothing_new():
     assert lp.tick(11.0) == []
 
 
+def phase_snapshot(lp):
+    return lp.state, lp.state_since, lp.queue.reservations(), list(lp.transitions)
+
+
+def assert_second_tick_is_a_noop(lp, now):
+    before = phase_snapshot(lp)
+    assert lp.tick(now) == []
+    assert phase_snapshot(lp) == before
+
+
+@pytest.mark.parametrize("alignment", [0.0, 10.0])
+@pytest.mark.parametrize("service", [0.0, 30.0])
+def test_a_second_tick_at_the_same_time_is_a_noop_in_every_timed_phase(alignment, service):
+    lp = make_lp(alignment_duration_s=alignment, service_duration_s=service)
+    lp.handle_message(request(60), 7, now=0.0)
+    lp.handle_message(update(NodeState.LANDED), 7, now=1.0)
+    for now in (1.0, 1.0 + alignment, 1.0 + alignment + service):
+        lp.tick(now)
+        assert_second_tick_is_a_noop(lp, now)
+    assert lp.state is NodeState.RELEASING
+    assert lp.state_since == 1.0 + alignment + service
+
+
+def test_a_second_tick_after_a_timeout_release_and_promotion_is_a_noop():
+    lp = make_lp(boarding_timeout_s=180.0)
+    lp.handle_message(request(60), 7, now=0.0)
+    lp.handle_message(request(50), 9, now=1.0)
+    lp.tick(180.0)
+    assert lp.current_ap == 9
+    assert (lp.state, lp.state_since) == (NodeState.AWAITING_BOARDING, 180.0)
+    assert_second_tick_is_a_noop(lp, 180.0)
+
+
 def test_departed_releases_and_clears_next():
     lp = make_lp(alignment_duration_s=0.0, service_duration_s=10.0)
     lp.handle_message(request(60), 7, now=0.0)
@@ -292,7 +325,7 @@ def test_landed_from_wrong_vehicle_is_ignored():
 def test_illegal_transition_raises():
     lp = make_lp()
     with pytest.raises(ProtocolStateError):
-        lp._transition(NodeState.SERVICING)
+        lp._transition(NodeState.SERVICING, 0.0)
 
 
 def test_transition_table_is_complete():
@@ -318,10 +351,18 @@ def test_every_illegal_edge_raises_and_leaves_the_machine_unchanged(kind, from_s
     node = MACHINES[kind][1]()
     node.state = from_state
     with pytest.raises(ProtocolStateError) as raised:
-        node._transition(to_state)
+        node._transition(to_state, 5.0)
     assert str(raised.value) == f"{kind} 7: {from_state.name} -> {to_state.name}"
     assert node.state is from_state
     assert node.transitions == []
+    assert node.state_since == 0.0
+
+
+@pytest.mark.parametrize("kind, actor", [("AP", "AP7"), ("LP", "LP7")])
+def test_a_machine_is_named_by_its_kind_and_sys_id(kind, actor):
+    node = MACHINES[kind][1]()
+    assert node.actor == actor
+    assert node.state_since == 0.0
 
 
 # --- heartbeats ---------------------------------------------------------------------

@@ -39,6 +39,7 @@ from autoserve.wire import (
     VehicleType,
     message_from_fields,
 )
+from test_acceptance import ChaosNetwork
 
 
 def small_cfg(**kwargs):
@@ -589,7 +590,7 @@ def five_platforms(monkeypatch):
     import autoserve.sim as sim_module
 
     sim = Simulation(SimConfig(n_uavs=1, n_lps=5, duration_s=1), None)
-    ap_id = sim._uavs[0].sys_id
+    ap_id = sim._uavs[0].node.sys_id
     beat = ExtendedHeartbeat(
         VehicleType.AERIAL_PLATFORM, FlightStack.PX4, NodeState.OPERATING, 80.0, 0.0, 5.0
     )
@@ -615,7 +616,7 @@ def test_a_broadcast_frame_is_decoded_once_and_replay_checked_per_receiver(
     monkeypatch, five_platforms
 ):
     sim, sent, decodes, accepts = five_platforms
-    ap_id = sim._uavs[0].sys_id
+    ap_id = sim._uavs[0].node.sys_id
     deliver_exactly(monkeypatch, sim, sent)
     assert decodes == [sent[0].frame]
     # The decode's own replay check, then one for each further platform.
@@ -655,7 +656,7 @@ def test_an_altered_copy_after_its_frame_is_decoded_in_full_and_commits_nothing(
 def test_distinct_messages_that_compare_equal_get_their_own_sent_text():
     sink = io.StringIO()
     sim = Simulation(SimConfig(n_uavs=1, duration_s=1), sink)
-    ap_id = sim._uavs[0].sys_id
+    body = sim._uavs[0]
     beat = ExtendedHeartbeat(
         VehicleType.AERIAL_PLATFORM, FlightStack.PX4, NodeState.OPERATING, 80.0, 0.0, 5.0
     )
@@ -664,7 +665,7 @@ def test_distinct_messages_that_compare_equal_get_their_own_sent_text():
     )
     assert beat == negative_zero
     for msg in (beat, beat, negative_zero, beat):
-        sim._send(ap_id, [Outbound(None, msg)], 0.0)
+        sim._send(body.node, body, [Outbound(None, msg)], 0.0)
     sim._tracer._flush()
     records = sink.getvalue().splitlines()[1:]
     assert [json.loads(line)["kind"] for line in records] == ["MSG_SENT"] * 4
@@ -696,7 +697,7 @@ def test_tick_records_show_each_actor_at_the_end_of_its_tick():
             }
         for body in sim._uavs:
             x, y = body.position
-            assert ticks[body.actor] == {
+            assert ticks[body.node.actor] == {
                 "state": body.node.state.name,
                 "battery_pct": body.battery,
                 "x": x,
@@ -705,6 +706,92 @@ def test_tick_records_show_each_actor_at_the_end_of_its_tick():
             }
             departing_ticks += body.node.state is NodeState.DEPARTING
     assert departing_ticks >= 10
+
+
+def assert_platforms_within_their_bounds(lps, t):
+    """Every platform in a timed phase has been in it for less than the
+    phase's bound; returns a (phase, time in it) pair for each of them."""
+    timed = []
+    for lp in lps:
+        bound = {
+            NodeState.AWAITING_BOARDING: lp.boarding_timeout_s,
+            NodeState.ALIGNING: lp.alignment_duration_s,
+            NodeState.SERVICING: lp.service_duration_s,
+        }.get(lp.state)
+        if bound is not None:
+            assert t - lp.state_since < bound, (lp.actor, lp.state.name, lp.state_since, t)
+            timed.append((lp.state, t - lp.state_since))
+    return timed
+
+
+class StateChangeTimes:
+    """A trace stream that keeps the t of each actor's last STATE_CHANGE."""
+
+    def __init__(self):
+        self.last = {}
+
+    def write(self, text):
+        for line in text.splitlines():
+            if '"kind":"STATE_CHANGE"' in line:
+                record = json.loads(line)
+                self.last[record["actor"]] = record["t"]
+
+
+@pytest.mark.parametrize(
+    "cfg, longest_wait",
+    [
+        (SimConfig(n_uavs=20, n_lps=5, duration_s=1800), None),
+        # The hungry run fails vehicles that were cleared to board, and
+        # their platforms wait out the whole boarding timeout: the longest
+        # wait left standing after a tick is one tick short of it.
+        (SimConfig(duration_s=900, consumption_pct_per_s=(0.35, 0.45)), 179.0),
+    ],
+    ids=["20x5x1800", "hungry-5x1x900"],
+)
+def test_no_node_outstays_its_timed_phase_and_each_clock_is_its_last_state_change(
+    cfg, longest_wait
+):
+    sink = StateChangeTimes()
+    sim = Simulation(cfg, sink)
+    waits = [0.0]
+    for step in range(cfg.duration_s):
+        t = float(step)
+        sim._deliver(t)
+        sim._physics(t)
+        sim._tick_aps(t)
+        sim._tick_lps(t)
+        sim._trace_ticks(t)
+        for state, elapsed in assert_platforms_within_their_bounds(sim._lps, t):
+            if state is NodeState.AWAITING_BOARDING:
+                waits.append(elapsed)
+        for body in sim._uavs:
+            node = body.node
+            if not body.failed and node.state is NodeState.DEPARTING:
+                assert t - node.state_since < node.departure_clear_s, (node.actor, t)
+    if longest_wait is not None:
+        assert max(waits) == longest_wait
+    nodes = [*sim._lps, *(body.node for body in sim._uavs)]
+    assert {node.actor: node.state_since for node in nodes} == {
+        node.actor: sink.last.get(node.actor, 0.0) for node in nodes
+    }
+    assert sink.last  # the nodes changed state
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 6])
+def test_no_platform_outstays_its_timed_phase_under_random_interleavings(seed):
+    net = ChaosNetwork(seed)
+    tick_all = net.tick_all
+    timed = []
+
+    def checked_tick_all():
+        tick_all()
+        timed.append(assert_platforms_within_their_bounds(net.lps.values(), net.now))
+
+    net.tick_all = checked_tick_all
+    for _ in range(10_000):
+        net.step()
+    net.settle()
+    assert sum(map(len, timed)) > 1000  # platforms were checked in timed phases
 
 
 def test_trace_header_records_config_and_generator(traced_run):
